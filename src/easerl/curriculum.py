@@ -70,18 +70,19 @@ class CurriculumSchedule:
         return RewardSpec("barrier_set", active=self.subsets[k])
 
 
-def _region_probe_points(barrier: RegionSet, n: int) -> list[tuple[float, float]]:
+def _region_probe_points(barrier: RegionSet, n: int) -> np.ndarray:
+    """(n * n, 2) grid over the barrier's padded bounding box, x-major."""
     x0, y0, x1, y1 = barrier.bbox()
     mx = 0.05 * max(x1 - x0, y1 - y0, 1.0)
     xs = np.linspace(x0 - mx, x1 + mx, n)
     ys = np.linspace(y0 - mx, y1 + mx, n)
-    return [(float(x), float(y)) for x in xs for y in ys]
+    return np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
-def _member_mask(region, pts) -> np.ndarray:
+def _member_mask(region, pts: np.ndarray) -> np.ndarray:
     if isinstance(region, IntervalSet):
-        return np.array([region.contains_value(v) for v in pts])
-    return np.array([contains(region, Point2(x, y)) for x, y in pts])
+        return region.contains_value(pts)
+    return contains(region, pts)
 
 
 def validate_schedule(schedule: CurriculumSchedule, barrier, probe_n: int = PROBE_N) -> None:
@@ -109,7 +110,7 @@ def validate_schedule(schedule: CurriculumSchedule, barrier, probe_n: int = PROB
         lo = min(i[0] for i in barrier.intervals)
         hi = max(i[1] for i in barrier.intervals)
         m = 0.05 * (hi - lo)
-        pts = list(np.linspace(lo - m, hi + m, probe_n))
+        pts = np.linspace(lo - m, hi + m, probe_n)
     else:
         if len(barrier.parts) != 1:
             raise PreconditionViolated("barrier-set schedules need a single connected barrier")
@@ -227,9 +228,8 @@ def auto_barrier_schedule(
     pts = _region_probe_points(barrier, probe_n)
     inner = sb1.parts[0]
     reach = 0.0
-    for x, y in pts:
-        if part.contains_point(x, y):
-            reach = max(reach, inner.distance_to_point(x, y))
+    for x, y in pts[part.contains_point(pts[:, 0], pts[:, 1])].tolist():
+        reach = max(reach, inner.distance_to_point(x, y))
     subsets: list[RegionSet] = []
     for k in range(1, stages):
         r = reach * k / stages

@@ -83,10 +83,13 @@ def full_reward(env) -> RewardSpec:
 
 @dataclass(frozen=True)
 class StepResult:
+    """One transition, for one state or elementwise over a (B, D) batch."""
+
     state: np.ndarray
-    reward: float
-    terminal: bool
-    collided: bool  # membership of the penalized set this step
+    reward: float | np.ndarray
+    terminal: bool | np.ndarray
+    collided: bool | np.ndarray  # membership of the penalized set this step
+    base: float | np.ndarray  # the reward before the barrier penalty
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,11 @@ _IX, _IY, _IH, _IV, _IW, _IT = 0, 1, 2, 3, 4, 5
 
 @dataclass(frozen=True)
 class CarEnv:
-    """Unicycle car in the 20x20 field with a rectangular barrier union."""
+    """Unicycle car in the 20x20 field with a rectangular barrier union.
+
+    The state methods take one state vector or a batch with leading axes,
+    and work elementwise over the batch.
+    """
 
     name: str
     spec: MdpSpec
@@ -141,67 +148,70 @@ class CarEnv:
 
     def features(self, state: np.ndarray) -> np.ndarray:
         if self.obs_mode == "position":
-            return np.array([state[_IX] / FIELD_HALF, state[_IY] / FIELD_HALF])
-        base = [
-            state[_IX] / FIELD_HALF,
-            state[_IY] / FIELD_HALF,
-            math.cos(state[_IH]),
-            math.sin(state[_IH]),
-            state[_IV] / self.v_set,
-            state[_IW] / self.steer_max,
-            state[_IT] / self.spec.horizon,
-        ]
-        return np.array(base + list(state[6:]))
+            return np.stack([state[..., _IX] / FIELD_HALF, state[..., _IY] / FIELD_HALF], axis=-1)
+        n_flags = len(self.barrier_tops)
+        out = np.empty(state.shape[:-1] + (7 + n_flags,))
+        out[..., 0] = state[..., _IX] / FIELD_HALF
+        out[..., 1] = state[..., _IY] / FIELD_HALF
+        out[..., 2] = np.cos(state[..., _IH])
+        out[..., 3] = np.sin(state[..., _IH])
+        out[..., 4] = state[..., _IV] / self.v_set
+        out[..., 5] = state[..., _IW] / self.steer_max
+        out[..., 6] = state[..., _IT] / self.spec.horizon
+        out[..., 7:] = state[..., 6:]
+        return out
 
     def dynamics(self, state: np.ndarray, action: np.ndarray) -> np.ndarray:
-        a = min(1.0, max(-1.0, float(action[0])))
-        omega = a * self.steer_max
+        omega = np.minimum(np.maximum(action[..., 0], -1.0), 1.0) * self.steer_max
+        heading = state[..., _IH] + omega * self.dt
+        speed = state[..., _IV] + self.kp * (self.v_set - state[..., _IV]) * self.dt
         nxt = state.copy()
-        nxt[_IH] = state[_IH] + omega * self.dt
-        nxt[_IV] = state[_IV] + self.kp * (self.v_set - state[_IV]) * self.dt
-        nxt[_IX] = state[_IX] + nxt[_IV] * math.cos(nxt[_IH]) * self.dt
-        nxt[_IY] = state[_IY] + nxt[_IV] * math.sin(nxt[_IH]) * self.dt
-        nxt[_IW] = omega
-        nxt[_IT] = state[_IT] + 1.0
+        nxt[..., _IH] = heading
+        nxt[..., _IV] = speed
+        nxt[..., _IX] = state[..., _IX] + speed * np.cos(heading) * self.dt
+        nxt[..., _IY] = state[..., _IY] + speed * np.sin(heading) * self.dt
+        nxt[..., _IW] = omega
+        nxt[..., _IT] = state[..., _IT] + 1.0
         for i, top in enumerate(self.barrier_tops):
-            if nxt[6 + i] == 0.0 and nxt[_IY] >= top:
-                nxt[6 + i] = 1.0
+            flag = nxt[..., 6 + i]
+            nxt[..., 6 + i] = np.where((flag == 0.0) & (nxt[..., _IY] >= top), 1.0, flag)
         return nxt
 
-    def base_reward(self, state: np.ndarray, action: np.ndarray, nxt: np.ndarray) -> float:
-        t_norm = state[_IT] / self.spec.horizon
-        r = 0.0
+    def base_reward(self, state: np.ndarray, action: np.ndarray, nxt: np.ndarray):
+        t_norm = state[..., _IT] / self.spec.horizon
+        goal_y = self.goal_poly.bbox()[1]
+        r = np.zeros(np.shape(t_norm))
         if self.c_side:
             side_sign = 1.0 if self.target_bits[0] == 1 else -1.0
-            r += self.c_side * (1.0 - t_norm) * side_sign * math.sin(nxt[_IH] - math.pi / 2.0)
+            r = r + self.c_side * (1.0 - t_norm) * side_sign * np.sin(nxt[..., _IH] - math.pi / 2.0)
         if self.c_goal:
-            dist = max(0.0, self.goal_poly.bbox()[1] - nxt[_IY])
-            r += -self.c_goal * t_norm * dist / 16.0
+            dist = np.maximum(0.0, goal_y - nxt[..., _IY])
+            r = r + -self.c_goal * t_norm * dist / 16.0
         if self.c_pot:
-            d_prev = max(0.0, self.goal_poly.bbox()[1] - state[_IY])
-            d_next = max(0.0, self.goal_poly.bbox()[1] - nxt[_IY])
-            r += self.c_pot * (d_prev - d_next)
+            d_prev = np.maximum(0.0, goal_y - state[..., _IY])
+            d_next = np.maximum(0.0, goal_y - nxt[..., _IY])
+            r = r + self.c_pot * (d_prev - d_next)
         if self.side_bonus:
+            passed_left = nxt[..., _IX] < 0.0
             for i in range(len(self.barrier_tops)):
-                if state[6 + i] == 0.0 and nxt[6 + i] == 1.0:
-                    passed_left = nxt[_IX] < 0.0
-                    if passed_left == (self.target_bits[i] == 1):
-                        r += self.side_bonus
-        if self.goal_bonus and self.in_goal(nxt):
-            r += self.goal_bonus
+                passed = (state[..., 6 + i] == 0.0) & (nxt[..., 6 + i] == 1.0)
+                on_target = passed_left == (self.target_bits[i] == 1)
+                r = r + np.where(passed & on_target, self.side_bonus, 0.0)
+        if self.goal_bonus:
+            r = r + np.where(self.in_goal(nxt), self.goal_bonus, 0.0)
         return r
 
-    def in_goal(self, state: np.ndarray) -> bool:
-        return self.goal_poly.contains_point(state[_IX], state[_IY])
+    def in_goal(self, state: np.ndarray):
+        return self.goal_poly.contains_point(state[..., _IX], state[..., _IY])
 
-    def in_region(self, state: np.ndarray, region: RegionSet) -> bool:
-        return contains(region, Point2(state[_IX], state[_IY]))
+    def in_region(self, state: np.ndarray, region: RegionSet):
+        return contains(region, state[..., :2])
 
-    def is_terminal(self, state: np.ndarray) -> bool:
-        return self.in_goal(state) or state[_IT] >= self.spec.horizon
+    def is_terminal(self, state: np.ndarray):
+        return self.in_goal(state) | (state[..., _IT] >= self.spec.horizon)
 
-    def task_point(self, state: np.ndarray) -> tuple[float, float]:
-        return float(state[_IX]), float(state[_IY])
+    def task_point(self, state: np.ndarray) -> tuple:
+        return state[..., _IX], state[..., _IY]
 
     def class_region(self) -> RegionSet:
         return self.barrier
@@ -327,7 +337,8 @@ class AngleEnv:
     """Double-integrator joint angle with a penalized band around pi/4.
 
     Task-space points are (time * dt, angle), so the band becomes a rectangle
-    in the plane and the crossing-parity machinery applies unchanged.
+    in the plane and the crossing-parity machinery applies unchanged.  The
+    state methods take one state vector or a batch with leading axes.
     """
 
     name: str
@@ -353,30 +364,31 @@ class AngleEnv:
         return np.array([self.start_angle, 0.0, 0.0])
 
     def features(self, state: np.ndarray) -> np.ndarray:
-        return np.array([state[_IA], state[_IAV], state[_IAT] / self.spec.horizon])
+        return np.stack(
+            [state[..., _IA], state[..., _IAV], state[..., _IAT] / self.spec.horizon], axis=-1
+        )
+
+    def _torque(self, action: np.ndarray):
+        return np.minimum(np.maximum(action[..., 0], -1.0), 1.0) * self.torque_max
 
     def dynamics(self, state: np.ndarray, action: np.ndarray) -> np.ndarray:
-        a = min(1.0, max(-1.0, float(action[0]))) * self.torque_max
-        w = self.damping * state[_IAV] + a * self.dt
-        return np.array([state[_IA] + w * self.dt, w, state[_IAT] + 1.0])
+        w = self.damping * state[..., _IAV] + self._torque(action) * self.dt
+        return np.stack([state[..., _IA] + w * self.dt, w, state[..., _IAT] + 1.0], axis=-1)
 
-    def base_reward(self, state: np.ndarray, action: np.ndarray, nxt: np.ndarray) -> float:
-        a = min(1.0, max(-1.0, float(action[0]))) * self.torque_max
-        return -self.c_angle * abs(nxt[_IA] - self.goal_angle) - self.c_torque * a * a
+    def base_reward(self, state: np.ndarray, action: np.ndarray, nxt: np.ndarray):
+        a = self._torque(action)
+        return -self.c_angle * np.abs(nxt[..., _IA] - self.goal_angle) - self.c_torque * a * a
 
-    def in_region(self, state: np.ndarray, region) -> bool:
+    def in_region(self, state: np.ndarray, region):
         if isinstance(region, IntervalSet):
-            return region.contains_value(float(state[_IA]))
-        return contains(region, Point2(*self.task_point(state)))
+            return region.contains_value(state[..., _IA])
+        return contains(region, np.stack(self.task_point(state), axis=-1))
 
-    def is_terminal(self, state: np.ndarray) -> bool:
-        return state[_IAT] >= self.spec.horizon
+    def is_terminal(self, state: np.ndarray):
+        return state[..., _IAT] >= self.spec.horizon
 
-    def in_goal(self, state: np.ndarray) -> bool:
-        return False
-
-    def task_point(self, state: np.ndarray) -> tuple[float, float]:
-        return float(state[_IAT] * self.dt), float(state[_IA])
+    def task_point(self, state: np.ndarray) -> tuple:
+        return state[..., _IAT] * self.dt, state[..., _IA]
 
     def class_region(self) -> RegionSet:
         lo, hi = self.band.intervals[0]
@@ -436,18 +448,35 @@ def penalty_region(env, reward_spec: RewardSpec):
 
 
 def step(env, state: np.ndarray, action, reward_spec: RewardSpec) -> StepResult:
-    """One transition.  The kinematic update never depends on the reward spec."""
-    a = np.asarray(action, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(a)):
+    """One transition of one state, or of each row of a (B, D) state batch.
+
+    The kinematic update never depends on the reward spec.
+    """
+    a = np.asarray(action, dtype=float).reshape(np.shape(state)[:-1] + (-1,))
+    if not np.isfinite(a).all():
         raise NonFiniteAction(f"non-finite action {a}")
     nxt = env.dynamics(state, a)
     base = env.base_reward(state, a, nxt)
     member = env.in_region(nxt, penalty_region(env, reward_spec))
     if reward_spec.mode == "reward_weight":
-        pen = reward_spec.alpha * env.barrier.penalty if member else 0.0
+        charge = reward_spec.alpha * env.barrier.penalty
     else:
-        pen = env.barrier.penalty if member else 0.0
-    return StepResult(nxt, base - pen, env.is_terminal(nxt), bool(member))
+        charge = env.barrier.penalty
+    reward = base - np.where(member, charge, 0.0)
+    return StepResult(nxt, reward, env.is_terminal(nxt), member, base)
+
+
+def noise_tapes(env, seeds) -> np.ndarray:
+    """(B, horizon, action_dim) Gaussian tapes, one per episode seed.
+
+    A tape is keyed by its seed alone, so identical seeds give identical
+    noise regardless of policy parameters or of the batch around them.
+    """
+    shape = (env.spec.horizon, env.spec.action_dim)
+    tapes = np.empty((len(seeds),) + shape)
+    for b, seed in enumerate(seeds):
+        tapes[b] = rng_for(seed, "noise").standard_normal(shape)
+    return tapes
 
 
 @dataclass
@@ -458,6 +487,87 @@ class RolloutRecord:
     trajectory: Trajectory
     ret: float
     collided: bool
+
+
+@dataclass
+class RolloutBatch:
+    """B episodes stepped in lockstep.
+
+    Episode b owns the first lengths[b] steps of each per-step array (and
+    lengths[b] + 1 states); entries after its end are zero.
+    """
+
+    obs: np.ndarray  # (B, horizon, obs_dim)
+    actions: np.ndarray  # (B, horizon, action_dim)
+    rewards: np.ndarray  # (B, horizon)
+    base: np.ndarray  # (B, horizon) rewards before the barrier penalty
+    member: np.ndarray  # (B, horizon) membership of the penalized set
+    states: np.ndarray  # (B, horizon + 1, state vector size)
+    lengths: np.ndarray  # (B,)
+    returns: np.ndarray  # (B,) discounted returns
+
+    @property
+    def collided(self) -> np.ndarray:
+        return self.member.any(axis=1)
+
+    def trajectory(self, env, b: int) -> Trajectory:
+        raw = self.states[b, : self.lengths[b] + 1]
+        return Trajectory(np.stack(env.task_point(raw), axis=-1), raw)
+
+    def record(self, env, b: int) -> RolloutRecord:
+        t_len = self.lengths[b]
+        return RolloutRecord(
+            self.obs[b, :t_len],
+            self.actions[b, :t_len],
+            self.rewards[b, :t_len],
+            self.trajectory(env, b),
+            float(self.returns[b]),
+            bool(self.collided[b]),
+        )
+
+
+def rollout_batch(env, policy, reward_spec: RewardSpec, noise: np.ndarray) -> RolloutBatch:
+    """Simulate one episode per noise tape, all in lockstep.
+
+    Every episode steps until it terminates, on its own; finished episodes
+    drop out of the batch.  The policy's batch-size-independent forward pass
+    gives each episode the same bits at any B, so results depend only on
+    the policy, the reward spec and the episode's own tape.
+    """
+    n, horizon = noise.shape[0], env.spec.horizon
+    state = np.repeat(env.initial_state()[None, :], n, axis=0)
+    states = np.zeros((n, horizon + 1, state.shape[1]))
+    states[:, 0] = state
+    obs = np.zeros((n, horizon, env.spec.state_dim))
+    actions = np.zeros((n, horizon, env.spec.action_dim))
+    rewards = np.zeros((n, horizon))
+    base = np.zeros((n, horizon))
+    member = np.zeros((n, horizon), dtype=bool)
+    lengths = np.full(n, horizon)
+    returns = np.zeros(n)
+    gamma_t = 1.0
+    live = np.arange(n)
+    for t in range(horizon):
+        if live.size == 0:
+            break
+        o = env.features(state)
+        a, _ = _rl.act(policy, o, noise[live, t])
+        res = step(env, state, a, reward_spec)
+        obs[live, t] = o
+        actions[live, t] = a
+        rewards[live, t] = res.reward
+        base[live, t] = res.base
+        member[live, t] = res.collided
+        states[live, t + 1] = res.state
+        returns[live] += gamma_t * res.reward
+        gamma_t *= env.spec.discount
+        state = res.state
+        if res.terminal.any():
+            lengths[live[res.terminal]] = t + 1
+            going = ~res.terminal
+            live = live[going]
+            state = state[going]
+    return RolloutBatch(obs, actions, rewards, base, member, states, lengths, returns)
 
 
 def rollout_record(
@@ -471,42 +581,8 @@ def rollout_record(
     """
     if noise_mode not in ("fresh", "frozen"):
         raise ValueError(f"unknown noise mode {noise_mode!r}")
-    horizon = env.spec.horizon
-    tape = rng_for(seed, "noise").standard_normal((horizon, env.spec.action_dim))
-    state = env.initial_state()
-    obs_list = []
-    act_list = []
-    rew_list = []
-    points = [env.task_point(state)]
-    raws = [state.copy()]
-    discount = env.spec.discount
-    ret = 0.0
-    gamma_t = 1.0
-    collided = False
-    for t in range(horizon):
-        obs = env.features(state)
-        action, _ = _rl.act(policy, obs, tape[t])
-        res = step(env, state, action, reward_spec)
-        obs_list.append(obs)
-        act_list.append(action)
-        rew_list.append(res.reward)
-        ret += gamma_t * res.reward
-        gamma_t *= discount
-        collided = collided or res.collided
-        state = res.state
-        points.append(env.task_point(state))
-        raws.append(state.copy())
-        if res.terminal:
-            break
-    traj = Trajectory(np.array(points), np.array(raws))
-    return RolloutRecord(
-        np.array(obs_list),
-        np.array(act_list),
-        np.array(rew_list),
-        traj,
-        float(ret),
-        collided,
-    )
+    batch = rollout_batch(env, policy, reward_spec, noise_tapes(env, [seed]))
+    return batch.record(env, 0)
 
 
 def rollout(
@@ -518,18 +594,5 @@ def rollout(
 
 def mean_rollout(env, policy, reward_spec: RewardSpec) -> Trajectory:
     """Noise-free rollout (the policy's mean action at every step)."""
-    horizon = env.spec.horizon
-    state = env.initial_state()
-    points = [env.task_point(state)]
-    raws = [state.copy()]
-    zero = np.zeros(env.spec.action_dim)
-    for _ in range(horizon):
-        obs = env.features(state)
-        action, _ = _rl.act(policy, obs, zero)
-        res = step(env, state, action, reward_spec)
-        state = res.state
-        points.append(env.task_point(state))
-        raws.append(state.copy())
-        if res.terminal:
-            break
-    return Trajectory(np.array(points), np.array(raws))
+    zero = np.zeros((1, env.spec.horizon, env.spec.action_dim))
+    return rollout_batch(env, policy, reward_spec, zero).trajectory(env, 0)

@@ -8,8 +8,11 @@ tolerance of EPS, so boundary contact counts as contact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DegenerateCut
 
@@ -126,13 +129,24 @@ class ConvexPolygon:
         ys = [p.y for p in self.vertices]
         return min(xs), min(ys), max(xs), max(ys)
 
-    def contains_point(self, x: float, y: float) -> bool:
-        v = self.vertices
-        for i in range(len(v)):
-            a, b = v[i], v[(i + 1) % len(v)]
-            if _cross(a.x, a.y, b.x, b.y, x, y) < -EPS:
-                return False
-        return True
+    @functools.cached_property
+    def _edges(self) -> tuple[np.ndarray, ...]:
+        """(px, py, qx - px, qy - py) over the edges p -> q."""
+        p = np.array([(a.x, a.y) for a in self.vertices])
+        d = np.roll(p, -1, axis=0) - p
+        return p[:, 0], p[:, 1], d[:, 0], d[:, 1]
+
+    def _edge_cross(self, x, y) -> np.ndarray:
+        """_cross(p, q, (x, y)) for every edge p -> q, along a new last axis;
+        >= 0 on the inner side of the edge."""
+        px, py, dx, dy = self._edges
+        x = np.asarray(x, dtype=float)[..., None]
+        y = np.asarray(y, dtype=float)[..., None]
+        return dx * (y - py) - dy * (x - px)
+
+    def contains_point(self, x, y):
+        """Closed-set membership within EPS; elementwise when x and y are arrays."""
+        return (self._edge_cross(x, y) >= -EPS).all(axis=-1)
 
     def distance_to_point(self, x: float, y: float) -> float:
         if self.contains_point(x, y):
@@ -201,11 +215,12 @@ class IntervalSet:
         merged = _normalize_intervals(self.intervals)
         object.__setattr__(self, "intervals", merged)
 
-    def contains_value(self, v: float) -> bool:
+    def contains_value(self, v):
+        """Closed-set membership within EPS; elementwise when v is an array."""
+        inside = np.zeros(np.shape(v), dtype=bool)
         for lo, hi in self.intervals:
-            if lo - EPS <= v <= hi + EPS:
-                return True
-        return False
+            inside = inside | ((lo - EPS <= v) & (v <= hi + EPS))
+        return inside
 
     def dilated(self, radius: float) -> "IntervalSet":
         if radius < 0.0:
@@ -230,42 +245,54 @@ def _normalize_intervals(
     return tuple((lo, hi) for lo, hi in out)
 
 
-def contains(region: RegionSet, p: Point2) -> bool:
-    """Closed-set membership of p in any part of the region."""
-    return any(part.contains_point(p.x, p.y) for part in region.parts)
+def _xy(p):
+    """Coordinates of a Point2, or the coordinate arrays of an (..., 2) array."""
+    p = np.asarray((p.x, p.y) if isinstance(p, Point2) else p, dtype=float)
+    return p[..., 0], p[..., 1]
 
 
-def segment_intersects(region: RegionSet, a: Point2, b: Point2) -> bool:
+def contains(region: RegionSet, p):
+    """Closed-set membership in any part of the region.
+
+    `p` is a Point2 (one flag) or an (..., 2) array of points (a mask).
+    """
+    x, y = _xy(p)
+    inside = np.zeros(np.shape(x), dtype=bool)
+    for part in region.parts:
+        inside = inside | part.contains_point(x, y)
+    return inside
+
+
+def segment_intersects(region: RegionSet, a, b):
     """True when the closed segment a-b touches any part of the region.
 
-    Each convex part is tested by clipping the segment's parameter interval
-    against the part's half-planes, so grazing contact with an edge or a
-    vertex counts as intersection (within EPS).
+    `a` and `b` are Point2s (one flag) or (..., 2) arrays of endpoints (one
+    flag per segment).  Each convex part is tested by clipping the segment's
+    parameter interval against the part's half-planes, so grazing contact
+    with an edge or a vertex counts as intersection (within EPS).
     """
+    ax, ay = _xy(a)
+    bx, by = _xy(b)
+    hit = np.zeros(np.shape(ax), dtype=bool)
     for part in region.parts:
-        if _segment_hits_polygon(part, a.x, a.y, b.x, b.y):
-            return True
-    return False
+        hit = hit | _segment_hits_polygon(part, ax, ay, bx, by)
+    return hit
 
 
-def _segment_hits_polygon(poly: ConvexPolygon, ax, ay, bx, by) -> bool:
-    lo, hi = 0.0, 1.0
-    v = poly.vertices
-    n = len(v)
-    for i in range(n):
-        p, q = v[i], v[(i + 1) % n]
-        # signed distance (scaled) of segment endpoints from edge line, >= 0 inside
-        da = _cross(p.x, p.y, q.x, q.y, ax, ay) + EPS
-        db = _cross(p.x, p.y, q.x, q.y, bx, by) + EPS
-        if da < 0.0 and db < 0.0:
-            return False
-        if da < 0.0:
-            lo = max(lo, da / (da - db))
-        elif db < 0.0:
-            hi = min(hi, da / (da - db))
-        if lo > hi:
-            return False
-    return True
+def _segment_hits_polygon(poly: ConvexPolygon, ax, ay, bx, by):
+    """Liang-Barsky clip of segments a-b, elementwise: a segment misses when
+    both its endpoints are outside one edge, or when clipping against every
+    edge leaves an empty parameter interval [lo, hi]."""
+    # signed distance (scaled) of segment endpoints from edge lines, >= 0 inside
+    da = poly._edge_cross(ax, ay) + EPS
+    db = poly._edge_cross(bx, by) + EPS
+    enter = da < 0.0
+    leave = ~enter & (db < 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = da / (da - db)
+    lo = np.where(enter, t, 0.0).max(axis=-1)
+    hi = np.where(leave, t, 1.0).min(axis=-1)
+    return ~(enter & (db < 0.0)).any(axis=-1) & (lo <= hi)
 
 
 def _clip_halfplane(

@@ -59,11 +59,7 @@ class ClassSignature:
 def collides(traj: Trajectory, region: RegionSet) -> bool:
     """True when any inter-state segment of the trajectory touches the region."""
     st = traj.states
-    pts = [Point2(float(x), float(y)) for x, y in st]
-    for i in range(len(pts) - 1):
-        if segment_intersects(region, pts[i], pts[i + 1]):
-            return True
-    return False
+    return bool(np.any(segment_intersects(region, st[:-1], st[1:])))
 
 
 def _ray_parity(
@@ -76,14 +72,10 @@ def _ray_parity(
     below the ray origin.
     """
     left = xs < cx
-    parity = 0
-    for i in range(len(xs) - 1):
-        if left[i] != left[i + 1]:
-            t = (cx - xs[i]) / (xs[i + 1] - xs[i])
-            y_hit = ys[i] + t * (ys[i + 1] - ys[i])
-            if y_hit < cy:
-                parity ^= 1
-    return parity
+    i = np.nonzero(left[:-1] != left[1:])[0]
+    t = (cx - xs[i]) / (xs[i + 1] - xs[i])
+    y_hit = ys[i] + t * (ys[i + 1] - ys[i])
+    return int(np.count_nonzero(y_hit < cy)) & 1
 
 
 def _extended_polyline(
@@ -217,20 +209,10 @@ def bottleneck_matching(dist: np.ndarray) -> tuple[float, list[int]]:
     levels = np.unique(dist)
 
     def feasible(thr: float) -> list[int] | None:
-        adj = [list(np.nonzero(dist[i] <= thr)[0]) for i in range(n)]
+        adj = [np.nonzero(dist[i] <= thr)[0].tolist() for i in range(n)]
         match_r = [-1] * n
-
-        def try_augment(u: int, seen: list[bool]) -> bool:
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    if match_r[v] == -1 or try_augment(match_r[v], seen):
-                        match_r[v] = u
-                        return True
-            return False
-
-        for u in range(n):
-            if not try_augment(u, [False] * n):
+        for root in range(n):
+            if not _augment(root, adj, match_r):
                 return None
         out = [-1] * n
         for v, u in enumerate(match_r):
@@ -248,6 +230,37 @@ def bottleneck_matching(dist: np.ndarray) -> tuple[float, list[int]]:
     if best is None:
         raise RuntimeError("no perfect matching at maximum distance")
     return float(levels[lo]), best
+
+
+def _augment(root: int, adj: list[list[int]], match_r: list[int]) -> bool:
+    """Depth-first search for an augmenting path from row `root` (Kuhn's
+    algorithm), with an explicit stack so path length is not bounded by the
+    interpreter's recursion limit.  Columns are tried in adjacency order and
+    each column is visited at most once per search.  On success the matching
+    is flipped along the path, which `match_r` (column -> row) records."""
+    seen = [False] * len(match_r)
+    rows = [root]  # rows on the current path; rows[k + 1] = match_r[cols[k]]
+    cols: list[int] = []  # the column through which each deeper row was reached
+    untried = [iter(adj[root])]  # each path row's columns not yet tried
+    while untried:
+        for v in untried[-1]:
+            if not seen[v]:
+                break
+        else:  # dead end: back up one row
+            untried.pop()
+            rows.pop()
+            if cols:
+                cols.pop()
+            continue
+        seen[v] = True
+        cols.append(v)
+        if match_r[v] == -1:
+            for r, c in zip(rows, cols):
+                match_r[c] = r
+            return True
+        rows.append(match_r[v])
+        untried.append(iter(adj[match_r[v]]))
+    return False
 
 
 def w_infinity_matching(

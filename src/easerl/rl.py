@@ -105,36 +105,52 @@ def _unpack_mlp(arch: Arch, theta: np.ndarray):
     return w1, b1, w2, b2
 
 
+def _affine(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w.T over any leading batch axes.
+
+    A plain einsum reduces each row on its own, so a row's result has the
+    same bits whatever the batch around it; BLAS matmul does not promise that.
+    """
+    return np.einsum("...i,hi->...h", x, w)
+
+
 def mean_batch(policy: PolicyParams, obs: np.ndarray) -> np.ndarray:
-    """Mean actions for a (T, obs_dim) observation batch."""
-    obs = np.atleast_2d(obs)
+    """Mean actions for (..., obs_dim) observations, row by row."""
+    obs = np.asarray(obs, dtype=float)
     if policy.arch.kind == "linear":
         w = policy.theta.reshape(policy.arch.action_dim, policy.arch.obs_dim)
-        return obs @ w.T
+        return _affine(obs, w)
     w1, b1, w2, b2 = _unpack_mlp(policy.arch, policy.theta)
-    hidden = np.tanh(obs @ w1.T + b1)
-    return hidden @ w2.T + b2
+    hidden = np.tanh(_affine(obs, w1) + b1)
+    return _affine(hidden, w2) + b2
 
 
-def act(policy: PolicyParams, state: np.ndarray, noise: np.ndarray):
-    """Sample an action as mean + exp(log_std) * noise; returns (action, log_prob)."""
-    state = np.asarray(state, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(state)):
-        raise NonFiniteState(f"non-finite observation {state}")
-    noise = np.asarray(noise, dtype=float).reshape(-1)
-    mean = mean_batch(policy, state)[0]
+def _gaussian_log_prob(log_std: np.ndarray, z: np.ndarray):
+    """Diagonal Gaussian log density of standardized residuals z (..., action_dim)."""
+    return -log_std.sum() - 0.5 * (z * z).sum(axis=-1) - 0.5 * z.shape[-1] * _LOG_2PI
+
+
+def act(policy: PolicyParams, obs: np.ndarray, noise: np.ndarray):
+    """Sample actions as mean + exp(log_std) * noise; returns (action, log_prob).
+
+    `obs` is one observation or a (B, obs_dim) batch with a matching
+    (B, action_dim) noise batch; each row's action has the same bits at any B.
+    """
+    obs = np.asarray(obs, dtype=float)
+    if not np.isfinite(obs).all():
+        raise NonFiniteState(f"non-finite observation {obs}")
+    noise = np.asarray(noise, dtype=float)
+    mean = mean_batch(policy, obs)
     std = np.exp(policy.log_std)
     action = mean + std * noise
-    z = (action - mean) / std
-    log_prob = float(-np.sum(policy.log_std) - 0.5 * np.sum(z * z) - 0.5 * len(z) * _LOG_2PI)
-    return action, log_prob
+    return action, _gaussian_log_prob(policy.log_std, (action - mean) / std)
 
 
 def log_prob_batch(policy: PolicyParams, obs: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """log pi(a|s) for (..., obs_dim) observations and (..., action_dim) actions."""
     mean = mean_batch(policy, obs)
     std = np.exp(policy.log_std)
-    z = (np.atleast_2d(actions) - mean) / std
-    return -np.sum(policy.log_std) - 0.5 * np.sum(z * z, axis=1) - 0.5 * z.shape[1] * _LOG_2PI
+    return _gaussian_log_prob(policy.log_std, (np.asarray(actions, dtype=float) - mean) / std)
 
 
 def episode_grad(
@@ -156,9 +172,8 @@ def episode_grad(
         d_theta = d_w.ravel()
     else:
         w1, b1, w2, b2 = _unpack_mlp(policy.arch, policy.theta)
-        z1 = obs @ w1.T + b1
-        hidden = np.tanh(z1)
-        mean = hidden @ w2.T + b2
+        hidden = np.tanh(_affine(obs, w1) + b1)
+        mean = _affine(hidden, w2) + b2
         delta = (actions - mean) / (std * std)
         wd = delta * weights[:, None]
         d_w2 = wd.T @ hidden
@@ -181,12 +196,17 @@ def grad_log_prob(policy: PolicyParams, state: np.ndarray, action: np.ndarray) -
 
 
 def reward_to_go(rewards: np.ndarray, discount: float) -> np.ndarray:
-    """G_t = sum_{k>=t} discount^(k-t) r_k."""
-    out = np.zeros(len(rewards))
-    acc = 0.0
-    for t in range(len(rewards) - 1, -1, -1):
-        acc = rewards[t] + discount * acc
-        out[t] = acc
+    """G_t = sum_{k>=t} discount^(k-t) r_k along the last axis.
+
+    Zero rewards after an episode's end leave its G_t bit-identical to the
+    unpadded episode's, so padded (B, T) batches can be handled at once.
+    """
+    rewards = np.asarray(rewards, dtype=float)
+    out = np.zeros(rewards.shape)
+    acc = np.zeros(rewards.shape[:-1])
+    for t in range(rewards.shape[-1] - 1, -1, -1):
+        acc = rewards[..., t] + discount * acc
+        out[..., t] = acc
     return out
 
 
@@ -281,34 +301,32 @@ def train(
     record_eval(0)
 
     while not converged and steps + horizon <= cfg.max_interaction_steps:
-        batch = []
-        while len(batch) < cfg.batch_episodes and steps + horizon <= cfg.max_interaction_steps:
-            rec = _envs.rollout_record(
-                env, policy, reward_spec, derive_seed(cfg.seed, "train-ep", episode_idx)
+        # the budget admits an episode while steps + horizon <= budget; run,
+        # in lockstep, as many as it admits whatever their lengths
+        pieces = []
+        left = cfg.batch_episodes
+        while left and steps + horizon <= cfg.max_interaction_steps:
+            k = min(left, (cfg.max_interaction_steps - steps) // horizon)
+            seeds = [derive_seed(cfg.seed, "train-ep", episode_idx + e) for e in range(k)]
+            pieces.append(
+                _envs.rollout_batch(env, policy, reward_spec, _envs.noise_tapes(env, seeds))
             )
-            episode_idx += 1
-            steps += rec.obs.shape[0]
-            batch.append(rec)
-        if not batch:
-            break
-
-        max_t = max(r.obs.shape[0] for r in batch)
-        g_pad = np.full((len(batch), max_t), np.nan)
-        gs = []
-        for i, rec in enumerate(batch):
-            g = reward_to_go(rec.rewards, discount)
-            gs.append(g)
-            g_pad[i, : len(g)] = g
-        baseline = np.nanmean(g_pad, axis=0)
+            episode_idx += k
+            left -= k
+            steps += int(pieces[-1].lengths.sum())
+        lengths = np.concatenate([p.lengths for p in pieces])
+        max_t = int(lengths.max())
+        valid = np.arange(max_t) < lengths[:, None]
+        g = reward_to_go(np.concatenate([p.rewards[:, :max_t] for p in pieces]), discount)
+        baseline = np.nanmean(np.where(valid, g, np.nan), axis=0)
 
         # normalize advantages across the batch; the barrier penalty makes
         # raw returns span 4 orders of magnitude, which plain SGD cannot take
-        advs = [g - baseline[: len(g)] for g in gs]
-        scale = float(np.std(np.concatenate(advs))) + 1e-8
-        grad = np.zeros(n_theta + policy.arch.action_dim)
-        for rec, adv in zip(batch, advs):
-            grad += episode_grad(policy, rec.obs, rec.actions, adv / scale)
-        grad /= len(batch)
+        adv = (g - baseline)[valid]
+        scale = float(np.std(adv)) + 1e-8
+        obs = np.concatenate([p.obs[:, :max_t] for p in pieces])[valid]
+        actions = np.concatenate([p.actions[:, :max_t] for p in pieces])[valid]
+        grad = episode_grad(policy, obs, actions, adv / scale) / len(lengths)
         if l2sp is not None:
             coeff, ref = l2sp
             grad -= 2.0 * coeff * (policy.flat() - ref)
@@ -348,34 +366,22 @@ def evaluate_detail(env, reward_spec, policy: PolicyParams, episodes: int, seed:
     from . import envs as _envs
     from . import homotopy as _homotopy
 
-    returns = []
-    labels = []
-    collided_full = []
-    collided_active = []
-    reached = []
-    trajs = []
+    seeds = [derive_seed(seed, "eval-ep", e) for e in range(episodes)]
+    batch = _envs.rollout_batch(env, policy, reward_spec, _envs.noise_tapes(env, seeds))
+    trajs = [batch.trajectory(env, e) for e in range(episodes)]
     region = env.class_region()
     a_start, a_goal = env.anchors()
-    for e in range(episodes):
-        traj, ret, coll = _envs.rollout(
-            env, policy, reward_spec, derive_seed(seed, "eval-ep", e)
-        )
-        returns.append(ret)
-        collided_active.append(coll)
-        trajs.append(traj)
-        reached.append(env.reached_goal(traj))
-        if _homotopy.collides(traj, region):
-            collided_full.append(True)
-            labels.append(None)
-        else:
-            collided_full.append(False)
-            sig = _homotopy.signature(traj, region, a_start, a_goal)
-            labels.append(env.class_label(sig.side_bits))
+    collided_full = [_homotopy.collides(traj, region) for traj in trajs]
+    labels = [
+        None if coll
+        else env.class_label(_homotopy.parity_bits(traj, region, a_start, a_goal))
+        for traj, coll in zip(trajs, collided_full)
+    ]
     hist: dict[str, int] = {}
     for lab in labels:
         if lab is not None:
             hist[lab] = hist.get(lab, 0) + 1
-    returns_arr = np.array(returns)
+    returns_arr = batch.returns
     return {
         "mean": float(np.mean(returns_arr)),
         "std": float(np.std(returns_arr)),
@@ -383,8 +389,8 @@ def evaluate_detail(env, reward_spec, policy: PolicyParams, episodes: int, seed:
         "returns": returns_arr,
         "labels": labels,
         "collided_full": collided_full,
-        "collided_active": collided_active,
-        "reached": reached,
+        "collided_active": [bool(c) for c in batch.collided],
+        "reached": [env.reached_goal(traj) for traj in trajs],
         "trajectories": trajs,
     }
 
@@ -418,9 +424,10 @@ def landscape_scan(
 
     The loss at a grid point is the mean over sampled episodes of
     sum_t G_t * log pi_theta(a_t|s_t) with reward-to-go G.  The surface is
-    computed twice, with the barrier penalty on and off; transitions do not
-    depend on the reward, so with shared per-cell seeds both grids score the
-    exact same trajectories and differ only in reward.
+    scored twice, with the barrier penalty on and off.  Transitions do not
+    depend on the reward, so each (cell, sample) episode is simulated once,
+    with a cell's samples in one lockstep batch, and scored under both: the
+    full reward, and its base reward, which is exactly the relaxed reward.
     """
     from . import envs as _envs
 
@@ -431,19 +438,18 @@ def landscape_scan(
         "barrier": np.zeros((n, n)),
         "free": np.zeros((n, n)),
     }
-    specs = {"barrier": _envs.full_reward(env), "free": _envs.relaxed_reward(env)}
+    spec = _envs.full_reward(env)
     for i, th1 in enumerate(values):
         for j, th2 in enumerate(values):
             policy = PolicyParams(arch, np.array([th1, th2]), np.array([log_std]))
-            for key, spec in specs.items():
+            seeds = [derive_seed(seed, "cell", i, j, "ep", e) for e in range(samples_per_cell)]
+            batch = _envs.rollout_batch(env, policy, spec, _envs.noise_tapes(env, seeds))
+            lp = log_prob_batch(policy, batch.obs, batch.actions)
+            for key, rewards in (("barrier", batch.rewards), ("free", batch.base)):
+                g = reward_to_go(rewards, env.spec.discount)
                 total = 0.0
-                for e in range(samples_per_cell):
-                    rec = _envs.rollout_record(
-                        env, policy, spec, derive_seed(seed, "cell", i, j, "ep", e)
-                    )
-                    g = reward_to_go(rec.rewards, env.spec.discount)
-                    lp = log_prob_batch(policy, rec.obs, rec.actions)
-                    total += float(np.sum(g * lp))
+                for e, t_len in enumerate(batch.lengths):
+                    total += float(np.sum(g[e, :t_len] * lp[e, :t_len]))
                 out[key][i, j] = total / samples_per_cell
     return LandscapeResult(values, out["barrier"], out["free"])
 

@@ -12,6 +12,7 @@ import shutil
 import time
 
 import numpy as np
+import pytest
 
 from easerl.config import default_config, nav1_defaults, nav2_defaults, serialize_config, validate_config
 from easerl.curriculum import StageBudgets, find_sb1, relax_until_crossing
@@ -52,6 +53,8 @@ from easerl.seeding import derive_seed
 from test_homotopy import brute_force_bottleneck, loop_encloses_barrier
 from test_rl import numeric_grad, random_policy, mean_batch
 from test_envs import probe_states, seeded_policy
+
+pytestmark = pytest.mark.acceptance
 
 ASSETS = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "assets"))
 

@@ -180,6 +180,64 @@ class TestCollides:
         grazing = traj([(-5, 1), (5, 1)])
         assert collides(grazing, BARRIER)
 
+    def test_vectorized_classification_equals_segment_loop(self):
+        """collides and the crossing parities, vectorized over segments, give
+        exactly the flags and bits of a per-segment loop with the same float
+        operations, grazing contacts on integer coordinates included."""
+        region = RegionSet(
+            (ConvexPolygon.rectangle(0.0, -3.5, 9.0, 4.0), ConvexPolygon.rectangle(0.0, 3.5, 9.0, 4.0)),
+            1000.0,
+        )
+        rng = np.random.default_rng(12)
+        hits = 0
+        for k in range(400):
+            n = int(rng.integers(2, 40))
+            pts = np.cumsum(rng.normal(scale=[0.3, 1.0, 3.0][k % 3], size=(n, 2)), axis=0)
+            pts += rng.normal(scale=4.0, size=2)
+            if k % 4 == 0:
+                pts = np.round(pts)
+            t = traj(pts)
+            want = any(
+                _segment_hits_loop(part, *pts[i], *pts[i + 1])
+                for part in region.parts
+                for i in range(n - 1)
+            )
+            assert collides(t, region) == want
+            hits += want
+            xs = np.concatenate(([START.x], pts[:, 0], [GOAL.x]))
+            ys = np.concatenate(([START.y], pts[:, 1], [GOAL.y]))
+            bits = tuple(_parity_loop(xs, ys, *p.centroid()) for p in region.parts)
+            assert parity_bits(t, region, START, GOAL) == bits
+        assert 50 < hits < 350
+
+
+def _segment_hits_loop(poly, ax, ay, bx, by) -> bool:
+    lo, hi = 0.0, 1.0
+    v = poly.vertices
+    for i in range(len(v)):
+        p, q = v[i], v[(i + 1) % len(v)]
+        da = (q.x - p.x) * (ay - p.y) - (q.y - p.y) * (ax - p.x) + 1e-9
+        db = (q.x - p.x) * (by - p.y) - (q.y - p.y) * (bx - p.x) + 1e-9
+        if da < 0.0 and db < 0.0:
+            return False
+        if da < 0.0:
+            lo = max(lo, da / (da - db))
+        elif db < 0.0:
+            hi = min(hi, da / (da - db))
+        if lo > hi:
+            return False
+    return True
+
+
+def _parity_loop(xs, ys, cx, cy) -> int:
+    parity = 0
+    for i in range(len(xs) - 1):
+        if (xs[i] < cx) != (xs[i + 1] < cx):
+            t = (cx - xs[i]) / (xs[i + 1] - xs[i])
+            if ys[i] + t * (ys[i + 1] - ys[i]) < cy:
+                parity ^= 1
+    return parity
+
 
 class TestResample:
     def test_identity_on_uniform_input(self):
@@ -244,6 +302,20 @@ class TestBottleneck:
             assert value == brute_force_bottleneck(dist)
             assert sorted(assign) == list(range(n))
             assert max(dist[i, assign[i]] for i in range(n)) == value
+
+    def test_long_augmenting_path_is_not_bounded_by_recursion(self):
+        """Row i reaches columns i and i + 1, the last row only column 0:
+        greedy rows take their own column, so matching the last row needs an
+        augmenting path through every other row (length n - 1)."""
+        n = 1600
+        dist = np.full((n, n), 2.0)
+        idx = np.arange(n - 1)
+        dist[idx, idx] = 1.0
+        dist[idx, idx + 1] = 1.0
+        dist[n - 1, 0] = 1.0
+        value, assign = bottleneck_matching(dist)
+        assert value == 1.0
+        assert assign == list(range(1, n)) + [0]
 
     def test_value_is_matrix_element(self):
         rng = np.random.default_rng(4)
