@@ -108,6 +108,18 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def _require_count(value, path: str) -> None:
+    _require(
+        isinstance(value, int) and not isinstance(value, bool) and value >= 1,
+        f"{path} must be an integer >= 1",
+    )
+
+
+def _require_band(band: dict, path: str) -> None:
+    _require(band["half_width"] > 0, f"{path}.half_width must be positive")
+    _require(band["patience"] >= 1, f"{path}.patience must be >= 1")
+
+
 def validate_config(cfg: dict) -> dict:
     """Merge over defaults, then check types and ranges. Returns the merged doc."""
     if not isinstance(cfg, dict):
@@ -135,16 +147,18 @@ def validate_config(cfg: dict) -> dict:
     _require(tr["learning_rate"] > 0, "training.learning_rate must be positive")
     _require(tr["batch_episodes"] >= 1, "training.batch_episodes must be >= 1")
     _require(tr["max_steps"] >= 1, "training.max_steps must be >= 1")
-    for block in ("convergence",):
-        band = tr[block]
-        _require(band["half_width"] > 0, f"training.{block}.half_width must be positive")
-        _require(band["patience"] >= 1, f"training.{block}.patience must be >= 1")
+    _require_count(tr["eval_every"], "training.eval_every")
+    _require_count(tr["eval_episodes"], "training.eval_episodes")
+    _require_band(tr["convergence"], "training.convergence")
     xfer = merged["transfer"]
     known_methods = ("ease_reward", "ease_barrier", "naive", "l2sp", "random")
     for m in xfer["methods"]:
         _require(m in known_methods, f"unknown transfer method {m!r}")
     _require(len(xfer["seeds"]) >= 1, "transfer.seeds must be nonempty")
     _require(xfer["budget"] >= 1, "transfer.budget must be >= 1")
+    _require_count(xfer["final_eval_episodes"], "transfer.final_eval_episodes")
+    for block in ("relax_convergence", "stage_convergence"):
+        _require_band(xfer[block], f"transfer.{block}")
     sched = xfer["schedule"]
     _require(
         sched["mode"] in ("reward_weight", "barrier_set"),

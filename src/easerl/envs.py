@@ -178,6 +178,12 @@ class CarEnv:
         return nxt
 
     def base_reward(self, state: np.ndarray, action: np.ndarray, nxt: np.ndarray):
+        return self.outcome(state, action, nxt)[0]
+
+    def outcome(self, state: np.ndarray, action: np.ndarray, nxt: np.ndarray):
+        """(base reward, terminal flag) of a transition; goal membership of
+        `nxt` is tested once for both."""
+        goal = self.in_goal(nxt)
         t_norm = state[..., _IT] / self.spec.horizon
         goal_y = self.goal_poly.bbox()[1]
         r = np.zeros(np.shape(t_norm))
@@ -198,17 +204,14 @@ class CarEnv:
                 on_target = passed_left == (self.target_bits[i] == 1)
                 r = r + np.where(passed & on_target, self.side_bonus, 0.0)
         if self.goal_bonus:
-            r = r + np.where(self.in_goal(nxt), self.goal_bonus, 0.0)
-        return r
+            r = r + np.where(goal, self.goal_bonus, 0.0)
+        return r, goal | (nxt[..., _IT] >= self.spec.horizon)
 
     def in_goal(self, state: np.ndarray):
         return self.goal_poly.contains_point(state[..., _IX], state[..., _IY])
 
     def in_region(self, state: np.ndarray, region: RegionSet):
         return contains(region, state[..., :2])
-
-    def is_terminal(self, state: np.ndarray):
-        return self.in_goal(state) | (state[..., _IT] >= self.spec.horizon)
 
     def task_point(self, state: np.ndarray) -> tuple:
         return state[..., _IX], state[..., _IY]
@@ -379,13 +382,14 @@ class AngleEnv:
         a = self._torque(action)
         return -self.c_angle * np.abs(nxt[..., _IA] - self.goal_angle) - self.c_torque * a * a
 
+    def outcome(self, state: np.ndarray, action: np.ndarray, nxt: np.ndarray):
+        """(base reward, terminal flag) of a transition."""
+        return self.base_reward(state, action, nxt), nxt[..., _IAT] >= self.spec.horizon
+
     def in_region(self, state: np.ndarray, region):
         if isinstance(region, IntervalSet):
             return region.contains_value(state[..., _IA])
         return contains(region, np.stack(self.task_point(state), axis=-1))
-
-    def is_terminal(self, state: np.ndarray):
-        return state[..., _IAT] >= self.spec.horizon
 
     def task_point(self, state: np.ndarray) -> tuple:
         return state[..., _IAT] * self.dt, state[..., _IA]
@@ -456,14 +460,14 @@ def step(env, state: np.ndarray, action, reward_spec: RewardSpec) -> StepResult:
     if not np.isfinite(a).all():
         raise NonFiniteAction(f"non-finite action {a}")
     nxt = env.dynamics(state, a)
-    base = env.base_reward(state, a, nxt)
+    base, terminal = env.outcome(state, a, nxt)
     member = env.in_region(nxt, penalty_region(env, reward_spec))
     if reward_spec.mode == "reward_weight":
         charge = reward_spec.alpha * env.barrier.penalty
     else:
         charge = env.barrier.penalty
     reward = base - np.where(member, charge, 0.0)
-    return StepResult(nxt, reward, env.is_terminal(nxt), member, base)
+    return StepResult(nxt, reward, terminal, member, base)
 
 
 def noise_tapes(env, seeds) -> np.ndarray:
@@ -551,7 +555,7 @@ def rollout_batch(env, policy, reward_spec: RewardSpec, noise: np.ndarray) -> Ro
         if live.size == 0:
             break
         o = env.features(state)
-        a, _ = _rl.act(policy, o, noise[live, t])
+        a = _rl.act(policy, o, noise[live, t])
         res = step(env, state, a, reward_spec)
         obs[live, t] = o
         actions[live, t] = a

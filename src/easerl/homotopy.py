@@ -202,33 +202,51 @@ def bottleneck_matching(dist: np.ndarray) -> tuple[float, list[int]]:
     row i and value is the largest matched distance, minimized.  The value is
     always an element of the matrix (found by binary search over the sorted
     distinct distances, with matching feasibility as the predicate).
+
+    A probe starts from the partial matching left by the largest infeasible
+    probe so far, which stays valid at every higher threshold, and augments
+    only the rows still free; it stops at the first row that cannot be
+    augmented, since by Berge's lemma no later augmentation can match it.
+    The assignment is solved from scratch at the level found, so it does not
+    depend on the order of the probes.
     """
     n = dist.shape[0]
     if dist.shape != (n, n):
         raise ValueError("distance matrix must be square")
     levels = np.unique(dist)
 
-    def feasible(thr: float) -> list[int] | None:
-        adj = [np.nonzero(dist[i] <= thr)[0].tolist() for i in range(n)]
-        match_r = [-1] * n
-        for root in range(n):
-            if not _augment(root, adj, match_r):
-                return None
-        out = [-1] * n
-        for v, u in enumerate(match_r):
-            out[u] = v
-        return out
+    def adjacency(thr: float) -> list[list[int]]:
+        """Each row's columns within `thr`, in ascending order."""
+        return [np.flatnonzero(row).tolist() for row in dist <= thr]
 
+    def augment_free(adj: list[list[int]], match_r: list[int]) -> bool:
+        """Augment every unmatched row in ascending order; False at the
+        first row without an augmenting path."""
+        matched = [False] * n
+        for u in match_r:
+            if u != -1:
+                matched[u] = True
+        for root in range(n):
+            if not matched[root] and not _augment(root, adj, match_r):
+                return False
+        return True
+
+    warm = [-1] * n  # column -> row, from the largest infeasible probe
     lo, hi = 0, len(levels) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if feasible(float(levels[mid])) is not None:
+        match_r = list(warm)
+        if augment_free(adjacency(float(levels[mid])), match_r):
             hi = mid
         else:
+            warm = match_r
             lo = mid + 1
-    best = feasible(float(levels[lo]))
-    if best is None:
+    match_r = [-1] * n
+    if not augment_free(adjacency(float(levels[lo])), match_r):
         raise RuntimeError("no perfect matching at maximum distance")
+    best = [-1] * n
+    for v, u in enumerate(match_r):
+        best[u] = v
     return float(levels[lo]), best
 
 
@@ -278,14 +296,32 @@ def w_infinity_matching(
         )
     if length is None:
         length = max(max(len(t) for t in mu.samples), max(len(t) for t in nu.samples))
-    a = mu.resampled(length).samples
-    b = nu.resampled(length).samples
-    n = len(a)
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            dist[i, j] = traj_distance(a[i], b[j])
+    dist = _sup_distances(mu.resampled(length).samples, nu.resampled(length).samples)
     return bottleneck_matching(dist)
+
+
+def _sup_distances(a: tuple[Trajectory, ...], b: tuple[Trajectory, ...]) -> np.ndarray:
+    """traj_distance(a[i], b[j]) for every pair, as one (len(a), len(b)) array.
+
+    All trajectories have the same length.  The result is bit-equal to
+    traj_distance: its sum over the two coordinates is exactly dx*dx + dy*dy,
+    and sqrt is correctly rounded and monotone, so the root of the largest
+    square is the largest root.
+    """
+    pa = np.stack([t.states for t in a], axis=1)  # (length, len(a), 2)
+    pb = np.stack([t.states for t in b], axis=1)
+    shape = (len(a), len(b))
+    sq_max = np.zeros(shape)
+    dx = np.empty(shape)
+    dy = np.empty(shape)
+    for sa, sb in zip(pa, pb):  # every trajectory's state at one time step
+        np.subtract.outer(sa[:, 0], sb[:, 0], out=dx)
+        np.subtract.outer(sa[:, 1], sb[:, 1], out=dy)
+        np.multiply(dx, dx, out=dx)
+        np.multiply(dy, dy, out=dy)
+        np.add(dx, dy, out=dx)
+        np.maximum(sq_max, dx, out=sq_max)
+    return np.sqrt(sq_max, out=sq_max)
 
 
 def w_infinity(

@@ -131,7 +131,7 @@ def _gaussian_log_prob(log_std: np.ndarray, z: np.ndarray):
 
 
 def act(policy: PolicyParams, obs: np.ndarray, noise: np.ndarray):
-    """Sample actions as mean + exp(log_std) * noise; returns (action, log_prob).
+    """Sample actions as mean + exp(log_std) * noise.
 
     `obs` is one observation or a (B, obs_dim) batch with a matching
     (B, action_dim) noise batch; each row's action has the same bits at any B.
@@ -140,10 +140,7 @@ def act(policy: PolicyParams, obs: np.ndarray, noise: np.ndarray):
     if not np.isfinite(obs).all():
         raise NonFiniteState(f"non-finite observation {obs}")
     noise = np.asarray(noise, dtype=float)
-    mean = mean_batch(policy, obs)
-    std = np.exp(policy.log_std)
-    action = mean + std * noise
-    return action, _gaussian_log_prob(policy.log_std, (action - mean) / std)
+    return mean_batch(policy, obs) + np.exp(policy.log_std) * noise
 
 
 def log_prob_batch(policy: PolicyParams, obs: np.ndarray, actions: np.ndarray) -> np.ndarray:

@@ -1,7 +1,9 @@
 import math
 
 import pytest
+import yaml
 
+from easerl.cli import EXIT_USAGE, main
 from easerl.config import (
     SCHEMA_VERSION,
     angle_defaults,
@@ -93,6 +95,41 @@ class TestValidation:
             validate_config({"landscape": {"lo": 2.0, "hi": 1.0}})
         with pytest.raises(ConfigError):
             validate_config({"landscape": {"bucket": 0.0}})
+
+    @pytest.mark.parametrize(
+        "command, override, path",
+        [
+            ("transfer", {"transfer": {"relax_convergence": {"half_width": -1.0}}},
+             "transfer.relax_convergence.half_width"),
+            ("transfer", {"transfer": {"relax_convergence": {"patience": 0}}},
+             "transfer.relax_convergence.patience"),
+            ("transfer", {"transfer": {"stage_convergence": {"half_width": 0.0}}},
+             "transfer.stage_convergence.half_width"),
+            ("transfer", {"transfer": {"stage_convergence": {"patience": 0}}},
+             "transfer.stage_convergence.patience"),
+            ("train", {"training": {"eval_episodes": 0}}, "training.eval_episodes"),
+            ("train", {"training": {"eval_every": 0}}, "training.eval_every"),
+            ("transfer", {"transfer": {"final_eval_episodes": 0}},
+             "transfer.final_eval_episodes"),
+        ],
+    )
+    def test_range_rule_rejected_and_cli_exits_usage(
+        self, command, override, path, tmp_path, capsys
+    ):
+        with pytest.raises(ConfigError, match=path):
+            validate_config(override)
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(yaml.safe_dump(override))
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_USAGE
+        assert path in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_counts_must_be_integers(self):
+        with pytest.raises(ConfigError, match="training.eval_episodes"):
+            validate_config({"training": {"eval_episodes": 2.5}})
+        with pytest.raises(ConfigError, match="training.eval_every"):
+            validate_config({"training": {"eval_every": True}})
 
     def test_invalid_yaml(self):
         with pytest.raises(ConfigError, match="not valid YAML"):

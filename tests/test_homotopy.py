@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from easerl.errors import CollidingTrajectory, LengthMismatch, UnequalSupport
@@ -21,6 +21,7 @@ from easerl.homotopy import (
     traj_distance,
     trajectory_from_csv,
     trajectory_to_csv,
+    _sup_distances,
     w_infinity,
     w_infinity_matching,
 )
@@ -292,7 +293,87 @@ def brute_force_bottleneck(dist: np.ndarray) -> float:
     return best
 
 
+def reference_bottleneck(dist: np.ndarray) -> tuple[float, list[int]]:
+    """Binary search over the distinct distances with a from-scratch Kuhn
+    matching at every probe: rows in order, columns ascending."""
+    n = dist.shape[0]
+    levels = np.unique(dist)
+
+    def feasible(thr):
+        adj = [[j for j in range(n) if dist[i, j] <= thr] for i in range(n)]
+        match_r = [-1] * n
+
+        def try_augment(u, seen):
+            for v in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    if match_r[v] == -1 or try_augment(match_r[v], seen):
+                        match_r[v] = u
+                        return True
+            return False
+
+        for u in range(n):
+            if not try_augment(u, [False] * n):
+                return None
+        out = [-1] * n
+        for v, u in enumerate(match_r):
+            out[u] = v
+        return out
+
+    lo, hi = 0, len(levels) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(levels[mid]) is not None:
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(levels[lo]), feasible(levels[lo])
+
+
+# coordinates on a coarse grid give many tied distances; the floats do not
+coord = st.one_of(
+    st.integers(-8, 8).map(lambda v: v / 2.0),
+    st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
+)
+path = st.lists(st.tuples(coord, coord), min_size=2, max_size=12)
+
+
+class TestSupDistances:
+    @given(
+        st.lists(path, min_size=1, max_size=5),
+        st.lists(path, min_size=1, max_size=5),
+        st.integers(0, 2),
+        st.one_of(st.none(), st.integers(2, 40)),
+    )
+    @example([[(0.0, 0.0), (1.0, 0.0)]], [[(0.0, 1.0), (0.5, 1.0), (1.0, 1.0)]], 0, None)
+    @example([[(0.0, 0.0), (1.0, 2.0)]], [[(3.0, 0.0), (1.0, 2.0)]], 2, 5)
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_to_traj_distance_loop(self, pa, pb, dups, length):
+        a = [Trajectory(np.array(p, dtype=float)) for p in pa]
+        b = [Trajectory(np.array(p, dtype=float)) for p in pb]
+        b += [a[0]] * dups  # the same path on both sides, and repeated
+        a += [b[-1]] * dups
+        if length is None:
+            length = max(len(t) for t in a + b)
+        ra = [resample(t, length) for t in a]
+        rb = [resample(t, length) for t in b]
+        loop = np.array([[traj_distance(x, y) for y in rb] for x in ra])
+        got = _sup_distances(tuple(ra), tuple(rb))
+        assert got.shape == (len(a), len(b))
+        assert got.tobytes() == loop.tobytes()
+        if len(a) == len(b):
+            mu, nu = EmpiricalDistribution(tuple(a)), EmpiricalDistribution(tuple(b))
+            assert w_infinity_matching(mu, nu, length) == reference_bottleneck(loop)
+
+
 class TestBottleneck:
+    def test_equals_from_scratch_reference_with_ties(self):
+        rng = np.random.default_rng(21)
+        for _ in range(400):
+            n = int(rng.integers(1, 31))
+            dist = rng.integers(0, int(rng.integers(1, 10)), size=(n, n)).astype(float)
+            assert bottleneck_matching(dist) == reference_bottleneck(dist)
+
     def test_exact_vs_brute_force(self):
         rng = np.random.default_rng(3)
         for _ in range(60):

@@ -135,10 +135,13 @@ class TestActAndInit:
         pol = random_policy(rng, "mlp")
         state = rng.normal(size=4)
         noise = rng.normal(size=2)
-        action, lp = act(pol, state, noise)
+        action = act(pol, state, noise)
         mean = mean_batch(pol, state[None, :])[0]
         assert np.allclose(action, mean + np.exp(pol.log_std) * noise)
-        assert lp == pytest.approx(float(log_prob_batch(pol, state[None, :], action[None, :])[0]))
+        # the log-density of that action is the Gaussian's at the scaled noise
+        lp = float(log_prob_batch(pol, state[None, :], action[None, :])[0])
+        expected = -pol.log_std.sum() - 0.5 * float(noise @ noise) - math.log(2 * math.pi)
+        assert lp == pytest.approx(expected)
 
     def test_act_rejects_nonfinite_state(self):
         rng = np.random.default_rng(5)
