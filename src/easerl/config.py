@@ -14,6 +14,7 @@ import math
 
 import yaml
 
+from .curriculum import METHODS
 from .errors import ConfigError
 
 SCHEMA_VERSION = 1
@@ -88,6 +89,42 @@ def default_config() -> dict:
     return copy.deepcopy(_BASE_DEFAULTS)
 
 
+_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+          list: "a list"}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite_numbers(values) -> bool:
+    return all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+        for v in values
+    )
+
+
+def _reads_as_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _check_leaf(default, value, path: str) -> None:
+    """A leaf keeps its default's type; an int may stand for a float, a bool
+    never for a number."""
+    if isinstance(default, float) and _is_int(value):
+        return
+    if type(value) is not type(default):
+        msg = f"{path} must be {_KINDS[type(default)]}, got {value!r}"
+        if isinstance(default, float) and isinstance(value, str) and _reads_as_float(value):
+            msg += " (YAML reads an exponent as a number only with a decimal point"
+            msg += " and a sign: 1.0e-3, not 1e-3)"
+        raise ConfigError(msg)
+
+
 def _merge(base: dict, override: dict, path: str) -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
@@ -99,6 +136,7 @@ def _merge(base: dict, override: dict, path: str) -> dict:
                 raise ConfigError(f"{here} must be a mapping")
             out[key] = _merge(base[key], value, here)
         else:
+            _check_leaf(base[key], value, here)
             out[key] = value
     return out
 
@@ -108,11 +146,8 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
-def _require_count(value, path: str) -> None:
-    _require(
-        isinstance(value, int) and not isinstance(value, bool) and value >= 1,
-        f"{path} must be an integer >= 1",
-    )
+def _require_count(value: int, path: str) -> None:
+    _require(value >= 1, f"{path} must be an integer >= 1")
 
 
 def _require_band(band: dict, path: str) -> None:
@@ -137,7 +172,7 @@ def validate_config(cfg: dict) -> dict:
     elif env["name"] == "nav2":
         side = env["target_side"]
         _require(
-            isinstance(side, str) and len(side) == 2 and all(c in "LR" for c in side),
+            len(side) == 2 and all(c in "LR" for c in side),
             "nav2 target_side must be two letters from {L, R}",
         )
     else:
@@ -151,23 +186,43 @@ def validate_config(cfg: dict) -> dict:
     _require_count(tr["eval_episodes"], "training.eval_episodes")
     _require_band(tr["convergence"], "training.convergence")
     xfer = merged["transfer"]
-    known_methods = ("ease_reward", "ease_barrier", "naive", "l2sp", "random")
     for m in xfer["methods"]:
-        _require(m in known_methods, f"unknown transfer method {m!r}")
-    _require(len(xfer["seeds"]) >= 1, "transfer.seeds must be nonempty")
+        _require(m in METHODS, f"unknown transfer method {m!r}")
+    _require(
+        xfer["seeds"] and all(_is_int(s) for s in xfer["seeds"]),
+        "transfer.seeds must be a non-empty list of integers",
+    )
     _require(xfer["budget"] >= 1, "transfer.budget must be >= 1")
     _require_count(xfer["final_eval_episodes"], "transfer.final_eval_episodes")
     for block in ("relax_convergence", "stage_convergence"):
         _require_band(xfer[block], f"transfer.{block}")
+    find = xfer["find_sb1"]
+    for key in ("max_halvings", "max_inflations"):
+        _require(find[key] >= 0, f"transfer.find_sb1.{key} must be >= 0")
+    _require(find["inflate_radius"] > 0, "transfer.find_sb1.inflate_radius must be positive")
     sched = xfer["schedule"]
     _require(
         sched["mode"] in ("reward_weight", "barrier_set"),
         "schedule.mode must be reward_weight or barrier_set",
     )
+    _require_count(sched["auto_stages"], "transfer.schedule.auto_stages")
+    for key in ("alphas", "barrier_sizes"):
+        _require(_finite_numbers(sched[key]), f"transfer.schedule.{key} must be finite numbers")
+    _require(
+        all(isinstance(iv, list) and len(iv) == 2 and _finite_numbers(iv)
+            for iv in sched["intervals"]),
+        "transfer.schedule.intervals must be [lo, hi] pairs of finite numbers",
+    )
     land = merged["landscape"]
     _require(land["bucket"] > 0, "landscape.bucket must be positive")
     _require(land["hi"] > land["lo"], "landscape.hi must exceed landscape.lo")
     _require(land["samples_per_cell"] >= 1, "landscape.samples_per_cell must be >= 1")
+    for key in ("theta_source", "theta_target"):
+        theta = land[key]
+        _require(
+            len(theta) == 2 and _finite_numbers(theta),
+            f"landscape.{key} must be two finite numbers",
+        )
     return merged
 
 

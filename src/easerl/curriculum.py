@@ -12,7 +12,7 @@ trajectories, then inflating it until it touches the relaxed trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .rl import (
     PolicyParams,
     TrainConfig,
     TrainReport,
-    evaluate,
     evaluate_detail,
     init_policy,
     train,
@@ -42,6 +41,23 @@ from .rl import (
 from .seeding import derive_seed
 
 PROBE_N = 200
+
+CURRICULA = ("ease_reward", "ease_barrier")
+BASELINES = ("naive", "l2sp", "random")
+METHODS = CURRICULA + BASELINES  # report order
+
+
+def method_rank(method: str) -> tuple:
+    """Sort key: report order, then unknown methods by name."""
+    return (METHODS.index(method) if method in METHODS else len(METHODS), method)
+
+
+def stage_labels(method: str, n_stages: int) -> list[str]:
+    """Labels of a run's stages in order: relax then stage-k for a curriculum,
+    one final stage for a baseline."""
+    if method in CURRICULA:
+        return ["relax"] + [f"stage-{k}" for k in range(n_stages - 1)]
+    return ["final"]
 
 
 @dataclass(frozen=True)
@@ -263,7 +279,12 @@ class StageBudgets:
 
 @dataclass
 class TransferJob:
-    """Everything one transfer run needs besides the method name."""
+    """Everything one transfer run needs besides the method name.
+
+    `training` holds the training settings (learning rate, batch size and
+    evaluation cadence); each stage replaces its seed, budget, band and
+    keep_best through `train_cfg`.
+    """
 
     env: object
     source: PolicyParams | None
@@ -273,10 +294,7 @@ class TransferJob:
     relax_band: ConvergenceBand
     stage_band: ConvergenceBand
     final_band: ConvergenceBand
-    learning_rate: float = 1e-3
-    batch_episodes: int = 10
-    eval_every: int = 4096
-    eval_episodes: int = 8
+    training: TrainConfig
     l2sp_coeff: float = 0.01
     find_cfg: FindSb1Config = field(default_factory=FindSb1Config)
     auto_stages: int = 3
@@ -284,16 +302,14 @@ class TransferJob:
     log_std_init: float = -0.7
 
     def train_cfg(
-        self, label: str, budget: int, band: ConvergenceBand, keep_best: bool = False
+        self, budget: int, band: ConvergenceBand, *labels, keep_best: bool = False
     ) -> TrainConfig:
-        return TrainConfig(
-            seed=derive_seed(self.seed, label),
+        """The stage's config, seeded by derive_seed(self.seed, *labels)."""
+        return replace(
+            self.training,
+            seed=derive_seed(self.seed, *labels),
             max_interaction_steps=budget,
             convergence=band,
-            learning_rate=self.learning_rate,
-            batch_episodes=self.batch_episodes,
-            eval_every=self.eval_every,
-            eval_episodes=self.eval_episodes,
             keep_best=keep_best,
         )
 
@@ -343,7 +359,7 @@ def relax_stage(job: TransferJob, budget: int) -> TrainReport:
     """Train from the source policy with the barrier penalty removed."""
     if job.source is None:
         raise PreconditionViolated("relax stage needs a source policy")
-    cfg = job.train_cfg("relax", budget, job.relax_band)
+    cfg = job.train_cfg(budget, job.relax_band, "relax")
     return train(job.env, relaxed_reward(job.env), job.source, cfg)
 
 
@@ -369,23 +385,15 @@ def relax_until_crossing(
     chunk = 0
     while steps < budget:
         chunk_budget = min(chunk_steps, budget - steps)
-        cfg = TrainConfig(
-            seed=derive_seed(job.seed, "relax", chunk),
-            max_interaction_steps=chunk_budget,
-            convergence=ConvergenceBand(math.inf, 1.0, 1),
-            learning_rate=job.learning_rate,
-            batch_episodes=job.batch_episodes,
-            eval_every=chunk_budget + 1,
-            eval_episodes=job.eval_episodes,
-        )
-        report = train(job.env, spec, policy, cfg)
+        cfg = job.train_cfg(chunk_budget, ConvergenceBand(math.inf, 1.0, 1), "relax", chunk)
+        report = train(job.env, spec, policy, replace(cfg, eval_every=chunk_budget + 1))
         if report.interaction_steps == 0:
             break  # remaining budget is smaller than one batch
         policy = report.params
         steps += report.interaction_steps
-        mean, _, _ = evaluate(
-            job.env, spec, policy, job.eval_episodes, derive_seed(job.seed, "relax-eval", chunk)
-        )
+        mean = evaluate_detail(
+            job.env, spec, policy, cfg.eval_episodes, derive_seed(job.seed, "relax-eval", chunk)
+        )["mean"]
         curve.append((steps, mean))
         chunk += 1
         in_band = abs(mean - job.relax_band.center) <= job.relax_band.half_width
@@ -418,7 +426,7 @@ def run_curriculum(
     for k in range(n):
         band = job.final_band if k == n - 1 else job.stage_band
         allowance = budgets[k] + carry
-        cfg = job.train_cfg(f"stage-{k}", allowance, band, keep_best=True)
+        cfg = job.train_cfg(allowance, band, f"stage-{k}", keep_best=True)
         report = train(job.env, schedule.reward_spec(k), policy, cfg)
         reports.append(report)
         policy = report.params
@@ -442,7 +450,10 @@ def _stage_snapshots(job: TransferJob, labeled_reports) -> tuple:
     )
 
 
-def _final_summary(job: TransferJob, policy: PolicyParams) -> tuple[float, str]:
+def _transfer_report(
+    job: TransferJob, method: str, reports: list, converged: bool, policy: PolicyParams
+) -> TransferReport:
+    """Score the final policy and assemble the run's report and artifacts."""
     detail = evaluate_detail(
         job.env,
         full_reward(job.env),
@@ -451,8 +462,22 @@ def _final_summary(job: TransferJob, policy: PolicyParams) -> tuple[float, str]:
         derive_seed(job.seed, "final-eval"),
     )
     hist = detail["histogram"]
-    label = max(sorted(hist), key=lambda k: hist[k]) if hist else ""
-    return detail["mean"], label
+    labeled = list(zip(stage_labels(method, len(reports)), reports))
+    steps = tuple(r.interaction_steps for r in reports)
+    return TransferReport(
+        method,
+        job.env.name,
+        job.seed,
+        sum(steps),
+        converged,
+        steps,
+        detail["mean"],
+        max(sorted(hist), key=lambda k: hist[k]) if hist else "",
+        curve=_accumulate_curve(reports),
+        stage_trajectories=_stage_snapshots(job, labeled),
+        stage_policies=tuple((label, r.params) for label, r in labeled),
+        final_policy=policy,
+    )
 
 
 def ease_in_ease_out(job: TransferJob, mode: str = "reward_weight") -> TransferReport:
@@ -482,7 +507,7 @@ def ease_in_ease_out(job: TransferJob, mode: str = "reward_weight") -> TransferR
         relax_report = relax_until_crossing(job, budgets.relax)
     else:
         relax_report = relax_stage(job, budgets.relax)
-    labeled = [("relax", relax_report)]
+    reports = [relax_report]
     policy = relax_report.params
     converged = relax_report.converged
 
@@ -493,35 +518,19 @@ def ease_in_ease_out(job: TransferJob, mode: str = "reward_weight") -> TransferR
             a_start, a_goal = job.env.anchors()
             sb1 = find_sb1(xi_s, xi_relax, job.env.barrier, job.find_cfg, a_start, a_goal)
             schedule = auto_barrier_schedule(sb1.region, job.env.barrier, job.auto_stages)
-        reports, policy = run_curriculum(
+        stage_reports, policy = run_curriculum(
             job, schedule, policy, budgets.stages,
             carry=budgets.relax - relax_report.interaction_steps,
         )
-        converged = all(r.converged for r in reports)
-        labeled += [(f"stage-{k}", r) for k, r in enumerate(reports)]
-
-    steps = tuple(r.interaction_steps for _, r in labeled)
-    ret, label = _final_summary(job, policy)
-    return TransferReport(
-        method,
-        job.env.name,
-        job.seed,
-        sum(steps),
-        converged,
-        steps,
-        ret,
-        label,
-        curve=_accumulate_curve([r for _, r in labeled]),
-        stage_trajectories=_stage_snapshots(job, labeled),
-        stage_policies=tuple((label, r.params) for label, r in labeled),
-        final_policy=policy,
-    )
+        converged = all(r.converged for r in stage_reports)
+        reports += stage_reports
+    return _transfer_report(job, method, reports, converged, policy)
 
 
 def baseline_transfer(job: TransferJob, method: str) -> TransferReport:
     """naive / l2sp fine-tuning from the source policy, or training from a
     fresh random initialization, all under the final target reward."""
-    if method not in ("naive", "l2sp", "random"):
+    if method not in BASELINES:
         raise ValueError(f"unknown baseline {method!r}")
     if method == "random":
         init = init_policy(job.source.arch, derive_seed(job.seed, "random-init"),
@@ -532,24 +541,9 @@ def baseline_transfer(job: TransferJob, method: str) -> TransferReport:
             raise PreconditionViolated(f"{method} needs a source policy")
         init = job.source
         l2sp = (job.l2sp_coeff, job.source.flat()) if method == "l2sp" else None
-    cfg = job.train_cfg(method, job.budget, job.final_band)
+    cfg = job.train_cfg(job.budget, job.final_band, method)
     report = train(job.env, full_reward(job.env), init, cfg, l2sp=l2sp)
-    ret, label = _final_summary(job, report.params)
-    labeled = [("final", report)]
-    return TransferReport(
-        method,
-        job.env.name,
-        job.seed,
-        report.interaction_steps,
-        report.converged,
-        (report.interaction_steps,),
-        ret,
-        label,
-        curve=_accumulate_curve([report]),
-        stage_trajectories=_stage_snapshots(job, labeled),
-        stage_policies=tuple((label, r.params) for label, r in labeled),
-        final_policy=report.params,
-    )
+    return _transfer_report(job, method, [report], report.converged, report.params)
 
 
 def run_transfer(job: TransferJob, method: str) -> TransferReport:

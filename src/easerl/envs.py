@@ -23,7 +23,7 @@ pi/4; classes are "above" or "below" the band in the time-angle plane.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -92,20 +92,6 @@ class StepResult:
     base: float | np.ndarray  # the reward before the barrier penalty
 
 
-@dataclass(frozen=True)
-class CarState:
-    """Structured view of a car state vector."""
-
-    position: tuple[float, float]
-    heading: float
-    speed: float
-    angular_velocity: float
-
-    @staticmethod
-    def from_vector(v: np.ndarray) -> "CarState":
-        return CarState((float(v[0]), float(v[1])), float(v[2]), float(v[3]), float(v[4]))
-
-
 # car state vector layout: [x, y, heading, speed, ang_vel, t, flags...]
 _IX, _IY, _IH, _IV, _IW, _IT = 0, 1, 2, 3, 4, 5
 
@@ -135,9 +121,6 @@ class CarEnv:
     c_pot: float = 0.0
     side_bonus: float = 0.0
     barrier_tops: tuple[float, ...] = ()
-
-    def action_low_high(self) -> tuple[float, float]:
-        return -1.0, 1.0
 
     def initial_state(self) -> np.ndarray:
         n_flags = len(self.barrier_tops)
@@ -317,17 +300,11 @@ def landscape_make(
 ) -> CarEnv:
     """nav1 variant for loss-surface scans: the policy sees position only."""
     env = nav1_make(barrier_size, target_side, penalty, horizon, discount)
-    return CarEnv(
+    return replace(
+        env,
         name=f"landscape-{barrier_size}",
-        spec=MdpSpec(2, 1, horizon, discount, env.goal_poly),
-        barrier=env.barrier,
-        target_bits=env.target_bits,
-        goal_poly=env.goal_poly,
-        start=env.start,
+        spec=replace(env.spec, state_dim=2),
         obs_mode="position",
-        c_side=env.c_side,
-        c_goal=env.c_goal,
-        goal_bonus=env.goal_bonus,
     )
 
 
@@ -359,9 +336,6 @@ class AngleEnv:
     @property
     def barrier(self) -> IntervalSet:
         return self.band
-
-    def action_low_high(self) -> tuple[float, float]:
-        return -1.0, 1.0
 
     def initial_state(self) -> np.ndarray:
         return np.array([self.start_angle, 0.0, 0.0])
@@ -574,26 +548,14 @@ def rollout_batch(env, policy, reward_spec: RewardSpec, noise: np.ndarray) -> Ro
     return RolloutBatch(obs, actions, rewards, base, member, states, lengths, returns)
 
 
-def rollout_record(
-    env, policy, reward_spec: RewardSpec, seed: int, noise_mode: str = "fresh"
-) -> RolloutRecord:
+def rollout_record(env, policy, reward_spec: RewardSpec, seed: int) -> RolloutRecord:
     """Simulate one episode; all stochasticity comes from the seed.
 
-    Both noise modes draw a per-episode Gaussian tape keyed by the seed alone,
-    so identical seeds give identical noise regardless of policy parameters;
-    "frozen" exists as the documented name for relying on that property.
+    The episode's Gaussian tape is keyed by the seed alone, so identical
+    seeds give identical noise regardless of policy parameters.
     """
-    if noise_mode not in ("fresh", "frozen"):
-        raise ValueError(f"unknown noise mode {noise_mode!r}")
     batch = rollout_batch(env, policy, reward_spec, noise_tapes(env, [seed]))
     return batch.record(env, 0)
-
-
-def rollout(
-    env, policy, reward_spec: RewardSpec, seed: int, noise_mode: str = "fresh"
-) -> tuple[Trajectory, float, bool]:
-    rec = rollout_record(env, policy, reward_spec, seed, noise_mode)
-    return rec.trajectory, rec.ret, rec.collided
 
 
 def mean_rollout(env, policy, reward_spec: RewardSpec) -> Trajectory:

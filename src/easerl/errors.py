@@ -49,14 +49,6 @@ class BudgetExhausted(EaseRlError):
     """Search loop exceeded its halving or inflation budget."""
 
 
-class StageBudgetExhausted(EaseRlError):
-    """A curriculum stage failed to converge within its step budget."""
-
-    def __init__(self, stage_index: int, message: str = ""):
-        self.stage_index = stage_index
-        super().__init__(message or f"stage {stage_index} failed to converge within budget")
-
-
 class MissingCheckpoint(EaseRlError):
     """Transfer run requested before its source checkpoint exists."""
 

@@ -191,9 +191,6 @@ class RegionSet:
             max(b[3] for b in boxes),
         )
 
-    def total_area(self) -> float:
-        return sum(p.area() for p in self.parts)
-
 
 @dataclass(frozen=True)
 class IntervalSet:

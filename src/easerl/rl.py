@@ -277,9 +277,9 @@ def train(
 
     def record_eval(at_steps: int) -> None:
         nonlocal eval_idx, streak, converged, best_mean, best_params
-        mean, _, _ = evaluate(
+        mean = evaluate_detail(
             env, reward_spec, policy, cfg.eval_episodes, derive_seed(cfg.seed, "eval", eval_idx)
-        )
+        )["mean"]
         eval_idx += 1
         curve.append((at_steps, mean))
         if cfg.keep_best and mean > best_mean:
@@ -348,18 +348,14 @@ def train(
     return TrainReport(policy, steps, tuple(curve), converged)
 
 
-def evaluate(env, reward_spec, policy: PolicyParams, episodes: int, seed: int):
-    """Deterministic evaluation: (mean return, std, class histogram).
+def evaluate_detail(env, reward_spec, policy: PolicyParams, episodes: int, seed: int) -> dict:
+    """Deterministic evaluation: mean and std of the returns, class histogram,
+    and the per-episode returns, labels, flags and trajectories.
 
     The histogram maps class labels to counts over evaluation rollouts that do
     not collide with the environment's full barrier; colliding rollouts carry
     no class and are left out (episodes minus histogram total = collisions).
     """
-    detail = evaluate_detail(env, reward_spec, policy, episodes, seed)
-    return detail["mean"], detail["std"], detail["histogram"]
-
-
-def evaluate_detail(env, reward_spec, policy: PolicyParams, episodes: int, seed: int) -> dict:
     from . import envs as _envs
     from . import homotopy as _homotopy
 

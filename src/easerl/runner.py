@@ -31,11 +31,14 @@ from . import __version__
 from .config import config_hash, serialize_config
 from .curriculum import (
     CSV_HEADER,
+    CURRICULA,
     CurriculumSchedule,
     FindSb1Config,
     TransferJob,
     TransferReport,
+    method_rank,
     run_transfer,
+    stage_labels,
 )
 from .envs import angle_make, full_reward, landscape_make, mean_rollout, nav1_make, nav2_make
 from .errors import ConfigError, MissingCheckpoint, MissingData
@@ -56,8 +59,6 @@ from .rl import (
     train,
 )
 from .seeding import derive_seed
-
-METHOD_ORDER = ("ease_reward", "ease_barrier", "naive", "l2sp", "random")
 
 
 def env_from_config(cfg: dict):
@@ -100,6 +101,21 @@ def _band(d: dict) -> ConvergenceBand:
     return ConvergenceBand(d["center"], d["half_width"], d["patience"])
 
 
+def train_config(cfg: dict) -> TrainConfig:
+    """The `training` block as the config of `easerl train`; transfer stages
+    keep its learning rate, batch size and evaluation cadence."""
+    tr = cfg["training"]
+    return TrainConfig(
+        seed=derive_seed(int(cfg["seed"]), "train"),
+        max_interaction_steps=tr["max_steps"],
+        convergence=_band(tr["convergence"]),
+        learning_rate=tr["learning_rate"],
+        batch_episodes=tr["batch_episodes"],
+        eval_every=tr["eval_every"],
+        eval_episodes=tr["eval_episodes"],
+    )
+
+
 def job_from_config(cfg: dict, env, source, seed: int) -> TransferJob:
     tr = cfg["training"]
     xf = cfg["transfer"]
@@ -112,10 +128,7 @@ def job_from_config(cfg: dict, env, source, seed: int) -> TransferJob:
         relax_band=_band(xf["relax_convergence"]),
         stage_band=_band(xf["stage_convergence"]),
         final_band=_band(tr["convergence"]),
-        learning_rate=tr["learning_rate"],
-        batch_episodes=tr["batch_episodes"],
-        eval_every=tr["eval_every"],
-        eval_episodes=tr["eval_episodes"],
+        training=train_config(cfg),
         l2sp_coeff=xf["l2sp_coeff"],
         find_cfg=FindSb1Config(**xf["find_sb1"]),
         auto_stages=xf["schedule"]["auto_stages"],
@@ -133,10 +146,7 @@ def run_grid(cfg: dict, source, workers: int = 1) -> list[TransferReport]:
     """Run the (method x seed) grid; report order is fixed regardless of
     worker count."""
     env = env_from_config(cfg)
-    methods = sorted(
-        cfg["transfer"]["methods"],
-        key=lambda m: (METHOD_ORDER.index(m) if m in METHOD_ORDER else len(METHOD_ORDER), m),
-    )
+    methods = sorted(cfg["transfer"]["methods"], key=method_rank)
     tasks = [
         (m, job_from_config(cfg, env, source, int(s)))
         for m in methods
@@ -207,9 +217,6 @@ def build_table(rows: list[dict], budget: int) -> tuple[str, str]:
     for row in rows:
         groups.setdefault((row["env"], row["method"]), []).append(row)
 
-    def method_rank(m):
-        return (METHOD_ORDER.index(m) if m in METHOD_ORDER else len(METHOD_ORDER), m)
-
     table_rows = []
     for (env_name, method) in sorted(groups, key=lambda k: (k[0], method_rank(k[1]))):
         runs = groups[(env_name, method)]
@@ -240,12 +247,6 @@ def build_table(rows: list[dict], budget: int) -> tuple[str, str]:
     lines = [fmt(header), fmt(["-" * wd for wd in widths])]
     lines += [fmt(r) for r in table_rows]
     return csv_text, "\n".join(lines) + "\n"
-
-
-def _stage_labels(method: str, n_stage_steps: int) -> list[str]:
-    if method in ("ease_reward", "ease_barrier"):
-        return ["relax"] + [f"stage-{k}" for k in range(n_stage_steps - 1)]
-    return ["final"]
 
 
 def write_run_artifacts(out_dir, reports: list[TransferReport]) -> None:
@@ -288,7 +289,7 @@ def render_plots(out_dir) -> list[str]:
 
     cfg = load_config(cfg_path)
     env = env_from_config(cfg)
-    region = env.barrier if isinstance(env.barrier, RegionSet) else env.class_region()
+    region = env.class_region()
     rows = read_runs_csv(os.path.join(out_dir, "runs.csv"))
     plots_dir = os.path.join(out_dir, "plots")
     os.makedirs(plots_dir, exist_ok=True)
@@ -305,7 +306,7 @@ def render_plots(out_dir) -> list[str]:
     for m in methods:
         seed = min(r["seed"] for r in rows if r["method"] == m)
         row = next(r for r in rows if r["method"] == m and r["seed"] == seed)
-        label = _stage_labels(m, len(row["stage_steps"]))[-1]
+        label = stage_labels(m, len(row["stage_steps"]))[-1]
         path = os.path.join(out_dir, "trajs", f"{m}-{seed}-{label}.csv")
         if os.path.exists(path):
             finals.append(load_trajectory(path))
@@ -334,12 +335,12 @@ def render_plots(out_dir) -> list[str]:
 
     # per-stage snapshots for curriculum methods, first seed
     for m in methods:
-        if m not in ("ease_reward", "ease_barrier"):
+        if m not in CURRICULA:
             continue
         seed = min(r["seed"] for r in rows if r["method"] == m)
         row = next(r for r in rows if r["method"] == m and r["seed"] == seed)
         stage_trajs, slabels = [], []
-        for label in _stage_labels(m, len(row["stage_steps"])):
+        for label in stage_labels(m, len(row["stage_steps"])):
             path = os.path.join(out_dir, "trajs", f"{m}-{seed}-{label}.csv")
             if os.path.exists(path):
                 stage_trajs.append(load_trajectory(path))
@@ -381,16 +382,7 @@ def run_train(cfg: dict, out_dir):
     arch = Arch(tr["arch"], env.spec.state_dim, env.spec.action_dim, tr["hidden"])
     seed = int(cfg["seed"])
     init = init_policy(arch, derive_seed(seed, "source"), log_std_init=tr["log_std_init"])
-    train_cfg = TrainConfig(
-        seed=derive_seed(seed, "train"),
-        max_interaction_steps=tr["max_steps"],
-        convergence=_band(tr["convergence"]),
-        learning_rate=tr["learning_rate"],
-        batch_episodes=tr["batch_episodes"],
-        eval_every=tr["eval_every"],
-        eval_episodes=tr["eval_episodes"],
-    )
-    report = train(env, full_reward(env), init, train_cfg)
+    report = train(env, full_reward(env), init, train_config(cfg))
     os.makedirs(out_dir, exist_ok=True)
     _write_config_snapshot(out_dir, cfg)
     write_manifest(out_dir, cfg)
@@ -405,10 +397,9 @@ def run_train(cfg: dict, out_dir):
     if cfg["output"]["plots"]:
         plots_dir = os.path.join(out_dir, "plots")
         os.makedirs(plots_dir, exist_ok=True)
-        region = env.barrier if isinstance(env.barrier, RegionSet) else env.class_region()
         goal = env.anchors()[1]
         plot_trajectories(
-            [traj], ["mean policy"], region,
+            [traj], ["mean policy"], env.class_region(),
             os.path.join(plots_dir, "traj.svg"),
             title=f"{env.name}: trained mean trajectory",
             goal_xy=(float(goal.x), float(goal.y)),

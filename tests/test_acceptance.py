@@ -23,7 +23,6 @@ from easerl.envs import (
     mean_rollout,
     nav1_make,
     relaxed_reward,
-    rollout,
     rollout_record,
     step,
 )
@@ -218,8 +217,7 @@ def test_criterion_05_transition_invariance():
     ]
     ok = True
     for seed in range(10):
-        recs = [rollout_record(env, pol, spec, seed=seed, noise_mode="frozen")
-                for spec in specs]
+        recs = [rollout_record(env, pol, spec, seed=seed) for spec in specs]
         ref = recs[0]
         for rec in recs[1:]:
             ok &= np.array_equal(rec.trajectory.raw_states, ref.trajectory.raw_states)
@@ -369,7 +367,8 @@ def test_criterion_10_w_infinity_continuity():
 
     def traj_set(params, n=16):
         return EmpiricalDistribution(tuple(
-            rollout(env, params, spec, derive_seed(99, "w", e))[0] for e in range(n)
+            rollout_record(env, params, spec, derive_seed(99, "w", e)).trajectory
+            for e in range(n)
         ))
 
     base = traj_set(policy)

@@ -111,6 +111,36 @@ class TestValidation:
             ("train", {"training": {"eval_every": 0}}, "training.eval_every"),
             ("transfer", {"transfer": {"final_eval_episodes": 0}},
              "transfer.final_eval_episodes"),
+            # a leaf keeps its default's type: YAML reads 1.0e9 and 1e-3 as strings
+            ("train", {"training": {"convergence": {"center": "1.0e9"}}},
+             "training.convergence.center"),
+            ("train", {"training": {"learning_rate": "1e-3"}}, "training.learning_rate"),
+            ("train", {"training": {"learning_rate": True}}, "training.learning_rate"),
+            ("train", {"training": {"batch_episodes": 2.5}}, "training.batch_episodes"),
+            ("transfer", {"transfer": {"l2sp_coeff": "x"}}, "transfer.l2sp_coeff"),
+            ("transfer", {"transfer": {"seeds": ["a"]}}, "transfer.seeds"),
+            ("transfer", {"transfer": {"seeds": 3}}, "transfer.seeds"),
+            ("transfer", {"transfer": {"find_sb1": {"max_halvings": -1}}},
+             "transfer.find_sb1.max_halvings"),
+            ("transfer", {"transfer": {"find_sb1": {"max_inflations": 1.5}}},
+             "transfer.find_sb1.max_inflations"),
+            ("transfer", {"transfer": {"find_sb1": {"inflate_radius": 0.0}}},
+             "transfer.find_sb1.inflate_radius"),
+            ("transfer", {"transfer": {"schedule": {"auto_stages": 0}}},
+             "transfer.schedule.auto_stages"),
+            ("transfer", {"transfer": {"schedule": {"alphas": ["a"]}}},
+             "transfer.schedule.alphas"),
+            ("transfer", {"transfer": {"schedule": {"barrier_sizes": 3}}},
+             "transfer.schedule.barrier_sizes"),
+            ("transfer", {"transfer": {"schedule": {"intervals": [[1.0]]}}},
+             "transfer.schedule.intervals"),
+            ("landscape", {"landscape": {"theta_source": [1]}}, "landscape.theta_source"),
+            ("landscape", {"landscape": {"theta_source": [0.1, float("nan")]}},
+             "landscape.theta_source"),
+            ("landscape", {"landscape": {"theta_target": "foo"}}, "landscape.theta_target"),
+            ("landscape", {"landscape": {"samples_per_cell": 1.5}},
+             "landscape.samples_per_cell"),
+            ("landscape", {"landscape": {"lo": "x"}}, "landscape.lo"),
         ],
     )
     def test_range_rule_rejected_and_cli_exits_usage(
@@ -130,6 +160,13 @@ class TestValidation:
             validate_config({"training": {"eval_episodes": 2.5}})
         with pytest.raises(ConfigError, match="training.eval_every"):
             validate_config({"training": {"eval_every": True}})
+
+    def test_number_leaves_take_ints_and_yaml_floats(self):
+        cfg = parse_config("training:\n  convergence:\n    center: 1.0e+9\n  learning_rate: 1\n")
+        assert cfg["training"]["convergence"]["center"] == 1.0e9
+        assert cfg["training"]["learning_rate"] == 1
+        with pytest.raises(ConfigError, match="decimal point"):
+            parse_config("training:\n  learning_rate: 1e-3\n")
 
     def test_invalid_yaml(self):
         with pytest.raises(ConfigError, match="not valid YAML"):

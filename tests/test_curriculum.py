@@ -20,7 +20,8 @@ from easerl.envs import nav1_make, nav2_make
 from easerl.errors import BudgetExhausted, PreconditionViolated
 from easerl.geometry import ConvexPolygon, IntervalSet, Point2, RegionSet
 from easerl.homotopy import Trajectory, collides, divides
-from easerl.rl import Arch, ConvergenceBand, init_policy
+from easerl.rl import Arch, ConvergenceBand, TrainConfig, init_policy
+from easerl.seeding import derive_seed
 
 BARRIER = RegionSet((ConvexPolygon.rectangle(0.0, 0.0, 5.0, 2.0),), 1000.0)
 START = Point2(0.0, -8.0)
@@ -250,9 +251,10 @@ def tiny_job(env, source, budget=4000, schedule=None, center=0.0, half=1e9):
         relax_band=band,
         stage_band=band,
         final_band=band,
-        batch_episodes=2,
-        eval_every=1000,
-        eval_episodes=2,
+        training=TrainConfig(
+            seed=0, max_interaction_steps=budget, convergence=band,
+            batch_episodes=2, eval_every=1000, eval_episodes=2,
+        ),
     )
 
 
@@ -381,9 +383,13 @@ class TestTransferPlumbing:
 
     def test_per_stage_seeds_differ(self, nav1_env, nav1_source):
         job = tiny_job(nav1_env, nav1_source)
-        a = job.train_cfg("relax", 100, job.relax_band)
-        b = job.train_cfg("stage-0", 100, job.stage_band)
+        a = job.train_cfg(100, job.relax_band, "relax")
+        b = job.train_cfg(100, job.stage_band, "stage-0")
         assert a.seed != b.seed
+        # relax chunks of the auto schedule are seeded per chunk
+        chunk = job.train_cfg(100, job.relax_band, "relax", 3)
+        assert chunk.seed == derive_seed(job.seed, "relax", 3)
+        assert (chunk.batch_episodes, chunk.eval_episodes) == (2, 2)
 
     def test_csv_row_shape(self, nav1_env, nav1_source):
         job = tiny_job(nav1_env, nav1_source, budget=1500)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from easerl.envs import (
-    CarState,
     MdpSpec,
     RewardSpec,
     angle_make,
@@ -15,7 +14,6 @@ from easerl.envs import (
     nav2_make,
     penalty_region,
     relaxed_reward,
-    rollout,
     rollout_record,
     step,
 )
@@ -120,7 +118,7 @@ class TestTransitionInvariance:
             RewardSpec("barrier_set", active=half),
             RewardSpec("barrier_set", active=env.barrier),
         ]
-        recs = [rollout_record(env, pol, spec, seed=11, noise_mode="frozen") for spec in specs]
+        recs = [rollout_record(env, pol, spec, seed=11) for spec in specs]
         ref = recs[0]
         for rec in recs[1:]:
             assert np.array_equal(rec.trajectory.states, ref.trajectory.states)
@@ -128,30 +126,17 @@ class TestTransitionInvariance:
         # with any penalty active some returns must differ from the relaxed one
         assert any(rec.ret != ref.ret for rec in recs[1:]) or not ref.collided
 
-    def test_fresh_and_frozen_modes_agree(self):
-        env = nav1_make(3, "right")
-        pol = seeded_policy(env, seed=5)
-        a = rollout_record(env, pol, full_reward(env), seed=4, noise_mode="fresh")
-        b = rollout_record(env, pol, full_reward(env), seed=4, noise_mode="frozen")
-        assert np.array_equal(a.trajectory.raw_states, b.trajectory.raw_states)
-        assert a.ret == b.ret
-
-    def test_unknown_noise_mode_rejected(self):
-        env = nav1_make(3, "right")
-        with pytest.raises(ValueError):
-            rollout_record(env, seeded_policy(env), full_reward(env), 0, noise_mode="warm")
-
 
 class TestDeterminism:
     def test_same_seed_same_rollout(self):
         env = nav2_make("LR")
         pol = seeded_policy(env, seed=7)
-        t1, r1, c1 = rollout(env, pol, full_reward(env), seed=21)
-        t2, r2, c2 = rollout(env, pol, full_reward(env), seed=21)
-        t3, _, _ = rollout(env, pol, full_reward(env), seed=22)
-        assert np.array_equal(t1.raw_states, t2.raw_states)
-        assert (r1, c1) == (r2, c2)
-        assert not np.array_equal(t1.raw_states, t3.raw_states)
+        a = rollout_record(env, pol, full_reward(env), seed=21)
+        b = rollout_record(env, pol, full_reward(env), seed=21)
+        c = rollout_record(env, pol, full_reward(env), seed=22)
+        assert np.array_equal(a.trajectory.raw_states, b.trajectory.raw_states)
+        assert (a.ret, a.collided) == (b.ret, b.collided)
+        assert not np.array_equal(a.trajectory.raw_states, c.trajectory.raw_states)
 
 
 class TestScriptedPathOracle:
@@ -249,12 +234,6 @@ class TestNav1:
         assert env.target_label() == "L"
         assert env.class_label((0,)) == "R"
         assert nav1_make(5, "right").target_label() == "R"
-
-    def test_car_state_view(self):
-        env = nav1_make(5, "left")
-        cs = CarState.from_vector(env.initial_state())
-        assert cs.position == (0.0, -8.0)
-        assert cs.heading == pytest.approx(math.pi / 2)
 
 
 class TestNav2:

@@ -16,7 +16,6 @@ from easerl.rl import (
     TrainConfig,
     act,
     episode_grad,
-    evaluate,
     evaluate_detail,
     grad_log_prob,
     hump_height,
@@ -232,18 +231,17 @@ class TestEvaluate:
         env = nav1_make(5, "right")
         arch = Arch("linear", env.spec.state_dim, env.spec.action_dim)
         pol = init_policy(arch, 0)  # zero policy: drives straight through
-        mean, std, hist = evaluate(env, full_reward(env), pol, 8, 0)
         detail = evaluate_detail(env, full_reward(env), pol, 8, 0)
-        assert sum(hist.values()) == 8 - sum(detail["collided_full"])
-        assert mean < 0  # collisions are catastrophic under the full reward
+        assert sum(detail["histogram"].values()) == 8 - sum(detail["collided_full"])
+        assert detail["mean"] < 0  # collisions are catastrophic under the full reward
 
     def test_deterministic(self):
         env = nav1_make(1, "right")
         arch = Arch("linear", env.spec.state_dim, env.spec.action_dim)
         pol = init_policy(arch, 0)
-        a = evaluate(env, full_reward(env), pol, 6, 5)
-        b = evaluate(env, full_reward(env), pol, 6, 5)
-        assert a == b
+        a = evaluate_detail(env, full_reward(env), pol, 6, 5)
+        b = evaluate_detail(env, full_reward(env), pol, 6, 5)
+        assert (a["mean"], a["std"], a["histogram"]) == (b["mean"], b["std"], b["histogram"])
 
 
 class TestCheckpoint:
