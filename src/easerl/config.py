@@ -214,6 +214,7 @@ def validate_config(cfg: dict) -> dict:
         "transfer.schedule.intervals must be [lo, hi] pairs of finite numbers",
     )
     land = merged["landscape"]
+    _require(land["barrier_size"] in (1, 3, 5, 7), "landscape.barrier_size must be 1, 3, 5 or 7")
     _require(land["bucket"] > 0, "landscape.bucket must be positive")
     _require(land["hi"] > land["lo"], "landscape.hi must exceed landscape.lo")
     _require(land["samples_per_cell"] >= 1, "landscape.samples_per_cell must be >= 1")

@@ -508,11 +508,16 @@ def rollout_batch(env, policy, reward_spec: RewardSpec, noise: np.ndarray) -> Ro
     """Simulate one episode per noise tape, all in lockstep.
 
     Every episode steps until it terminates, on its own; finished episodes
-    drop out of the batch.  The policy's batch-size-independent forward pass
-    gives each episode the same bits at any B, so results depend only on
-    the policy, the reward spec and the episode's own tape.
+    drop out of the batch.  `policy` is one policy shared by all episodes,
+    or a stacked one (theta of shape (B, theta_size)) whose row b drives
+    episode b.  The batch-size-independent forward pass gives each episode
+    the same bits at any B, so an episode's results depend only on its own
+    row's parameters, the reward spec and its own tape.
     """
     n, horizon = noise.shape[0], env.spec.horizon
+    stacked = policy.theta.ndim == 2
+    if stacked and policy.theta.shape[0] != n:
+        raise ValueError(f"{policy.theta.shape[0]} policy rows for {n} noise tapes")
     state = np.repeat(env.initial_state()[None, :], n, axis=0)
     states = np.zeros((n, horizon + 1, state.shape[1]))
     states[:, 0] = state
@@ -545,6 +550,8 @@ def rollout_batch(env, policy, reward_spec: RewardSpec, noise: np.ndarray) -> Ro
             going = ~res.terminal
             live = live[going]
             state = state[going]
+            if stacked:
+                policy = replace(policy, theta=policy.theta[going])
     return RolloutBatch(obs, actions, rewards, base, member, states, lengths, returns)
 
 

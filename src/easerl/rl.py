@@ -51,18 +51,25 @@ class Arch:
 
 @dataclass
 class PolicyParams:
-    """Flat mean-network weights plus per-dimension log-stddev."""
+    """Flat mean-network weights plus per-dimension log-stddev.
+
+    `theta` is one flat weight vector, shared by every row of a batch, or a
+    stack of shape (B, theta_size) whose row b holds the weights of batch
+    row b (many policies stepped in one engine call).  `log_std` is shared
+    either way.
+    """
 
     arch: Arch
     theta: np.ndarray
     log_std: np.ndarray
 
     def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=float).reshape(-1)
+        theta = np.asarray(self.theta, dtype=float)
+        self.theta = theta if theta.ndim == 2 else theta.reshape(-1)
         self.log_std = np.asarray(self.log_std, dtype=float).reshape(-1)
-        if self.theta.size != self.arch.theta_size():
+        if self.theta.shape[-1] != self.arch.theta_size():
             raise ValueError(
-                f"theta size {self.theta.size} != arch size {self.arch.theta_size()}"
+                f"theta size {self.theta.shape[-1]} != arch size {self.arch.theta_size()}"
             )
         if self.log_std.size != self.arch.action_dim:
             raise ValueError("log_std must have one entry per action dimension")
@@ -93,15 +100,17 @@ def init_policy(arch: Arch, seed: int, log_std_init: float = -0.7) -> PolicyPara
 
 
 def _unpack_mlp(arch: Arch, theta: np.ndarray):
+    """Weights and biases from a flat theta, keeping any leading axes."""
     h, i, o = arch.hidden, arch.obs_dim, arch.action_dim
+    lead = theta.shape[:-1]
     k = 0
-    w1 = theta[k : k + h * i].reshape(h, i)
+    w1 = theta[..., k : k + h * i].reshape(lead + (h, i))
     k += h * i
-    b1 = theta[k : k + h]
+    b1 = theta[..., k : k + h]
     k += h
-    w2 = theta[k : k + o * h].reshape(o, h)
+    w2 = theta[..., k : k + o * h].reshape(lead + (o, h))
     k += o * h
-    b2 = theta[k : k + o]
+    b2 = theta[..., k : k + o]
     return w1, b1, w2, b2
 
 
@@ -114,15 +123,32 @@ def _affine(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("...i,hi->...h", x, w)
 
 
+def _affine_rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """`_affine` with one weight matrix per leading row: w is (..., h, i)
+    with leading axes that broadcast against x's.  Each row reduces as in
+    `_affine`, so it gets the bits of its own policy alone."""
+    return np.einsum("...i,...hi->...h", x, w)
+
+
 def mean_batch(policy: PolicyParams, obs: np.ndarray) -> np.ndarray:
-    """Mean actions for (..., obs_dim) observations, row by row."""
+    """Mean actions for (..., obs_dim) observations, row by row.
+
+    A stacked policy gives the observations obs[b] (shape (B, ..., obs_dim))
+    the weights theta[b].
+    """
     obs = np.asarray(obs, dtype=float)
-    if policy.arch.kind == "linear":
-        w = policy.theta.reshape(policy.arch.action_dim, policy.arch.obs_dim)
-        return _affine(obs, w)
-    w1, b1, w2, b2 = _unpack_mlp(policy.arch, policy.theta)
-    hidden = np.tanh(_affine(obs, w1) + b1)
-    return _affine(hidden, w2) + b2
+    arch = policy.arch
+    theta = policy.theta
+    affine = _affine
+    if theta.ndim == 2:
+        # row b's weights, broadcast over the further axes of obs[b]
+        theta = theta.reshape(theta.shape[:1] + (1,) * (obs.ndim - 2) + theta.shape[1:])
+        affine = _affine_rows
+    if arch.kind == "linear":
+        return affine(obs, theta.reshape(theta.shape[:-1] + (arch.action_dim, arch.obs_dim)))
+    w1, b1, w2, b2 = _unpack_mlp(arch, theta)
+    hidden = np.tanh(affine(obs, w1) + b1)
+    return affine(hidden, w2) + b2
 
 
 def _gaussian_log_prob(log_std: np.ndarray, z: np.ndarray):
@@ -135,6 +161,7 @@ def act(policy: PolicyParams, obs: np.ndarray, noise: np.ndarray):
 
     `obs` is one observation or a (B, obs_dim) batch with a matching
     (B, action_dim) noise batch; each row's action has the same bits at any B.
+    A stacked policy gives row b the weights theta[b].
     """
     obs = np.asarray(obs, dtype=float)
     if not np.isfinite(obs).all():
@@ -144,7 +171,10 @@ def act(policy: PolicyParams, obs: np.ndarray, noise: np.ndarray):
 
 
 def log_prob_batch(policy: PolicyParams, obs: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """log pi(a|s) for (..., obs_dim) observations and (..., action_dim) actions."""
+    """log pi(a|s) for (..., obs_dim) observations and (..., action_dim) actions.
+
+    A stacked policy scores the rows obs[b], actions[b] under theta[b].
+    """
     mean = mean_batch(policy, obs)
     std = np.exp(policy.log_std)
     return _gaussian_log_prob(policy.log_std, (np.asarray(actions, dtype=float) - mean) / std)
@@ -406,6 +436,11 @@ class LandscapeResult:
     loss_free: np.ndarray
 
 
+# episodes per engine call in `landscape_scan`: the per-call arrays grow with
+# the batch, so peak memory, not speed, sets the bound
+LANDSCAPE_BATCH = 128
+
+
 def landscape_scan(
     env,
     grid: GridSpec,
@@ -418,32 +453,44 @@ def landscape_scan(
     The loss at a grid point is the mean over sampled episodes of
     sum_t G_t * log pi_theta(a_t|s_t) with reward-to-go G.  The surface is
     scored twice, with the barrier penalty on and off.  Transitions do not
-    depend on the reward, so each (cell, sample) episode is simulated once,
-    with a cell's samples in one lockstep batch, and scored under both: the
-    full reward, and its base reward, which is exactly the relaxed reward.
+    depend on the reward, so each (cell, sample) episode is simulated once
+    and scored under both: the full reward, and its base reward, which is
+    exactly the relaxed reward.  The grid's episodes run in (i, j, sample)
+    order, LANDSCAPE_BATCH at a time, as one stacked policy whose row b
+    carries its own cell's weights; an episode's bits depend only on its
+    row, so the split into engine calls does not change the surface.
     """
     from . import envs as _envs
 
     values = grid.values()
     n = len(values)
+    s = samples_per_cell
     arch = Arch("linear", 2, 1)
-    out = {
-        "barrier": np.zeros((n, n)),
-        "free": np.zeros((n, n)),
-    }
+    cells = np.stack(np.meshgrid(values, values, indexing="ij"), axis=-1).reshape(n * n, 2)
+    thetas = np.repeat(cells, s, axis=0)
+    seeds = [
+        derive_seed(seed, "cell", i, j, "ep", e)
+        for i in range(n) for j in range(n) for e in range(s)
+    ]
     spec = _envs.full_reward(env)
-    for i, th1 in enumerate(values):
-        for j, th2 in enumerate(values):
-            policy = PolicyParams(arch, np.array([th1, th2]), np.array([log_std]))
-            seeds = [derive_seed(seed, "cell", i, j, "ep", e) for e in range(samples_per_cell)]
-            batch = _envs.rollout_batch(env, policy, spec, _envs.noise_tapes(env, seeds))
-            lp = log_prob_batch(policy, batch.obs, batch.actions)
-            for key, rewards in (("barrier", batch.rewards), ("free", batch.base)):
-                g = reward_to_go(rewards, env.spec.discount)
-                total = 0.0
-                for e, t_len in enumerate(batch.lengths):
-                    total += float(np.sum(g[e, :t_len] * lp[e, :t_len]))
-                out[key][i, j] = total / samples_per_cell
+    totals = {"barrier": np.zeros(len(seeds)), "free": np.zeros(len(seeds))}
+    for lo in range(0, len(seeds), LANDSCAPE_BATCH):
+        hi = min(lo + LANDSCAPE_BATCH, len(seeds))
+        policy = PolicyParams(arch, thetas[lo:hi], np.array([log_std]))
+        batch = _envs.rollout_batch(env, policy, spec, _envs.noise_tapes(env, seeds[lo:hi]))
+        lp = log_prob_batch(policy, batch.obs, batch.actions)
+        for key, rewards in (("barrier", batch.rewards), ("free", batch.base)):
+            g = reward_to_go(rewards, env.spec.discount)
+            for e, t_len in enumerate(batch.lengths):
+                totals[key][lo + e] = np.sum(g[e, :t_len] * lp[e, :t_len])
+    out = {}
+    for key, per_episode in totals.items():
+        # a running sum in sample order gives each cell the bits of adding
+        # its own episodes one by one
+        acc = np.zeros(n * n)
+        for column in per_episode.reshape(n * n, s).T:
+            acc = acc + column
+        out[key] = (acc / s).reshape(n, n)
     return LandscapeResult(values, out["barrier"], out["free"])
 
 

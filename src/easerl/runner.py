@@ -39,9 +39,10 @@ from .curriculum import (
     method_rank,
     run_transfer,
     stage_labels,
+    validate_schedule,
 )
 from .envs import angle_make, full_reward, landscape_make, mean_rollout, nav1_make, nav2_make
-from .errors import ConfigError, MissingCheckpoint, MissingData
+from .errors import ConfigError, MissingCheckpoint, MissingData, PreconditionViolated
 from .geometry import ConvexPolygon, IntervalSet, RegionSet
 from .homotopy import load_trajectory, save_trajectory
 from .plots import plot_curves, plot_landscape, plot_trajectories
@@ -77,24 +78,41 @@ def schedule_from_config(cfg: dict, env) -> CurriculumSchedule | None:
         if not sc["alphas"]:
             raise ConfigError("reward_weight schedule needs transfer.schedule.alphas")
         return CurriculumSchedule("reward_weight", alphas=tuple(float(a) for a in sc["alphas"]))
+    penalty = env.barrier.penalty
     if sc["barrier_sizes"]:
         if not env.name.startswith("nav1"):
             raise ConfigError("schedule.barrier_sizes only applies to nav1 environments")
-        penalty = env.barrier.penalty
-        subsets = tuple(
-            RegionSet((ConvexPolygon.rectangle(0.0, 0.0, float(s), 2.0),), penalty)
-            for s in sc["barrier_sizes"]
-        )
-        return CurriculumSchedule("barrier_set", subsets=subsets)
-    if sc["intervals"]:
+        key = "barrier_sizes"
+
+        def subset(s):
+            return RegionSet((ConvexPolygon.rectangle(0.0, 0.0, float(s), 2.0),), penalty)
+    elif sc["intervals"]:
         if not isinstance(env.barrier, IntervalSet):
             raise ConfigError("schedule.intervals only applies to interval barriers")
-        penalty = env.barrier.penalty
-        subsets = tuple(
-            IntervalSet(((float(lo), float(hi)),), penalty) for lo, hi in sc["intervals"]
-        )
-        return CurriculumSchedule("barrier_set", subsets=subsets)
-    return None
+        key = "intervals"
+
+        def subset(iv):
+            return IntervalSet(((float(iv[0]), float(iv[1])),), penalty)
+    else:
+        return None
+    try:
+        subsets = tuple(subset(v) for v in sc[key])
+    except ValueError as exc:
+        raise ConfigError(f"transfer.schedule.{key}: {exc}") from exc
+    return CurriculumSchedule("barrier_set", subsets=subsets)
+
+
+def _check_schedule(cfg: dict) -> None:
+    """Build the configured schedule and check its defining inequalities, so
+    a malformed schedule is a config error before any training runs."""
+    env = env_from_config(cfg)
+    schedule = schedule_from_config(cfg, env)
+    if schedule is None:
+        return
+    try:
+        validate_schedule(schedule, env.barrier)
+    except PreconditionViolated as exc:
+        raise ConfigError(f"transfer.schedule: {exc}") from exc
 
 
 def _band(d: dict) -> ConvergenceBand:
@@ -357,6 +375,7 @@ def render_plots(out_dir) -> list[str]:
 
 
 def run_transfer_experiment(cfg: dict, out_dir, workers: int = 1) -> list[TransferReport]:
+    _check_schedule(cfg)
     ckpt = cfg["transfer"]["source_checkpoint"]
     if not ckpt:
         raise MissingCheckpoint("transfer.source_checkpoint is not set")

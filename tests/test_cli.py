@@ -3,11 +3,13 @@
 import csv
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from easerl import curriculum
 from easerl.cli import (
     EXIT_DIFFERENT,
     EXIT_OK,
@@ -17,7 +19,13 @@ from easerl.cli import (
     load_trajectory_set,
     main,
 )
-from easerl.config import default_config, serialize_config, validate_config
+from easerl.config import (
+    angle_defaults,
+    default_config,
+    nav1_defaults,
+    serialize_config,
+    validate_config,
+)
 from easerl.errors import ConfigError
 from easerl.homotopy import Trajectory, save_trajectory
 
@@ -104,6 +112,40 @@ def test_missing_config_file_is_usage_error(tmp_path, capsys):
                "--out", str(tmp_path / "o")])
     assert rc == EXIT_USAGE
     capsys.readouterr()
+
+
+SOURCE_NAV1_7 = str(Path(__file__).resolve().parents[1] / "assets" / "source-nav1-7.json")
+
+
+def _no_training(*args, **kwargs):
+    raise AssertionError("a bad schedule must be rejected before any training")
+
+
+@pytest.mark.parametrize(
+    "env, schedule, key",
+    [
+        ("nav1", {"barrier_sizes": [-1, 7]}, "transfer.schedule.barrier_sizes"),
+        ("nav1", {"barrier_sizes": [7, 4]}, "not contained in subset 1"),
+        ("angle", {"intervals": [[1.0, 0.5]]}, "transfer.schedule.intervals"),
+    ],
+    ids=["negative-size", "not-nested", "reversed-interval"],
+)
+def test_bad_transfer_schedule_exits_usage_before_training(
+    env, schedule, key, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(curriculum, "train", _no_training)
+    cfg = nav1_defaults(7, "left") if env == "nav1" else angle_defaults("up")
+    cfg["transfer"]["schedule"].update(schedule)
+    cfg["transfer"]["source_checkpoint"] = SOURCE_NAV1_7
+    cfg["transfer"]["seeds"] = [0]
+    path = tmp_path / "c.yaml"
+    path.write_text(serialize_config(validate_config(cfg)))
+    rc = main(["transfer", "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert err.startswith("error: ") and key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 # ------------------------------------------------------------ homotopy

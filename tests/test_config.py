@@ -141,6 +141,7 @@ class TestValidation:
             ("landscape", {"landscape": {"samples_per_cell": 1.5}},
              "landscape.samples_per_cell"),
             ("landscape", {"landscape": {"lo": "x"}}, "landscape.lo"),
+            ("landscape", {"landscape": {"barrier_size": 2}}, "landscape.barrier_size"),
         ],
     )
     def test_range_rule_rejected_and_cli_exits_usage(

@@ -1,5 +1,6 @@
-"""The lockstep rollout engine: batch-size independence, agreement with a
-plain per-step loop, and the landscape scan's simulate-once contract."""
+"""The lockstep rollout engine: batch-size independence, stacked per-row
+policies, agreement with a plain per-step loop, and the landscape scan's
+simulate-once contract and bits."""
 
 import math
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from easerl import envs
+from easerl import envs, rl
 from easerl.envs import (
     RewardSpec,
     angle_make,
@@ -22,8 +23,16 @@ from easerl.envs import (
     rollout_record,
 )
 from easerl.geometry import ConvexPolygon, IntervalSet, RegionSet
-from easerl.rl import Arch, GridSpec, PolicyParams, init_policy, landscape_scan
-from easerl.seeding import rng_for
+from easerl.rl import (
+    Arch,
+    GridSpec,
+    PolicyParams,
+    init_policy,
+    landscape_scan,
+    log_prob_batch,
+    reward_to_go,
+)
+from easerl.seeding import derive_seed, rng_for
 
 ENVS = {
     "nav1-7": lambda: nav1_make(7, "left"),
@@ -128,6 +137,47 @@ class TestBatchSizeIndependence:
         batch = rollout_batch(env, make_policy(env, "linear", 0, 0.1), full_reward(env),
                               noise_tapes(env, []))
         assert batch.lengths.shape == (0,) and batch.returns.shape == (0,)
+
+
+class TestStackedPolicies:
+    @given(
+        env_name=st.sampled_from(sorted(ENVS)),
+        kind=st.sampled_from(["linear", "mlp"]),
+        policy_seeds=st.lists(st.integers(0, 10_000), min_size=2, max_size=7, unique=True),
+        scale=st.sampled_from([0.1, 0.5, 2.0]),
+        mode=st.sampled_from(["reward_weight", "barrier_set"]),
+        alpha=st.sampled_from([0.0, 0.37, 1.0]),
+        tape_seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_stacked_rows_equal_separate_policies(
+        self, env_name, kind, policy_seeds, scale, mode, alpha, tape_seed
+    ):
+        env = ENVS[env_name]()
+        pols = [make_policy(env, kind, ps, scale) for ps in policy_seeds]
+        rows = len(pols)
+        stacked = PolicyParams(pols[0].arch, np.stack([p.theta for p in pols]), pols[0].log_std)
+        assert stacked.theta.shape == (rows, pols[0].theta.size)
+        spec = make_spec(env, mode, alpha)
+        seeds = [tape_seed + b for b in range(rows)]
+        batch = rollout_batch(env, stacked, spec, noise_tapes(env, seeds))
+        lp = log_prob_batch(stacked, batch.obs, batch.actions)
+        for b, (pol, seed) in enumerate(zip(pols, seeds)):
+            single = rollout_batch(env, pol, spec, noise_tapes(env, [seed]))
+            assert_episode_equal(batch, b, single, env)
+            assert np.array_equal(lp[b], log_prob_batch(pol, batch.obs[b], batch.actions[b]))
+
+    def test_rows_must_match_tapes(self):
+        env = nav1_make(7, "left")
+        pol = make_policy(env, "linear", 0, 0.1)
+        stacked = PolicyParams(pol.arch, np.stack([pol.theta] * 3), pol.log_std)
+        with pytest.raises(ValueError, match="3 policy rows for 2 noise tapes"):
+            rollout_batch(env, stacked, full_reward(env), noise_tapes(env, [0, 1]))
+
+    def test_theta_width_is_checked(self):
+        arch = Arch("linear", 2, 1)
+        with pytest.raises(ValueError, match="theta size"):
+            PolicyParams(arch, np.zeros((4, 3)), np.zeros(1))
 
 
 # --------------------------------------------------------------------------
@@ -251,24 +301,73 @@ def test_engine_matches_plain_loop(env_name, kind, mode):
 # landscape scan
 
 
+def _scan_reference(env, grid, samples, seed, log_std=0.0):
+    """The scan cell by cell, one single-policy engine call per cell."""
+    values = grid.values()
+    n = len(values)
+    arch = Arch("linear", 2, 1)
+    out = {"barrier": np.zeros((n, n)), "free": np.zeros((n, n))}
+    for i, th1 in enumerate(values):
+        for j, th2 in enumerate(values):
+            policy = PolicyParams(arch, np.array([th1, th2]), np.array([log_std]))
+            seeds = [derive_seed(seed, "cell", i, j, "ep", e) for e in range(samples)]
+            batch = rollout_batch(env, policy, full_reward(env), noise_tapes(env, seeds))
+            lp = log_prob_batch(policy, batch.obs, batch.actions)
+            for key, rewards in (("barrier", batch.rewards), ("free", batch.base)):
+                g = reward_to_go(rewards, env.spec.discount)
+                total = 0.0
+                for e, t_len in enumerate(batch.lengths):
+                    total += float(np.sum(g[e, :t_len] * lp[e, :t_len]))
+                out[key][i, j] = total / samples
+    return out
+
+
 def test_landscape_scan_simulates_each_trajectory_once(monkeypatch):
     env = landscape_make(5, "left")
     grid = GridSpec(lo=-1.0, hi=1.1, bucket=0.7)  # 4 x 4 cells
     samples = 3
+    cap = 5  # engine calls end inside cells
     calls = []
     inner = envs.rollout_batch
 
     def counting(env_, policy, spec, noise):
         batch = inner(env_, policy, spec, noise)
-        calls.append(batch)
+        calls.append((policy.theta, noise, batch))
         return batch
 
     monkeypatch.setattr(envs, "rollout_batch", counting)
+    monkeypatch.setattr(rl, "LANDSCAPE_BATCH", cap)
     res = landscape_scan(env, grid, samples, seed=5)
     n = len(res.thetas)
     assert n == 4
-    assert sum(b.lengths.size for b in calls) == n * n * samples
-    entered = np.array([b.collided.any() for b in calls]).reshape(n, n)
+    assert max(b.lengths.size for _, _, b in calls) <= cap
+    # rows run in (i, j, sample) order: map each row back to its cell and tape
+    thetas = np.concatenate([th for th, _, _ in calls])
+    cells = np.stack(np.meshgrid(res.thetas, res.thetas, indexing="ij"), axis=-1)
+    assert np.array_equal(thetas.reshape(n, n, samples, 2), np.repeat(cells[:, :, None], samples, 2))
+    tapes = np.concatenate([noise for _, noise, _ in calls])
+    seeds = [derive_seed(5, "cell", i, j, "ep", e)
+             for i in range(n) for j in range(n) for e in range(samples)]
+    assert np.array_equal(tapes, noise_tapes(env, seeds))
+    collided = np.concatenate([b.collided for _, _, b in calls]).reshape(n, n, samples)
+    entered = collided.any(axis=2)
     assert entered.any() and not entered.all()
     assert np.array_equal(res.loss_barrier[~entered], res.loss_free[~entered])
     assert np.all(res.loss_barrier[entered] != res.loss_free[entered])
+
+
+@pytest.mark.parametrize("cap", [None, 5], ids=["default-cap", "cap-5"])
+def test_landscape_scan_equals_per_cell_reference(monkeypatch, cap):
+    env = landscape_make(5, "left")
+    grid = GridSpec(lo=-1.0, hi=1.1, bucket=0.35)  # 7 x 7 cells
+    samples = 3
+    if cap is not None:
+        monkeypatch.setattr(rl, "LANDSCAPE_BATCH", cap)
+    batch_size = rl.LANDSCAPE_BATCH
+    n = len(grid.values())
+    # at least one engine call ends inside a cell
+    assert n * n * samples > batch_size and batch_size % samples != 0
+    res = landscape_scan(env, grid, samples, seed=3, log_std=-0.4)
+    ref = _scan_reference(env, grid, samples, seed=3, log_std=-0.4)
+    assert np.array_equal(res.loss_barrier, ref["barrier"])
+    assert np.array_equal(res.loss_free, ref["free"])
