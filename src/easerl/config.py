@@ -260,6 +260,7 @@ def nav1_defaults(barrier_size: int, target_side: str = "left") -> dict:
 def nav2_defaults(target_side: str = "RR") -> dict:
     cfg = default_config()
     cfg["environment"] = {"name": "nav2", "barrier_size": 7, "target_side": target_side}
+    cfg["transfer"]["methods"] = ["ease_reward", "naive"]  # the schedule is an alpha ramp
     # measured plateau of a clean correct-class policy is ~3200; the band floor
     # (2600) still excludes wrong-class goal reachers (~2150)
     cfg["training"]["convergence"] = {"center": 3200.0, "half_width": 600.0, "patience": 5}

@@ -20,7 +20,6 @@ from .envs import RewardSpec, full_reward, mean_rollout, relaxed_reward
 from .errors import BudgetExhausted, PreconditionViolated
 from .geometry import (
     ConvexPolygon,
-    IntervalSet,
     Point2,
     RegionSet,
     bisect,
@@ -40,7 +39,12 @@ from .rl import (
 )
 from .seeding import derive_seed
 
+# probe points per axis of validate_schedule's grid, and of the grid that
+# sets auto_barrier_schedule's radii
 PROBE_N = 200
+AUTO_PROBE_N = 64
+# training steps between the crossing checks of relax_until_crossing
+RELAX_CHUNK_STEPS = 8192
 
 CURRICULA = ("ease_reward", "ease_barrier")
 BASELINES = ("naive", "l2sp", "random")
@@ -67,7 +71,7 @@ class CurriculumSchedule:
 
     mode: str  # "reward_weight" | "barrier_set"
     alphas: tuple[float, ...] = ()
-    subsets: tuple = ()  # RegionSet | IntervalSet per stage
+    subsets: tuple[RegionSet, ...] = ()  # active barrier subset per stage
 
     def __post_init__(self):
         if self.mode not in ("reward_weight", "barrier_set"):
@@ -95,18 +99,14 @@ def _region_probe_points(barrier: RegionSet, n: int) -> np.ndarray:
     return np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
-def _member_mask(region, pts: np.ndarray) -> np.ndarray:
-    if isinstance(region, IntervalSet):
-        return region.contains_value(pts)
-    return contains(region, pts)
-
-
-def validate_schedule(schedule: CurriculumSchedule, barrier, probe_n: int = PROBE_N) -> None:
+def validate_schedule(schedule: CurriculumSchedule, barrier: RegionSet) -> None:
     """Check the schedule's defining inequalities before any training runs.
 
     Alpha ramps must be strictly increasing in (0, 1] and end at exactly 1.
     Subset families must be nested and end at the full barrier; both checks
-    run pointwise on a probe grid over the barrier's bounding box.
+    run pointwise on a probe grid over the barrier's bounding box.  Each axis
+    is padded and sampled on its own extent, so a thin barrier (the angle
+    band is 6.4 x 0.4) is probed as finely across as along.
     """
     if schedule.mode == "reward_weight":
         prev = 0.0
@@ -120,23 +120,20 @@ def validate_schedule(schedule: CurriculumSchedule, barrier, probe_n: int = PROB
             raise PreconditionViolated("final alpha must equal 1")
         return
 
-    if isinstance(barrier, IntervalSet):
-        if len(barrier.intervals) != 1:
-            raise PreconditionViolated("barrier-set schedules need a single connected barrier")
-        lo = min(i[0] for i in barrier.intervals)
-        hi = max(i[1] for i in barrier.intervals)
-        m = 0.05 * (hi - lo)
-        pts = np.linspace(lo - m, hi + m, probe_n)
-    else:
-        if len(barrier.parts) != 1:
-            raise PreconditionViolated("barrier-set schedules need a single connected barrier")
-        pts = _region_probe_points(barrier, probe_n)
+    if len(barrier.parts) != 1:
+        raise PreconditionViolated("barrier-set schedules need a single connected barrier")
+    x0, y0, x1, y1 = barrier.bbox()
+    xs, ys = (
+        np.linspace(lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo), PROBE_N)
+        for lo, hi in ((x0, x1), (y0, y1))
+    )
+    pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
 
-    masks = [_member_mask(s, pts) for s in schedule.subsets]
+    masks = [contains(s, pts) for s in schedule.subsets]
     for k in range(len(masks) - 1):
         if np.any(masks[k] & ~masks[k + 1]):
             raise PreconditionViolated(f"subset {k} is not contained in subset {k + 1}")
-    full = _member_mask(barrier, pts)
+    full = contains(barrier, pts)
     if np.any(masks[-1] != full):
         raise PreconditionViolated("final subset must equal the full barrier")
 
@@ -234,14 +231,12 @@ def find_sb1(
     return FindSb1Result(result, halvings, inflations)
 
 
-def auto_barrier_schedule(
-    sb1: RegionSet, barrier: RegionSet, stages: int = 3, probe_n: int = 64
-) -> CurriculumSchedule:
+def auto_barrier_schedule(sb1: RegionSet, barrier: RegionSet, stages: int = 3) -> CurriculumSchedule:
     """Nested subsets from sb1 to the full barrier by dilate-and-clip."""
     if stages < 1:
         raise ValueError("need at least one stage")
     part = barrier.parts[0]
-    pts = _region_probe_points(barrier, probe_n)
+    pts = _region_probe_points(barrier, AUTO_PROBE_N)
     inner = sb1.parts[0]
     reach = 0.0
     for x, y in pts[part.contains_point(pts[:, 0], pts[:, 1])].tolist():
@@ -363,9 +358,7 @@ def relax_stage(job: TransferJob, budget: int) -> TrainReport:
     return train(job.env, relaxed_reward(job.env), job.source, cfg)
 
 
-def relax_until_crossing(
-    job: TransferJob, budget: int, chunk_steps: int = 8192
-) -> TrainReport:
+def relax_until_crossing(job: TransferJob, budget: int) -> TrainReport:
     """Relax-stage variant whose stopping rule also demands a crossing.
 
     The relaxed optimum is nearly flat between through and around paths, so
@@ -384,7 +377,7 @@ def relax_until_crossing(
     crossed = False
     chunk = 0
     while steps < budget:
-        chunk_budget = min(chunk_steps, budget - steps)
+        chunk_budget = min(RELAX_CHUNK_STEPS, budget - steps)
         cfg = job.train_cfg(chunk_budget, ConvergenceBand(math.inf, 1.0, 1), "relax", chunk)
         report = train(job.env, spec, policy, replace(cfg, eval_every=chunk_budget + 1))
         if report.interaction_steps == 0:
@@ -493,8 +486,6 @@ def ease_in_ease_out(job: TransferJob, mode: str = "reward_weight") -> TransferR
         )
     if schedule is None and mode == "reward_weight":
         raise PreconditionViolated("reward-weight transfer needs an explicit alpha schedule")
-    if mode == "barrier_set" and not isinstance(job.env.barrier, RegionSet):
-        raise PreconditionViolated("barrier-set transfer needs a polygonal barrier")
     if mode == "barrier_set" and len(job.env.barrier.parts) != 1:
         raise PreconditionViolated("barrier-set transfer needs a single connected barrier")
 

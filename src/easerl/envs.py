@@ -2,9 +2,11 @@
 
 Three tasks share one contract: deterministic kinematics, a barrier region
 that only ever affects reward (never transitions), and a reward assembled as
-base(s, a, s') minus a curriculum-controlled barrier penalty.  The curriculum
-knob is either a weight alpha in [0, 1] on the full-barrier penalty or an
-active subset of the barrier charged at full magnitude.
+base(s, a, s') minus a curriculum-controlled barrier penalty.  Every barrier
+is a RegionSet in the task's plane, the plane of its trajectories and
+homotopy classes.  The curriculum knob is either a weight alpha in [0, 1] on
+the full-barrier penalty or an active subset of the barrier (again a
+RegionSet) charged at full magnitude.
 
 nav1: 20x20 field, car starts below a centered rectangular barrier (width in
 {1, 3, 5, 7}, depth 2) and must reach the goal band at the top, passing on a
@@ -17,7 +19,8 @@ term.  Returns are undiscounted so the documented >3000 success threshold is
 meaningful.
 
 angle: 1-D double integrator over a joint angle with a penalized band around
-pi/4; classes are "above" or "below" the band in the time-angle plane.
+pi/4.  The task plane is (time, angle), where the band is a rectangle that
+spans the episode; classes are "above" or "below" it.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import rl as _rl
 from .errors import NonFiniteAction, UnsupportedSize
-from .geometry import ConvexPolygon, IntervalSet, Point2, RegionSet, contains
+from .geometry import ConvexPolygon, Point2, RegionSet, contains
 from .homotopy import Trajectory
 from .seeding import rng_for
 
@@ -43,7 +46,6 @@ class MdpSpec:
     action_dim: int
     horizon: int
     discount: float
-    goal_set: object = None
 
     def __post_init__(self):
         if not (0.0 < self.discount <= 1.0):
@@ -58,11 +60,13 @@ class RewardSpec:
 
     mode "reward_weight": reward = base - alpha * M * [s' in full barrier].
     mode "barrier_set":   reward = base - M * [s' in active subset].
+
+    The active subset is a RegionSet in the task plane, as the barrier is.
     """
 
     mode: str
     alpha: float = 1.0
-    active: object = None  # RegionSet | IntervalSet when mode == "barrier_set"
+    active: RegionSet | None = None  # the charged subset when mode == "barrier_set"
 
     def __post_init__(self):
         if self.mode not in ("reward_weight", "barrier_set"):
@@ -199,18 +203,12 @@ class CarEnv:
     def task_point(self, state: np.ndarray) -> tuple:
         return state[..., _IX], state[..., _IY]
 
-    def class_region(self) -> RegionSet:
-        return self.barrier
-
     def anchors(self) -> tuple[Point2, Point2]:
         gx0, gy0, gx1, gy1 = self.goal_poly.bbox()
         return Point2(*self.start), Point2(0.5 * (gx0 + gx1), 0.5 * (gy0 + gy1))
 
     def class_label(self, bits: tuple[int, ...]) -> str:
         return "".join("L" if b else "R" for b in bits)
-
-    def target_label(self) -> str:
-        return self.class_label(self.target_bits)
 
     def reached_goal(self, traj: Trajectory) -> bool:
         x, y = traj.states[-1]
@@ -247,7 +245,7 @@ def nav1_make(
     goal = _goal_band()
     return CarEnv(
         name=f"nav1-{barrier_size}",
-        spec=MdpSpec(7, 1, horizon, discount, goal),
+        spec=MdpSpec(7, 1, horizon, discount),
         barrier=barrier,
         target_bits=(_side_to_bit(target_side),),
         goal_poly=goal,
@@ -277,7 +275,7 @@ def nav2_make(
     bits = tuple(1 if c == "L" else 0 for c in target_classes)
     return CarEnv(
         name="nav2",
-        spec=MdpSpec(9, 1, horizon, 1.0, goal),
+        spec=MdpSpec(9, 1, horizon, 1.0),
         barrier=barrier,
         target_bits=bits,
         goal_poly=goal,
@@ -316,14 +314,15 @@ _IA, _IAV, _IAT = 0, 1, 2
 class AngleEnv:
     """Double-integrator joint angle with a penalized band around pi/4.
 
-    Task-space points are (time * dt, angle), so the band becomes a rectangle
-    in the plane and the crossing-parity machinery applies unchanged.  The
-    state methods take one state vector or a batch with leading axes.
+    Task-space points are (time * dt, angle), and the barrier is the band as
+    a rectangle in that plane spanning the episode (see `angle_band`), so
+    penalty membership and crossing parity use the car tasks' machinery.
+    The state methods take one state vector or a batch with leading axes.
     """
 
     name: str
     spec: MdpSpec
-    band: IntervalSet
+    barrier: RegionSet
     target_side: str  # "up": angle below band; "down": angle above band
     start_angle: float
     goal_angle: float
@@ -332,10 +331,6 @@ class AngleEnv:
     damping: float = 0.98
     c_angle: float = 1.0
     c_torque: float = 0.01
-
-    @property
-    def barrier(self) -> IntervalSet:
-        return self.band
 
     def initial_state(self) -> np.ndarray:
         return np.array([self.start_angle, 0.0, 0.0])
@@ -360,19 +355,11 @@ class AngleEnv:
         """(base reward, terminal flag) of a transition."""
         return self.base_reward(state, action, nxt), nxt[..., _IAT] >= self.spec.horizon
 
-    def in_region(self, state: np.ndarray, region):
-        if isinstance(region, IntervalSet):
-            return region.contains_value(state[..., _IA])
+    def in_region(self, state: np.ndarray, region: RegionSet):
         return contains(region, np.stack(self.task_point(state), axis=-1))
 
     def task_point(self, state: np.ndarray) -> tuple:
         return state[..., _IAT] * self.dt, state[..., _IA]
-
-    def class_region(self) -> RegionSet:
-        lo, hi = self.band.intervals[0]
-        span = self.spec.horizon * self.dt
-        rect = ConvexPolygon.rectangle(span / 2.0, (lo + hi) / 2.0, span, hi - lo)
-        return RegionSet((rect,), self.band.penalty)
 
     def anchors(self) -> tuple[Point2, Point2]:
         return (
@@ -384,13 +371,19 @@ class AngleEnv:
         # parity 1 means the path crossed below the band centroid: the up side
         return "U" if bits[0] else "D"
 
-    def target_label(self) -> str:
-        return "U" if self.target_side == "up" else "D"
-
     def reached_goal(self, traj: Trajectory) -> bool:
-        lo, hi = self.band.intervals[0]
+        _, lo, _, hi = self.barrier.bbox()
         final = float(traj.states[-1, 1])
         return final < lo if self.target_side == "up" else final > hi
+
+
+def angle_band(lo: float, hi: float, span: float, penalty: float) -> RegionSet:
+    """The angle band [lo, hi] as a rectangle over (time, angle) that spans
+    the episode's task-space time [0, span]."""
+    if not lo < hi:
+        raise ValueError(f"bad interval [{lo}, {hi}]")
+    rect = ConvexPolygon.rectangle(span / 2.0, (lo + hi) / 2.0, span, hi - lo)
+    return RegionSet((rect,), penalty)
 
 
 def angle_make(
@@ -403,15 +396,16 @@ def angle_make(
 ) -> AngleEnv:
     if target_side not in ("up", "down"):
         raise ValueError("angle target side must be 'up' or 'down'")
-    band = IntervalSet(
-        ((band_center - band_half_width, band_center + band_half_width),), penalty
+    band = angle_band(
+        band_center - band_half_width, band_center + band_half_width,
+        horizon * AngleEnv.dt, penalty,
     )
     start = math.pi / 2.0 if target_side == "up" else 0.0
     goal = 0.0 if target_side == "up" else math.pi / 2.0
     return AngleEnv(
         name="angle",
         spec=MdpSpec(3, 1, horizon, discount),
-        band=band,
+        barrier=band,
         target_side=target_side,
         start_angle=start,
         goal_angle=goal,

@@ -192,56 +192,6 @@ class RegionSet:
         )
 
 
-@dataclass(frozen=True)
-class IntervalSet:
-    """Disjoint closed angle intervals plus a penalty magnitude.
-
-    Intervals are normalized on construction: sorted by lower bound and merged
-    when they overlap or touch.
-    """
-
-    intervals: tuple[tuple[float, float], ...]
-    penalty: float
-
-    def __post_init__(self):
-        if self.penalty <= 0.0:
-            raise ValueError("penalty must be positive")
-        for lo, hi in self.intervals:
-            if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-                raise ValueError(f"bad interval [{lo}, {hi}]")
-        merged = _normalize_intervals(self.intervals)
-        object.__setattr__(self, "intervals", merged)
-
-    def contains_value(self, v):
-        """Closed-set membership within EPS; elementwise when v is an array."""
-        inside = np.zeros(np.shape(v), dtype=bool)
-        for lo, hi in self.intervals:
-            inside = inside | ((lo - EPS <= v) & (v <= hi + EPS))
-        return inside
-
-    def dilated(self, radius: float) -> "IntervalSet":
-        if radius < 0.0:
-            raise ValueError("radius must be nonnegative")
-        return IntervalSet(
-            tuple((lo - radius, hi + radius) for lo, hi in self.intervals), self.penalty
-        )
-
-
-def _normalize_intervals(
-    intervals: tuple[tuple[float, float], ...]
-) -> tuple[tuple[float, float], ...]:
-    if not intervals:
-        return ()
-    s = sorted(intervals)
-    out = [list(s[0])]
-    for lo, hi in s[1:]:
-        if lo <= out[-1][1] + EPS:
-            out[-1][1] = max(out[-1][1], hi)
-        else:
-            out.append([lo, hi])
-    return tuple((lo, hi) for lo, hi in out)
-
-
 def _xy(p):
     """Coordinates of a Point2, or the coordinate arrays of an (..., 2) array."""
     p = np.asarray((p.x, p.y) if isinstance(p, Point2) else p, dtype=float)

@@ -324,14 +324,6 @@ def _sup_distances(a: tuple[Trajectory, ...], b: tuple[Trajectory, ...]) -> np.n
     return np.sqrt(sq_max, out=sq_max)
 
 
-def w_infinity(
-    mu: EmpiricalDistribution, nu: EmpiricalDistribution, length: int | None = None
-) -> float:
-    """Bottleneck distance between equal-size empirical trajectory distributions."""
-    value, _ = w_infinity_matching(mu, nu, length)
-    return value
-
-
 def trajectory_to_csv(traj: Trajectory) -> str:
     """Serialize one trajectory: one row per timestep (t, x, y, raw...)."""
     buf = io.StringIO()

@@ -23,6 +23,7 @@ _COLORS = (
     "#17becf",
     "#7f7f7f",
 )
+_TICKS = 5  # tick intervals per axis
 
 
 def _fmt(v: float) -> str:
@@ -90,7 +91,7 @@ class SvgCanvas:
             f'text-anchor="{anchor}" fill="{color}">{s}</text>'
         )
 
-    def axes(self, xlabel: str = "", ylabel: str = "", ticks: int = 5) -> None:
+    def axes(self, xlabel: str = "", ylabel: str = "") -> None:
         x0, x1, y0, y1, margin = self._view
         left, right = self.px(x0), self.px(x1)
         top, bottom = self.py(y1), self.py(y0)
@@ -100,9 +101,9 @@ class SvgCanvas:
         self._parts.append(
             f'<line x1="{left:.1f}" y1="{bottom:.1f}" x2="{left:.1f}" y2="{top:.1f}" stroke="#444"/>'
         )
-        for i in range(ticks + 1):
-            tx = x0 + (x1 - x0) * i / ticks
-            ty = y0 + (y1 - y0) * i / ticks
+        for i in range(_TICKS + 1):
+            tx = x0 + (x1 - x0) * i / _TICKS
+            ty = y0 + (y1 - y0) * i / _TICKS
             self.text_px(self.px(tx), bottom + 14, _fmt(tx), size=10, anchor="middle")
             self.text_px(left - 4, self.py(ty) + 3, _fmt(ty), size=10, anchor="end")
         if xlabel:
@@ -110,11 +111,10 @@ class SvgCanvas:
         if ylabel:
             self.text_px(12, top - 8, ylabel)
 
-    def legend(self, entries, x_px=None, y_px=None) -> None:
+    def legend(self, entries, x_px=None) -> None:
         x = x_px if x_px is not None else self.width - 150
-        y = y_px if y_px is not None else 20
         for i, (label, color) in enumerate(entries):
-            yy = y + 16 * i
+            yy = 20 + 16 * i
             self._parts.append(
                 f'<line x1="{x}" y1="{yy:.1f}" x2="{x + 20}" y2="{yy:.1f}" '
                 f'stroke="{color}" stroke-width="2"/>'
@@ -153,15 +153,11 @@ def plot_trajectories(
     title: str = "",
     goal_xy=None,
     field_half: float = 10.0,
-    extra_regions=(),
 ) -> None:
     """Overlay x-y trajectories on the field with the barrier region shaded."""
     canvas = SvgCanvas(560, 560)
     canvas.set_view(-field_half, field_half, -field_half, field_half)
     canvas.rect_data(-field_half, -field_half, field_half, field_half, "#f7f7f7")
-    for i, extra in enumerate(extra_regions):
-        for part in extra.parts:
-            canvas.polygon_data(part.vertices, fill="#e6a23c", opacity=0.35 + 0.1 * i)
     _draw_region(canvas, region)
     entries = []
     for i, (traj, label) in enumerate(zip(trajectories, labels)):
@@ -180,7 +176,7 @@ def plot_trajectories(
     canvas.save(path)
 
 
-def plot_curves(curves, labels, path, title: str = "", xlabel: str = "steps", ylabel: str = "return") -> None:
+def plot_curves(curves, labels, path, title: str = "") -> None:
     """Learning curves: each curve is a sequence of (step, value) pairs."""
     canvas = SvgCanvas(640, 420)
     xs_all = [s for curve in curves for s, _ in curve]
@@ -197,7 +193,7 @@ def plot_curves(curves, labels, path, title: str = "", xlabel: str = "steps", yl
         if curve:
             canvas.polyline_data([s for s, _ in curve], [v for _, v in curve], color)
         entries.append((label, color))
-    canvas.axes(xlabel=xlabel, ylabel=ylabel)
+    canvas.axes(xlabel="steps", ylabel="return")
     canvas.legend(entries, x_px=canvas.width - 170)
     if title:
         canvas.title(title)

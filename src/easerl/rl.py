@@ -392,7 +392,7 @@ def evaluate_detail(env, reward_spec, policy: PolicyParams, episodes: int, seed:
     seeds = [derive_seed(seed, "eval-ep", e) for e in range(episodes)]
     batch = _envs.rollout_batch(env, policy, reward_spec, _envs.noise_tapes(env, seeds))
     trajs = [batch.trajectory(env, e) for e in range(episodes)]
-    region = env.class_region()
+    region = env.barrier
     a_start, a_goal = env.anchors()
     collided_full = [_homotopy.collides(traj, region) for traj in trajs]
     labels = [

@@ -41,9 +41,11 @@ from .curriculum import (
     stage_labels,
     validate_schedule,
 )
-from .envs import angle_make, full_reward, landscape_make, mean_rollout, nav1_make, nav2_make
+from .envs import (
+    angle_band, angle_make, full_reward, landscape_make, mean_rollout, nav1_make, nav2_make,
+)
 from .errors import ConfigError, MissingCheckpoint, MissingData, PreconditionViolated
-from .geometry import ConvexPolygon, IntervalSet, RegionSet
+from .geometry import ConvexPolygon, RegionSet
 from .homotopy import load_trajectory, save_trajectory
 from .plots import plot_curves, plot_landscape, plot_trajectories
 from .rl import (
@@ -87,12 +89,13 @@ def schedule_from_config(cfg: dict, env) -> CurriculumSchedule | None:
         def subset(s):
             return RegionSet((ConvexPolygon.rectangle(0.0, 0.0, float(s), 2.0),), penalty)
     elif sc["intervals"]:
-        if not isinstance(env.barrier, IntervalSet):
-            raise ConfigError("schedule.intervals only applies to interval barriers")
+        if env.name != "angle":
+            raise ConfigError("schedule.intervals only applies to the angle environment")
         key = "intervals"
+        span = env.spec.horizon * env.dt
 
         def subset(iv):
-            return IntervalSet(((float(iv[0]), float(iv[1])),), penalty)
+            return angle_band(float(iv[0]), float(iv[1]), span, penalty)
     else:
         return None
     try:
@@ -103,8 +106,20 @@ def schedule_from_config(cfg: dict, env) -> CurriculumSchedule | None:
 
 
 def _check_schedule(cfg: dict) -> None:
-    """Build the configured schedule and check its defining inequalities, so
-    a malformed schedule is a config error before any training runs."""
+    """Check that the schedule suits the methods, build it and check its
+    defining inequalities, so a mismatch or a malformed schedule is a config
+    error before any training runs."""
+    methods = cfg["transfer"]["methods"]
+    sc = cfg["transfer"]["schedule"]
+    for method, mode in (("ease_reward", "reward_weight"), ("ease_barrier", "barrier_set")):
+        if method in methods and sc["mode"] != mode:
+            raise ConfigError(f"transfer.schedule.mode must be {mode} for method {method}")
+    auto = not (sc["barrier_sizes"] or sc["intervals"])
+    if "ease_barrier" in methods and auto and cfg["environment"]["name"] != "nav1":
+        raise ConfigError(
+            "ease_barrier without transfer.schedule.barrier_sizes or intervals "
+            "searches the subsets automatically, which needs environment.name: nav1"
+        )
     env = env_from_config(cfg)
     schedule = schedule_from_config(cfg, env)
     if schedule is None:
@@ -307,7 +322,6 @@ def render_plots(out_dir) -> list[str]:
 
     cfg = load_config(cfg_path)
     env = env_from_config(cfg)
-    region = env.class_region()
     rows = read_runs_csv(os.path.join(out_dir, "runs.csv"))
     plots_dir = os.path.join(out_dir, "plots")
     os.makedirs(plots_dir, exist_ok=True)
@@ -332,7 +346,7 @@ def render_plots(out_dir) -> list[str]:
     if finals:
         p = os.path.join(plots_dir, "trajectories.svg")
         plot_trajectories(
-            finals, labels, region, p,
+            finals, labels, env.barrier, p,
             title=f"{env.name}: final mean trajectories",
             goal_xy=(float(goal.x), float(goal.y)), field_half=field_half,
         )
@@ -366,7 +380,7 @@ def render_plots(out_dir) -> list[str]:
         if stage_trajs:
             p = os.path.join(plots_dir, f"stages-{m}-seed{seed}.svg")
             plot_trajectories(
-                stage_trajs, slabels, region, p,
+                stage_trajs, slabels, env.barrier, p,
                 title=f"{env.name}: {m} stages (seed {seed})",
                 goal_xy=(float(goal.x), float(goal.y)), field_half=field_half,
             )
@@ -418,7 +432,7 @@ def run_train(cfg: dict, out_dir):
         os.makedirs(plots_dir, exist_ok=True)
         goal = env.anchors()[1]
         plot_trajectories(
-            [traj], ["mean policy"], env.class_region(),
+            [traj], ["mean policy"], env.barrier,
             os.path.join(plots_dir, "traj.svg"),
             title=f"{env.name}: trained mean trajectory",
             goal_xy=(float(goal.x), float(goal.y)),

@@ -23,11 +23,14 @@ from easerl.config import (
     angle_defaults,
     default_config,
     nav1_defaults,
+    nav2_defaults,
     serialize_config,
     validate_config,
 )
 from easerl.errors import ConfigError
+from easerl.envs import angle_make
 from easerl.homotopy import Trajectory, save_trajectory
+from easerl.rl import Arch, init_policy, save_checkpoint
 
 
 # ------------------------------------------------------------ fixtures
@@ -146,6 +149,63 @@ def test_bad_transfer_schedule_exits_usage_before_training(
     assert err.startswith("error: ") and key in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+BARRIER_SET = {"mode": "barrier_set", "alphas": [], "barrier_sizes": [], "intervals": [],
+               "auto_stages": 3}
+
+
+@pytest.mark.parametrize(
+    "make, methods, schedule, key",
+    [
+        (lambda: nav2_defaults("RR"), ["ease_barrier", "naive"], None, "transfer.schedule.mode"),
+        (lambda: nav1_defaults(7, "left"), ["naive", "ease_reward"], None,
+         "transfer.schedule.mode"),
+        (lambda: nav2_defaults("RR"), ["ease_barrier"], BARRIER_SET, "environment.name"),
+    ],
+    ids=["ease-barrier-alpha-schedule", "ease-reward-subset-schedule", "auto-subsets-off-nav1"],
+)
+def test_method_schedule_mismatch_exits_usage_before_training(
+    make, methods, schedule, key, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(curriculum, "train", _no_training)
+    cfg = make()
+    cfg["transfer"]["methods"] = methods
+    if schedule is not None:
+        cfg["transfer"]["schedule"] = dict(schedule)
+    cfg["transfer"]["source_checkpoint"] = SOURCE_NAV1_7
+    cfg["transfer"]["seeds"] = [0]
+    path = tmp_path / "c.yaml"
+    path.write_text(serialize_config(validate_config(cfg)))
+    rc = main(["transfer", "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert err.startswith("error: ") and key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_angle_ease_barrier_runs_its_interval_stages(tmp_path, capsys):
+    env = angle_make("up")
+    src = tmp_path / "src.json"
+    arch = Arch("mlp", env.spec.state_dim, env.spec.action_dim, 8)
+    save_checkpoint(src, init_policy(arch, 0), 0)
+    cfg = angle_defaults("up")
+    cfg["transfer"]["methods"] = ["ease_barrier"]
+    cfg["transfer"]["seeds"] = [0]
+    cfg["transfer"]["source_checkpoint"] = str(src)
+    cfg["transfer"]["budget"] = 2048
+    cfg["transfer"]["relax_convergence"] = {"center": 0.0, "half_width": 1e12, "patience": 1}
+    cfg["output"]["plots"] = False
+    path = tmp_path / "c.yaml"
+    path.write_text(serialize_config(validate_config(cfg)))
+    rc = main(["transfer", "--config", str(path), "--out", str(tmp_path / "o")])
+    capsys.readouterr()
+    assert rc == EXIT_OK
+    with open(tmp_path / "o" / "runs.csv", newline="") as f:
+        (row,) = list(csv.DictReader(f))
+    assert row["method"] == "ease_barrier"
+    assert len(row["stage_steps"].split(";")) == 4  # relax + the three intervals
 
 
 # ------------------------------------------------------------ homotopy

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,9 +18,9 @@ from easerl.curriculum import (
     run_transfer,
     validate_schedule,
 )
-from easerl.envs import nav1_make, nav2_make
+from easerl.envs import angle_band, angle_make, nav1_make, nav2_make
 from easerl.errors import BudgetExhausted, PreconditionViolated
-from easerl.geometry import ConvexPolygon, IntervalSet, Point2, RegionSet
+from easerl.geometry import ConvexPolygon, Point2, RegionSet
 from easerl.homotopy import Trajectory, collides, divides
 from easerl.rl import Arch, ConvergenceBand, TrainConfig, init_policy
 from easerl.seeding import derive_seed
@@ -120,16 +122,30 @@ class TestValidateSchedule:
             validate_schedule(CurriculumSchedule("barrier_set", subsets=(two,)), two)
 
     def test_interval_barrier_nesting(self):
-        band = IntervalSet(((0.0, 1.0),), 1000.0)
-        inner = IntervalSet(((0.4, 0.6),), 1000.0)
+        band = angle_band(0.0, 1.0, 6.4, 1000.0)
+        inner = angle_band(0.4, 0.6, 6.4, 1000.0)
         validate_schedule(
             CurriculumSchedule("barrier_set", subsets=(inner, band)), band
         )
-        outer = IntervalSet(((-0.5, 0.5),), 1000.0)
+        outer = angle_band(-0.5, 0.5, 6.4, 1000.0)
         with pytest.raises(PreconditionViolated):
             validate_schedule(
                 CurriculumSchedule("barrier_set", subsets=(outer, band)), band
             )
+
+    @pytest.mark.parametrize("off", [0.05, 0.1, 0.101, 0.102, 0.103, 0.15])
+    def test_thin_angle_band_outside_next_subset_rejected(self, off):
+        # a 0.004 rad band off the next subset: the probe grid must sample
+        # the angle axis on its own extent (spacing ~0.0022 rad) to see it;
+        # padding it by the band's 6.4 s length would space probes 0.0052 apart
+        env = angle_make("up")
+        span = env.spec.horizon * env.dt
+        c = math.pi / 4.0
+        thin = angle_band(c + off, c + off + 0.004, span, env.barrier.penalty)
+        mid = angle_band(c - 0.02, c + 0.02, span, env.barrier.penalty)
+        schedule = CurriculumSchedule("barrier_set", subsets=(thin, mid, env.barrier))
+        with pytest.raises(PreconditionViolated):
+            validate_schedule(schedule, env.barrier)
 
 
 class TestStageBudgets:

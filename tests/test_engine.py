@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from easerl import envs, rl
 from easerl.envs import (
     RewardSpec,
+    angle_band,
     angle_make,
     full_reward,
     landscape_make,
@@ -22,7 +23,7 @@ from easerl.envs import (
     rollout_batch,
     rollout_record,
 )
-from easerl.geometry import ConvexPolygon, IntervalSet, RegionSet
+from easerl.geometry import ConvexPolygon, RegionSet, contains
 from easerl.rl import (
     Arch,
     GridSpec,
@@ -53,9 +54,10 @@ def make_policy(env, kind, seed, scale):
 def make_spec(env, mode, alpha):
     if mode == "reward_weight":
         return RewardSpec("reward_weight", alpha=alpha)
-    if isinstance(env.barrier, IntervalSet):
-        lo, hi = env.barrier.intervals[0]
-        sub = IntervalSet(((lo, lo + alpha * (hi - lo) + 1e-3),), env.barrier.penalty)
+    if env.name == "angle":
+        _, lo, _, hi = env.barrier.bbox()
+        span = env.spec.horizon * env.dt
+        sub = angle_band(lo, lo + alpha * (hi - lo) + 1e-3, span, env.barrier.penalty)
     else:
         x0, y0, x1, y1 = env.barrier.parts[0].bbox()
         w = max(alpha * (x1 - x0), 0.5)
@@ -257,8 +259,8 @@ def _car_loop(env, pol, spec, seed):
 def _angle_loop(env, pol, spec, seed):
     tape = rng_for(seed, "noise").standard_normal((env.spec.horizon, 1))
     ang, vel, t = env.start_angle, 0.0, 0.0
-    region = env.band if spec.mode == "reward_weight" else spec.active
-    charge = spec.alpha * env.band.penalty if spec.mode == "reward_weight" else env.band.penalty
+    region = env.barrier if spec.mode == "reward_weight" else spec.active
+    charge = spec.alpha * env.barrier.penalty if spec.mode == "reward_weight" else env.barrier.penalty
     states, members, rewards = [(0.0, ang)], [], []
     for k in range(env.spec.horizon):
         obs = [ang, vel, t / env.spec.horizon]
@@ -267,7 +269,7 @@ def _angle_loop(env, pol, spec, seed):
         vel = env.damping * vel + a * env.dt
         ang = ang + vel * env.dt
         t += 1.0
-        member = any(lo - 1e-9 <= ang <= hi + 1e-9 for lo, hi in region.intervals)
+        member = _in_region(region, t * env.dt, ang)
         r = -env.c_angle * abs(ang - env.goal_angle) - env.c_torque * a * a
         rewards.append(r - (charge if member else 0.0))
         members.append(member)
@@ -275,6 +277,26 @@ def _angle_loop(env, pol, spec, seed):
         if t >= env.spec.horizon:
             break
     return np.array(states), members, rewards
+
+
+@pytest.mark.parametrize("env_name", sorted(ENVS))
+def test_one_barrier_type(env_name):
+    """Every barrier is a task-space RegionSet, and penalty membership is
+    containment of the state's task point."""
+    env = ENVS[env_name]()
+    assert isinstance(env.barrier, RegionSet)
+    x0, y0, x1, y1 = env.barrier.bbox()
+    xs = np.linspace(x0 - 0.5, x1 + 0.5, 23)
+    ys = np.linspace(y0 - 0.5 * (y1 - y0), y1 + 0.5 * (y1 - y0), 23)
+    pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    states = np.tile(env.initial_state(), (len(pts), 1))
+    if env_name == "angle":
+        states[:, 2], states[:, 0] = pts[:, 0] / env.dt, pts[:, 1]
+    else:
+        states[:, :2] = pts
+    member = env.in_region(states, env.barrier)
+    assert np.array_equal(member, contains(env.barrier, np.stack(env.task_point(states), axis=-1)))
+    assert member.any() and not member.all()
 
 
 @pytest.mark.parametrize("env_name", sorted(ENVS))

@@ -18,7 +18,7 @@ from easerl.envs import (
     step,
 )
 from easerl.errors import NonFiniteAction, UnsupportedSize
-from easerl.geometry import ConvexPolygon, IntervalSet, RegionSet, bisect
+from easerl.geometry import ConvexPolygon, RegionSet, bisect
 from easerl.rl import Arch, PolicyParams, init_policy
 
 
@@ -231,9 +231,10 @@ class TestNav1:
 
     def test_class_labels(self):
         env = nav1_make(5, "left")
-        assert env.target_label() == "L"
+        assert env.class_label(env.target_bits) == "L"
         assert env.class_label((0,)) == "R"
-        assert nav1_make(5, "right").target_label() == "R"
+        right = nav1_make(5, "right")
+        assert right.class_label(right.target_bits) == "R"
 
 
 class TestNav2:
@@ -384,7 +385,8 @@ class TestAngle:
 
     def test_class_region_is_band_rectangle(self):
         env = angle_make("up")
-        region = env.class_region()
+        region = env.barrier
+        assert isinstance(region, RegionSet) and len(region.parts) == 1
         x0, y0, x1, y1 = region.parts[0].bbox()
         assert y0 == pytest.approx(math.pi / 4 - 0.2)
         assert y1 == pytest.approx(math.pi / 4 + 0.2)

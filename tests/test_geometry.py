@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from easerl.geometry import (
     ConvexPolygon,
-    IntervalSet,
     Point2,
     RegionSet,
     bisect,
@@ -241,39 +240,6 @@ class TestIntersectClip:
         window = ConvexPolygon.rectangle(10.0, 10.0, 2.0, 2.0)
         clipped = intersect_clip(RegionSet((rect,), 1.0), window)
         assert clipped.parts == ()
-
-
-class TestIntervalSet:
-    def test_normalizes_and_merges(self):
-        s = IntervalSet(((3.0, 4.0), (1.0, 2.5), (2.0, 3.5)), 1.0)
-        assert s.intervals == ((1.0, 4.0),)
-
-    def test_contains_closed(self):
-        s = IntervalSet(((0.0, 1.0),), 1.0)
-        assert s.contains_value(0.0) and s.contains_value(1.0)
-        assert not s.contains_value(1.001)
-
-    def test_dilated(self):
-        s = IntervalSet(((0.0, 1.0),), 1.0)
-        assert s.dilated(0.25).intervals == ((-0.25, 1.25),)
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(-10, 10, allow_nan=False),
-                st.floats(0.01, 5, allow_nan=False),
-            ),
-            min_size=1,
-            max_size=6,
-        ),
-        st.floats(-12, 18, allow_nan=False),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_membership_matches_raw_intervals(self, lows_widths, v):
-        raw = [(lo, lo + w) for lo, w in lows_widths]
-        s = IntervalSet(tuple(raw), 1.0)
-        expect = any(lo - 1e-9 <= v <= hi + 1e-9 for lo, hi in raw)
-        assert s.contains_value(v) == expect
 
 
 class TestRegionSet:

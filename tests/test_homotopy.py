@@ -22,7 +22,6 @@ from easerl.homotopy import (
     trajectory_from_csv,
     trajectory_to_csv,
     _sup_distances,
-    w_infinity,
     w_infinity_matching,
 )
 
@@ -406,23 +405,23 @@ class TestBottleneck:
 
     def test_w_infinity_zero_on_self(self):
         mu = EmpiricalDistribution((LEFT, RIGHT))
-        assert w_infinity(mu, mu) == pytest.approx(0.0)
+        assert w_infinity_matching(mu, mu)[0] == pytest.approx(0.0)
 
     def test_w_infinity_shift_upper_bound(self):
         mu = EmpiricalDistribution((LEFT, RIGHT))
         shift = np.array([0.5, 0.5])
         nu = EmpiricalDistribution(tuple(Trajectory(t.states + shift) for t in mu.samples))
-        d = w_infinity(mu, nu)
+        d = w_infinity_matching(mu, nu)[0]
         assert d <= math.hypot(0.5, 0.5) + 1e-9
 
     def test_w_infinity_single_pair_exact(self):
         mu = EmpiricalDistribution((LEFT,))
         nu = EmpiricalDistribution((Trajectory(LEFT.states + np.array([0.3, -0.4])),))
-        assert w_infinity(mu, nu) == pytest.approx(0.5)
+        assert w_infinity_matching(mu, nu)[0] == pytest.approx(0.5)
 
     def test_unequal_support(self):
         with pytest.raises(UnequalSupport):
-            w_infinity(EmpiricalDistribution((LEFT,)), EmpiricalDistribution((LEFT, RIGHT)))
+            w_infinity_matching(EmpiricalDistribution((LEFT,)), EmpiricalDistribution((LEFT, RIGHT)))
 
     def test_symmetry(self):
         rng = np.random.default_rng(9)
@@ -432,7 +431,7 @@ class TestBottleneck:
         nu = EmpiricalDistribution(
             tuple(Trajectory(rng.uniform(-5, 5, size=(9, 2))) for _ in range(4))
         )
-        assert w_infinity(mu, nu) == pytest.approx(w_infinity(nu, mu))
+        assert w_infinity_matching(mu, nu)[0] == pytest.approx(w_infinity_matching(nu, mu)[0])
 
     def test_matching_variant_consistent(self):
         rng = np.random.default_rng(11)
@@ -443,7 +442,7 @@ class TestBottleneck:
             tuple(Trajectory(rng.uniform(-5, 5, size=(8, 2))) for _ in range(5))
         )
         value, assign = w_infinity_matching(mu, nu)
-        assert value == w_infinity(mu, nu)
+        assert value == w_infinity_matching(mu, nu)[0]
         assert sorted(assign) == list(range(5))
 
 

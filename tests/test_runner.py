@@ -11,9 +11,10 @@ import yaml
 from easerl.config import angle_defaults, default_config, nav1_defaults, nav2_defaults
 from easerl.curriculum import CSV_HEADER, CurriculumSchedule, TransferReport
 from easerl.errors import ConfigError, MissingCheckpoint, MissingData
-from easerl.geometry import IntervalSet, RegionSet
+from easerl.geometry import RegionSet
 from easerl.homotopy import Trajectory, save_trajectory
 from easerl.runner import (
+    _check_schedule,
     build_table,
     env_from_config,
     job_from_config,
@@ -245,8 +246,20 @@ def test_schedule_intervals_builds_interval_sets():
     env = env_from_config(cfg)
     sched = schedule_from_config(cfg, env)
     assert sched.mode == "barrier_set"
-    assert all(isinstance(s, IntervalSet) for s in sched.subsets)
+    assert all(isinstance(s, RegionSet) for s in sched.subsets)
     assert len(sched.subsets) == 3
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: nav1_defaults(1), lambda: nav1_defaults(7), lambda: nav2_defaults("RR"),
+     lambda: angle_defaults("up"), lambda: angle_defaults("down")],
+    ids=["nav1-1", "nav1-7", "nav2", "angle-up", "angle-down"],
+)
+def test_shipped_defaults_suit_their_methods(make):
+    # each shipped method list matches its schedule, so `easerl transfer`
+    # on a default config gets past the pre-training check
+    _check_schedule(make())
 
 
 def test_schedule_intervals_rejected_on_polygonal_env():
