@@ -16,7 +16,18 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .envs import RewardSpec, full_reward, mean_rollout, relaxed_reward
+# the transfer steps call the request-generator forms (`training`,
+# `evaluation`, `mean_trajectory`); the plain `train`, `evaluate_detail` and
+# `mean_rollout` stay names of this module because perfbench/tracing.py wraps
+# them here
+from .envs import (  # noqa: F401
+    RewardSpec,
+    drive,
+    full_reward,
+    mean_rollout,
+    mean_trajectory,
+    relaxed_reward,
+)
 from .errors import BudgetExhausted, PreconditionViolated
 from .geometry import (
     ConvexPolygon,
@@ -28,14 +39,16 @@ from .geometry import (
     intersect_clip,
 )
 from .homotopy import Trajectory, collides, divides
-from .rl import (
+from .rl import (  # noqa: F401
     ConvergenceBand,
     PolicyParams,
     TrainConfig,
     TrainReport,
     evaluate_detail,
+    evaluation,
     init_policy,
     train,
+    training,
 )
 from .seeding import derive_seed
 
@@ -350,15 +363,20 @@ CSV_HEADER = [
 ]
 
 
-def relax_stage(job: TransferJob, budget: int) -> TrainReport:
+# The transfer steps below are request generators (see `rl.training`): they
+# yield every engine call they need and return their report.  `drive` runs
+# one of them alone; `envs.serve` runs many in lockstep.
+
+
+def relax_stage(job: TransferJob, budget: int):
     """Train from the source policy with the barrier penalty removed."""
     if job.source is None:
         raise PreconditionViolated("relax stage needs a source policy")
     cfg = job.train_cfg(budget, job.relax_band, "relax")
-    return train(job.env, relaxed_reward(job.env), job.source, cfg)
+    return (yield from training(job.env, relaxed_reward(job.env), job.source, cfg))
 
 
-def relax_until_crossing(job: TransferJob, budget: int) -> TrainReport:
+def relax_until_crossing(job: TransferJob, budget: int):
     """Relax-stage variant whose stopping rule also demands a crossing.
 
     The relaxed optimum is nearly flat between through and around paths, so
@@ -379,20 +397,23 @@ def relax_until_crossing(job: TransferJob, budget: int) -> TrainReport:
     while steps < budget:
         chunk_budget = min(RELAX_CHUNK_STEPS, budget - steps)
         cfg = job.train_cfg(chunk_budget, ConvergenceBand(math.inf, 1.0, 1), "relax", chunk)
-        report = train(job.env, spec, policy, replace(cfg, eval_every=chunk_budget + 1))
+        report = yield from training(
+            job.env, spec, policy, replace(cfg, eval_every=chunk_budget + 1)
+        )
         if report.interaction_steps == 0:
             break  # remaining budget is smaller than one batch
         policy = report.params
         steps += report.interaction_steps
-        mean = evaluate_detail(
+        detail = yield from evaluation(
             job.env, spec, policy, cfg.eval_episodes, derive_seed(job.seed, "relax-eval", chunk)
-        )["mean"]
+        )
+        mean = detail["mean"]
         curve.append((steps, mean))
         chunk += 1
-        in_band = abs(mean - job.relax_band.center) <= job.relax_band.half_width
-        if in_band and collides(mean_rollout(job.env, policy, spec), job.env.barrier):
-            crossed = True
-            break
+        if abs(mean - job.relax_band.center) <= job.relax_band.half_width:
+            if collides((yield from mean_trajectory(job.env, policy, spec)), job.env.barrier):
+                crossed = True
+                break
     return TrainReport(policy, steps, tuple(curve), crossed)
 
 
@@ -402,7 +423,7 @@ def run_curriculum(
     start: PolicyParams,
     budgets: tuple[int, ...],
     carry: int,
-) -> tuple[list[TrainReport], PolicyParams]:
+):
     """Train stage k from stage k-1's policy until its band is reached.
 
     Stage k may spend its share budgets[k] plus whatever was left unspent
@@ -410,7 +431,8 @@ def run_curriculum(
     curriculum spends at most carry + sum(budgets).  A stage that exhausts
     its allowance hands its best-evaluated checkpoint to the next stage (the
     overall run then counts as not converged); aborting instead would discard
-    the remaining stages of an otherwise well-defined schedule.
+    the remaining stages of an otherwise well-defined schedule.  Returns
+    (stage reports, final policy).
     """
     validate_schedule(schedule, job.env.barrier)
     reports: list[TrainReport] = []
@@ -420,7 +442,7 @@ def run_curriculum(
         band = job.final_band if k == n - 1 else job.stage_band
         allowance = budgets[k] + carry
         cfg = job.train_cfg(allowance, band, f"stage-{k}", keep_best=True)
-        report = train(job.env, schedule.reward_spec(k), policy, cfg)
+        report = yield from training(job.env, schedule.reward_spec(k), policy, cfg)
         reports.append(report)
         policy = report.params
         carry = allowance - report.interaction_steps
@@ -436,18 +458,19 @@ def _accumulate_curve(reports) -> tuple:
     return tuple(curve)
 
 
-def _stage_snapshots(job: TransferJob, labeled_reports) -> tuple:
+def _stage_snapshots(job: TransferJob, labeled_reports):
     spec = relaxed_reward(job.env)
-    return tuple(
-        (label, mean_rollout(job.env, r.params, spec)) for label, r in labeled_reports
-    )
+    snapshots = []
+    for label, r in labeled_reports:
+        snapshots.append((label, (yield from mean_trajectory(job.env, r.params, spec))))
+    return tuple(snapshots)
 
 
 def _transfer_report(
     job: TransferJob, method: str, reports: list, converged: bool, policy: PolicyParams
-) -> TransferReport:
+):
     """Score the final policy and assemble the run's report and artifacts."""
-    detail = evaluate_detail(
+    detail = yield from evaluation(
         job.env,
         full_reward(job.env),
         policy,
@@ -467,13 +490,13 @@ def _transfer_report(
         detail["mean"],
         max(sorted(hist), key=lambda k: hist[k]) if hist else "",
         curve=_accumulate_curve(reports),
-        stage_trajectories=_stage_snapshots(job, labeled),
+        stage_trajectories=(yield from _stage_snapshots(job, labeled)),
         stage_policies=tuple((label, r.params) for label, r in labeled),
         final_policy=policy,
     )
 
 
-def ease_in_ease_out(job: TransferJob, mode: str = "reward_weight") -> TransferReport:
+def ease_in_ease_out(job: TransferJob, mode: str = "reward_weight"):
     """Relax stage, then the curriculum; failure of any stage fails the run.
 
     The run spends at most job.budget steps in total: the relax stage gets
@@ -495,30 +518,30 @@ def ease_in_ease_out(job: TransferJob, mode: str = "reward_weight") -> TransferR
 
     if schedule is None:
         # the subset search needs a relaxed trajectory that actually crosses
-        relax_report = relax_until_crossing(job, budgets.relax)
+        relax_report = yield from relax_until_crossing(job, budgets.relax)
     else:
-        relax_report = relax_stage(job, budgets.relax)
+        relax_report = yield from relax_stage(job, budgets.relax)
     reports = [relax_report]
     policy = relax_report.params
     converged = relax_report.converged
 
     if converged:
         if schedule is None:
-            xi_s = mean_rollout(job.env, job.source, relaxed_reward(job.env))
-            xi_relax = mean_rollout(job.env, policy, relaxed_reward(job.env))
+            xi_s = yield from mean_trajectory(job.env, job.source, relaxed_reward(job.env))
+            xi_relax = yield from mean_trajectory(job.env, policy, relaxed_reward(job.env))
             a_start, a_goal = job.env.anchors()
             sb1 = find_sb1(xi_s, xi_relax, job.env.barrier, job.find_cfg, a_start, a_goal)
             schedule = auto_barrier_schedule(sb1.region, job.env.barrier, job.auto_stages)
-        stage_reports, policy = run_curriculum(
+        stage_reports, policy = yield from run_curriculum(
             job, schedule, policy, budgets.stages,
             carry=budgets.relax - relax_report.interaction_steps,
         )
         converged = all(r.converged for r in stage_reports)
         reports += stage_reports
-    return _transfer_report(job, method, reports, converged, policy)
+    return (yield from _transfer_report(job, method, reports, converged, policy))
 
 
-def baseline_transfer(job: TransferJob, method: str) -> TransferReport:
+def baseline_transfer(job: TransferJob, method: str):
     """naive / l2sp fine-tuning from the source policy, or training from a
     fresh random initialization, all under the final target reward."""
     if method not in BASELINES:
@@ -533,14 +556,19 @@ def baseline_transfer(job: TransferJob, method: str) -> TransferReport:
         init = job.source
         l2sp = (job.l2sp_coeff, job.source.flat()) if method == "l2sp" else None
     cfg = job.train_cfg(job.budget, job.final_band, method)
-    report = train(job.env, full_reward(job.env), init, cfg, l2sp=l2sp)
-    return _transfer_report(job, method, [report], report.converged, report.params)
+    report = yield from training(job.env, full_reward(job.env), init, cfg, l2sp=l2sp)
+    return (yield from _transfer_report(job, method, [report], report.converged, report.params))
+
+
+def transfer(job: TransferJob, method: str):
+    """One (method, job) run as a request generator; returns its TransferReport."""
+    if method == "ease_reward":
+        return (yield from ease_in_ease_out(job, "reward_weight"))
+    if method == "ease_barrier":
+        return (yield from ease_in_ease_out(job, "barrier_set"))
+    return (yield from baseline_transfer(job, method))
 
 
 def run_transfer(job: TransferJob, method: str) -> TransferReport:
-    """Dispatch one (method, job) run."""
-    if method == "ease_reward":
-        return ease_in_ease_out(job, "reward_weight")
-    if method == "ease_barrier":
-        return ease_in_ease_out(job, "barrier_set")
-    return baseline_transfer(job, method)
+    """Run one (method, job) transfer on its own."""
+    return drive(job.env, transfer(job, method))

@@ -26,7 +26,7 @@ spans the episode; classes are "above" or "below" it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -419,21 +419,63 @@ def penalty_region(env, reward_spec: RewardSpec):
     return reward_spec.active
 
 
-def step(env, state: np.ndarray, action, reward_spec: RewardSpec) -> StepResult:
+def penalty_charge(env, reward_spec: RewardSpec) -> float:
+    """The penalty charged inside `penalty_region` under the given spec."""
+    if reward_spec.mode == "reward_weight":
+        return reward_spec.alpha * env.barrier.penalty
+    return env.barrier.penalty
+
+
+@dataclass(frozen=True)
+class RowRewards:
+    """One reward spec per row of a lockstep batch.
+
+    Row b is charged charge[b] inside regions[group[b]].  Rows whose specs
+    penalize equal sets share a group, so each distinct set is tested once
+    per step.
+    """
+
+    regions: tuple[RegionSet, ...]
+    group: np.ndarray  # (B,) index into regions
+    charge: np.ndarray  # (B,)
+
+    @staticmethod
+    def of(env, specs) -> "RowRewards":
+        index: dict[RegionSet, int] = {}
+        group = [index.setdefault(penalty_region(env, spec), len(index)) for spec in specs]
+        charge = [penalty_charge(env, spec) for spec in specs]
+        return RowRewards(tuple(index), np.array(group, dtype=int), np.array(charge, dtype=float))
+
+    def take(self, rows) -> "RowRewards":
+        return RowRewards(self.regions, self.group[rows], self.charge[rows])
+
+    def member(self, env, state: np.ndarray) -> np.ndarray:
+        """Each row's membership of its own penalized set."""
+        if len(self.regions) == 1:
+            return env.in_region(state, self.regions[0])
+        out = np.zeros(len(self.group), dtype=bool)
+        for k, region in enumerate(self.regions):
+            rows = self.group == k
+            out[rows] = env.in_region(state[rows], region)
+        return out
+
+
+def step(env, state: np.ndarray, action, reward_spec) -> StepResult:
     """One transition of one state, or of each row of a (B, D) state batch.
 
-    The kinematic update never depends on the reward spec.
+    `reward_spec` is a RewardSpec for every row, or the RowRewards of the
+    batch.  The kinematic update never depends on the reward spec.
     """
     a = np.asarray(action, dtype=float).reshape(np.shape(state)[:-1] + (-1,))
     if not np.isfinite(a).all():
         raise NonFiniteAction(f"non-finite action {a}")
     nxt = env.dynamics(state, a)
     base, terminal = env.outcome(state, a, nxt)
-    member = env.in_region(nxt, penalty_region(env, reward_spec))
-    if reward_spec.mode == "reward_weight":
-        charge = reward_spec.alpha * env.barrier.penalty
+    if isinstance(reward_spec, RowRewards):
+        member, charge = reward_spec.member(env, nxt), reward_spec.charge
     else:
-        charge = env.barrier.penalty
+        member = env.in_region(nxt, penalty_region(env, reward_spec))
+        charge = penalty_charge(env, reward_spec)
     reward = base - np.where(member, charge, 0.0)
     return StepResult(nxt, reward, terminal, member, base)
 
@@ -498,20 +540,27 @@ class RolloutBatch:
         )
 
 
-def rollout_batch(env, policy, reward_spec: RewardSpec, noise: np.ndarray) -> RolloutBatch:
+def rollout_batch(env, policy, reward_spec, noise: np.ndarray) -> RolloutBatch:
     """Simulate one episode per noise tape, all in lockstep.
 
     Every episode steps until it terminates, on its own; finished episodes
     drop out of the batch.  `policy` is one policy shared by all episodes,
-    or a stacked one (theta of shape (B, theta_size)) whose row b drives
-    episode b.  The batch-size-independent forward pass gives each episode
-    the same bits at any B, so an episode's results depend only on its own
-    row's parameters, the reward spec and its own tape.
+    or a stacked one (theta of shape (B, theta_size), log_std shared or
+    (B, action_dim)) whose row b drives episode b.  `reward_spec` is one
+    RewardSpec for all episodes, or a sequence of B specs, one per episode.
+    The batch-size-independent forward pass gives each episode the same bits
+    at any B, so an episode's results depend only on its own row's
+    parameters, its own reward spec and its own tape.
     """
     n, horizon = noise.shape[0], env.spec.horizon
     stacked = policy.theta.ndim == 2
     if stacked and policy.theta.shape[0] != n:
         raise ValueError(f"{policy.theta.shape[0]} policy rows for {n} noise tapes")
+    per_row = not isinstance(reward_spec, RewardSpec)
+    if per_row:
+        if len(reward_spec) != n:
+            raise ValueError(f"{len(reward_spec)} reward specs for {n} noise tapes")
+        reward_spec = RowRewards.of(env, reward_spec)
     state = np.repeat(env.initial_state()[None, :], n, axis=0)
     states = np.zeros((n, horizon + 1, state.shape[1]))
     states[:, 0] = state
@@ -545,7 +594,9 @@ def rollout_batch(env, policy, reward_spec: RewardSpec, noise: np.ndarray) -> Ro
             live = live[going]
             state = state[going]
             if stacked:
-                policy = replace(policy, theta=policy.theta[going])
+                policy = policy.take(going)
+            if per_row:
+                reward_spec = reward_spec.take(going)
     return RolloutBatch(obs, actions, rewards, base, member, states, lengths, returns)
 
 
@@ -561,5 +612,90 @@ def rollout_record(env, policy, reward_spec: RewardSpec, seed: int) -> RolloutRe
 
 def mean_rollout(env, policy, reward_spec: RewardSpec) -> Trajectory:
     """Noise-free rollout (the policy's mean action at every step)."""
+    return drive(env, mean_trajectory(env, policy, reward_spec))
+
+
+def mean_trajectory(env, policy, reward_spec: RewardSpec):
+    """`mean_rollout` as a request generator (see `serve`)."""
     zero = np.zeros((1, env.spec.horizon, env.spec.action_dim))
-    return rollout_batch(env, policy, reward_spec, zero).trajectory(env, 0)
+    batch = yield RolloutRequest(policy, reward_spec, zero)
+    return batch.trajectory(env, 0)
+
+
+@dataclass(frozen=True)
+class RolloutRequest:
+    """One engine call that a run asks for: rollout_batch(env, policy,
+    reward_spec, noise) on the environment its scheduler serves."""
+
+    policy: _rl.PolicyParams  # shared or stacked
+    reward_spec: RewardSpec
+    noise: np.ndarray  # (rows, horizon, action_dim)
+
+
+def serve(env, runs) -> list:
+    """Run request generators to the end in lockstep; returns their values.
+
+    A run is a generator that yields RolloutRequests, is sent each one's
+    RolloutBatch, and returns its result.  Every round, the pending requests
+    of all live runs go into one rollout_batch call: their policies stacked
+    row by row (theta and log_std), one reward spec per row, their tapes
+    concatenated.  Each run is sent a copy of its own rows.  An episode's
+    bits depend only on its own row, so a run's results do not depend on
+    which runs share its engine calls.  An exception in any run propagates.
+    """
+    runs = list(runs)
+    results: list = [None] * len(runs)
+    pending: dict[int, RolloutRequest] = {}
+
+    def advance(i: int, batch) -> None:
+        try:
+            pending[i] = runs[i].send(batch)
+        except StopIteration as stop:
+            pending.pop(i, None)
+            results[i] = stop.value
+
+    for i in range(len(runs)):
+        advance(i, None)
+    while pending:
+        ids = list(pending)
+        requests = [pending[i] for i in ids]
+        if len(requests) == 1:
+            req = requests[0]
+            pieces = [rollout_batch(env, req.policy, req.reward_spec, req.noise)]
+        else:
+            pieces = _split_rows(rollout_batch(env, *_merge_requests(requests)), requests)
+        for i, piece in zip(ids, pieces):
+            advance(i, piece)
+    return results
+
+
+def drive(env, run):
+    """Run one request generator, each request an engine call of its own."""
+    return serve(env, [run])[0]
+
+
+def _merge_requests(requests: list[RolloutRequest]):
+    """(stacked policy, per-row reward specs, noise) of one merged call."""
+    arch = requests[0].policy.arch
+    if any(r.policy.arch != arch for r in requests):
+        raise ValueError("requests of different policy shapes cannot share an engine call")
+    rows = [len(r.noise) for r in requests]
+    theta = np.concatenate([
+        np.broadcast_to(r.policy.theta, (n, arch.theta_size())) for r, n in zip(requests, rows)
+    ])
+    log_std = np.concatenate([
+        np.broadcast_to(r.policy.log_std, (n, arch.action_dim)) for r, n in zip(requests, rows)
+    ])
+    specs = [r.reward_spec for r, n in zip(requests, rows) for _ in range(n)]
+    noise = np.concatenate([r.noise for r in requests])
+    return _rl.PolicyParams(arch, theta, log_std), specs, noise
+
+
+def _split_rows(batch: RolloutBatch, requests: list[RolloutRequest]) -> list[RolloutBatch]:
+    """Each request's rows of a merged batch, as arrays of their own."""
+    out, lo = [], 0
+    for r in requests:
+        rows = slice(lo, lo + len(r.noise))
+        out.append(RolloutBatch(*(getattr(batch, f.name)[rows].copy() for f in fields(batch))))
+        lo = rows.stop
+    return out

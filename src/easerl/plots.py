@@ -7,8 +7,6 @@ landscape heatmaps.  Outputs are deterministic functions of their inputs.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .geometry import RegionSet

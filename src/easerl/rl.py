@@ -56,7 +56,8 @@ class PolicyParams:
     `theta` is one flat weight vector, shared by every row of a batch, or a
     stack of shape (B, theta_size) whose row b holds the weights of batch
     row b (many policies stepped in one engine call).  `log_std` is shared
-    either way.
+    by every row, or, with stacked `theta`, a (B, action_dim) stack whose
+    row b belongs to batch row b.
     """
 
     arch: Arch
@@ -64,18 +65,31 @@ class PolicyParams:
     log_std: np.ndarray
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
+        # C order: the forward pass reduces each row in memory order, so a
+        # row's bits depend on the layout of theta
+        theta = np.ascontiguousarray(self.theta, dtype=float)
         self.theta = theta if theta.ndim == 2 else theta.reshape(-1)
-        self.log_std = np.asarray(self.log_std, dtype=float).reshape(-1)
+        log_std = np.ascontiguousarray(self.log_std, dtype=float)
+        per_row = log_std.ndim == 2 and self.theta.ndim == 2
+        self.log_std = log_std if per_row else log_std.reshape(-1)
         if self.theta.shape[-1] != self.arch.theta_size():
             raise ValueError(
                 f"theta size {self.theta.shape[-1]} != arch size {self.arch.theta_size()}"
             )
-        if self.log_std.size != self.arch.action_dim:
+        if self.log_std.shape[-1] != self.arch.action_dim:
             raise ValueError("log_std must have one entry per action dimension")
+        if per_row and self.log_std.shape[0] != self.theta.shape[0]:
+            raise ValueError(
+                f"{self.log_std.shape[0]} log_std rows for {self.theta.shape[0]} theta rows"
+            )
 
     def copy(self) -> "PolicyParams":
         return PolicyParams(self.arch, self.theta.copy(), self.log_std.copy())
+
+    def take(self, rows) -> "PolicyParams":
+        """The given rows of a stacked policy."""
+        log_std = self.log_std[rows] if self.log_std.ndim == 2 else self.log_std
+        return PolicyParams(self.arch, self.theta[rows], log_std)
 
     def flat(self) -> np.ndarray:
         """Full trainable vector: mean weights then log_std entries."""
@@ -161,7 +175,8 @@ def act(policy: PolicyParams, obs: np.ndarray, noise: np.ndarray):
 
     `obs` is one observation or a (B, obs_dim) batch with a matching
     (B, action_dim) noise batch; each row's action has the same bits at any B.
-    A stacked policy gives row b the weights theta[b].
+    A stacked policy gives row b the weights theta[b] (and log_std[b] when
+    log_std is stacked too).
     """
     obs = np.asarray(obs, dtype=float)
     if not np.isfinite(obs).all():
@@ -173,8 +188,11 @@ def act(policy: PolicyParams, obs: np.ndarray, noise: np.ndarray):
 def log_prob_batch(policy: PolicyParams, obs: np.ndarray, actions: np.ndarray) -> np.ndarray:
     """log pi(a|s) for (..., obs_dim) observations and (..., action_dim) actions.
 
-    A stacked policy scores the rows obs[b], actions[b] under theta[b].
+    A stacked policy scores the rows obs[b], actions[b] under theta[b]; its
+    log_std must be shared.
     """
+    if policy.log_std.ndim != 1:
+        raise ValueError("log_prob_batch needs a shared log_std")
     mean = mean_batch(policy, obs)
     std = np.exp(policy.log_std)
     return _gaussian_log_prob(policy.log_std, (np.asarray(actions, dtype=float) - mean) / std)
@@ -286,9 +304,26 @@ def train(
 
     Plain SGD ascent on the return.  When `l2sp` is given as (coeff, ref),
     the objective gains -coeff * ||params - ref||^2 over the full trainable
-    vector, pulling the solution toward the reference parameters.
+    vector, pulling the solution toward the reference parameters.  Each
+    engine call runs on its own; `training` is the same run as a request
+    generator.
     """
     from . import envs as _envs  # deferred to avoid an import cycle
+
+    return _envs.drive(env, training(env, reward_spec, init, cfg, l2sp))
+
+
+def training(
+    env,
+    reward_spec,
+    init: PolicyParams,
+    cfg: TrainConfig,
+    l2sp: tuple[float, np.ndarray] | None = None,
+):
+    """`train` as a request generator: it yields an `envs.RolloutRequest`
+    for every engine call it needs, is sent the call's `RolloutBatch`, and
+    returns the TrainReport.  `envs.serve` runs many of these in lockstep."""
+    from . import envs as _envs
 
     policy = init.copy()
     discount = env.spec.discount
@@ -305,11 +340,12 @@ def train(
     best_mean = -math.inf
     best_params: PolicyParams | None = None
 
-    def record_eval(at_steps: int) -> None:
+    def record_eval(at_steps: int):
         nonlocal eval_idx, streak, converged, best_mean, best_params
-        mean = evaluate_detail(
+        detail = yield from evaluation(
             env, reward_spec, policy, cfg.eval_episodes, derive_seed(cfg.seed, "eval", eval_idx)
-        )["mean"]
+        )
+        mean = detail["mean"]
         eval_idx += 1
         curve.append((at_steps, mean))
         if cfg.keep_best and mean > best_mean:
@@ -325,7 +361,7 @@ def train(
 
     # evaluate before spending any budget: a policy that already sits inside
     # the band must not be perturbed by further updates
-    record_eval(0)
+    yield from record_eval(0)
 
     while not converged and steps + horizon <= cfg.max_interaction_steps:
         # the budget admits an episode while steps + horizon <= budget; run,
@@ -336,7 +372,7 @@ def train(
             k = min(left, (cfg.max_interaction_steps - steps) // horizon)
             seeds = [derive_seed(cfg.seed, "train-ep", episode_idx + e) for e in range(k)]
             pieces.append(
-                _envs.rollout_batch(env, policy, reward_spec, _envs.noise_tapes(env, seeds))
+                (yield _envs.RolloutRequest(policy, reward_spec, _envs.noise_tapes(env, seeds)))
             )
             episode_idx += k
             left -= k
@@ -366,12 +402,12 @@ def train(
             raise DivergedTraining(f"non-finite parameters after {steps} steps")
 
         if steps >= next_eval:
-            record_eval(steps)
+            yield from record_eval(steps)
             next_eval = (steps // cfg.eval_every + 1) * cfg.eval_every
 
     if cfg.keep_best and not converged:
         if curve[-1][0] != steps:
-            record_eval(steps)  # let the freshest parameters compete too
+            yield from record_eval(steps)  # let the freshest parameters compete too
         if not converged and best_params is not None:
             policy = best_params
 
@@ -387,10 +423,17 @@ def evaluate_detail(env, reward_spec, policy: PolicyParams, episodes: int, seed:
     no class and are left out (episodes minus histogram total = collisions).
     """
     from . import envs as _envs
+
+    return _envs.drive(env, evaluation(env, reward_spec, policy, episodes, seed))
+
+
+def evaluation(env, reward_spec, policy: PolicyParams, episodes: int, seed: int):
+    """`evaluate_detail` as a request generator (see `training`)."""
+    from . import envs as _envs
     from . import homotopy as _homotopy
 
     seeds = [derive_seed(seed, "eval-ep", e) for e in range(episodes)]
-    batch = _envs.rollout_batch(env, policy, reward_spec, _envs.noise_tapes(env, seeds))
+    batch = yield _envs.RolloutRequest(policy, reward_spec, _envs.noise_tapes(env, seeds))
     trajs = [batch.trajectory(env, e) for e in range(episodes)]
     region = env.barrier
     a_start, a_goal = env.anchors()

@@ -1,5 +1,5 @@
-"""Experiment harness: builds jobs from a config, fans them out over
-processes, and writes every artifact a run produces.
+"""Experiment harness: builds jobs from a config, runs them in lockstep
+(optionally dealt over processes), and writes every artifact a run produces.
 
 Output layout for a transfer experiment:
 
@@ -37,12 +37,14 @@ from .curriculum import (
     TransferJob,
     TransferReport,
     method_rank,
-    run_transfer,
+    run_transfer,  # noqa: F401  (wrapped here by perfbench/tracing.py)
     stage_labels,
+    transfer,
     validate_schedule,
 )
 from .envs import (
     angle_band, angle_make, full_reward, landscape_make, mean_rollout, nav1_make, nav2_make,
+    serve,
 )
 from .errors import ConfigError, MissingCheckpoint, MissingData, PreconditionViolated
 from .geometry import ConvexPolygon, RegionSet
@@ -170,14 +172,16 @@ def job_from_config(cfg: dict, env, source, seed: int) -> TransferJob:
     )
 
 
-def _run_one(task) -> TransferReport:
-    method, job = task
-    return run_transfer(job, method)
+def _serve_tasks(env, tasks: list) -> list[TransferReport]:
+    """Run (method, job) tasks in lockstep: every engine call serves the
+    pending request of each live run."""
+    return serve(env, [transfer(job, method) for method, job in tasks])
 
 
 def run_grid(cfg: dict, source, workers: int = 1) -> list[TransferReport]:
-    """Run the (method x seed) grid; report order is fixed regardless of
-    worker count."""
+    """Run the (method x seed) grid in lockstep; `workers` processes each
+    serve every workers-th task.  A run's bits, and the report order, do not
+    depend on the worker count."""
     env = env_from_config(cfg)
     methods = sorted(cfg["transfer"]["methods"], key=method_rank)
     tasks = [
@@ -185,10 +189,17 @@ def run_grid(cfg: dict, source, workers: int = 1) -> list[TransferReport]:
         for m in methods
         for s in cfg["transfer"]["seeds"]
     ]
-    if workers <= 1:
-        return [_run_one(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_one, tasks))
+    k = max(1, min(workers, len(tasks)))
+    chunks = [tasks[i::k] for i in range(k)]
+    if k == 1:
+        done = [_serve_tasks(env, chunks[0])]
+    else:
+        with ProcessPoolExecutor(max_workers=k) as pool:
+            done = list(pool.map(_serve_tasks, [env] * k, chunks))
+    reports: list = [None] * len(tasks)
+    for i, chunk_reports in enumerate(done):
+        reports[i::k] = chunk_reports
+    return reports
 
 
 def write_manifest(out_dir, cfg: dict) -> None:

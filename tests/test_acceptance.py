@@ -18,6 +18,7 @@ from easerl.config import default_config, nav1_defaults, nav2_defaults, serializ
 from easerl.curriculum import StageBudgets, find_sb1, relax_until_crossing
 from easerl.envs import (
     RewardSpec,
+    drive,
     full_reward,
     landscape_make,
     mean_rollout,
@@ -244,7 +245,7 @@ def test_criterion_06_find_sb1_contract():
         for seed in range(5):
             job = job_from_config(cfg, env, source, seed)
             budgets = StageBudgets.split(job.budget, 2)
-            relax = relax_until_crossing(job, budgets.relax)
+            relax = drive(env, relax_until_crossing(job, budgets.relax))
             if not relax.converged:
                 details.append(f"{size}/{seed}:no-crossing")
                 continue

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from easerl import curriculum
+from easerl import envs
 from easerl.cli import (
     EXIT_DIFFERENT,
     EXIT_OK,
@@ -121,6 +121,9 @@ SOURCE_NAV1_7 = str(Path(__file__).resolve().parents[1] / "assets" / "source-nav
 
 
 def _no_training(*args, **kwargs):
+    """Stands in for envs.rollout_batch: every rollout of a transfer grid,
+    training or evaluation, is an engine call that the lockstep scheduler
+    (envs.serve) makes through it."""
     raise AssertionError("a bad schedule must be rejected before any training")
 
 
@@ -136,7 +139,7 @@ def _no_training(*args, **kwargs):
 def test_bad_transfer_schedule_exits_usage_before_training(
     env, schedule, key, tmp_path, capsys, monkeypatch
 ):
-    monkeypatch.setattr(curriculum, "train", _no_training)
+    monkeypatch.setattr(envs, "rollout_batch", _no_training)
     cfg = nav1_defaults(7, "left") if env == "nav1" else angle_defaults("up")
     cfg["transfer"]["schedule"].update(schedule)
     cfg["transfer"]["source_checkpoint"] = SOURCE_NAV1_7
@@ -168,7 +171,7 @@ BARRIER_SET = {"mode": "barrier_set", "alphas": [], "barrier_sizes": [], "interv
 def test_method_schedule_mismatch_exits_usage_before_training(
     make, methods, schedule, key, tmp_path, capsys, monkeypatch
 ):
-    monkeypatch.setattr(curriculum, "train", _no_training)
+    monkeypatch.setattr(envs, "rollout_batch", _no_training)
     cfg = make()
     cfg["transfer"]["methods"] = methods
     if schedule is not None:

@@ -18,7 +18,7 @@ from easerl.curriculum import (
     run_transfer,
     validate_schedule,
 )
-from easerl.envs import angle_band, angle_make, nav1_make, nav2_make
+from easerl.envs import angle_band, angle_make, drive, nav1_make, nav2_make
 from easerl.errors import BudgetExhausted, PreconditionViolated
 from easerl.geometry import ConvexPolygon, Point2, RegionSet
 from easerl.homotopy import Trajectory, collides, divides
@@ -290,12 +290,12 @@ class TestTransferPlumbing:
     def test_relax_stage_needs_source(self, nav1_env):
         job = tiny_job(nav1_env, None)
         with pytest.raises(PreconditionViolated):
-            relax_stage(job, 1000)
+            drive(job.env, relax_stage(job, 1000))
 
     def test_ease_barrier_instant_bands(self, nav1_env, nav1_source):
         sched = CurriculumSchedule("barrier_set", subsets=(nav1_env.barrier,))
         job = tiny_job(nav1_env, nav1_source, schedule=sched)
-        rep = ease_in_ease_out(job, "barrier_set")
+        rep = drive(job.env, ease_in_ease_out(job, "barrier_set"))
         assert rep.method == "ease_barrier"
         assert rep.converged
         assert len(rep.stage_steps) == 2  # relax + one stage
@@ -307,25 +307,25 @@ class TestTransferPlumbing:
     def test_ease_reward_needs_alphas(self, nav1_env, nav1_source):
         job = tiny_job(nav1_env, nav1_source, schedule=None)
         with pytest.raises(PreconditionViolated):
-            ease_in_ease_out(job, "reward_weight")
+            drive(job.env, ease_in_ease_out(job, "reward_weight"))
 
     def test_schedule_mode_mismatch(self, nav1_env, nav1_source):
         sched = CurriculumSchedule("reward_weight", alphas=(1.0,))
         job = tiny_job(nav1_env, nav1_source, schedule=sched)
         with pytest.raises(PreconditionViolated):
-            ease_in_ease_out(job, "barrier_set")
+            drive(job.env, ease_in_ease_out(job, "barrier_set"))
 
     def test_barrier_set_rejects_multipart_env(self, nav1_source):
         env2 = nav2_make("LL")
         job = tiny_job(env2, None)
         job.source = init_policy(Arch("linear", env2.spec.state_dim, 1), 0)
         with pytest.raises(PreconditionViolated):
-            ease_in_ease_out(job, "barrier_set")
+            drive(job.env, ease_in_ease_out(job, "barrier_set"))
 
     def test_relax_failure_skips_curriculum(self, nav1_env, nav1_source):
         sched = CurriculumSchedule("barrier_set", subsets=(nav1_env.barrier,))
         job = tiny_job(nav1_env, nav1_source, schedule=sched, center=1e9, half=1.0)
-        rep = ease_in_ease_out(job, "barrier_set")
+        rep = drive(job.env, ease_in_ease_out(job, "barrier_set"))
         assert not rep.converged
         assert len(rep.stage_steps) == 1  # only the relax stage ran
         assert rep.stage_trajectories[0][0] == "relax"
@@ -335,7 +335,7 @@ class TestTransferPlumbing:
         job = tiny_job(nav1_env, nav1_source, schedule=sched)
         job.stage_band = ConvergenceBand(1e9, 1.0, 1)
         job.final_band = ConvergenceBand(1e9, 1.0, 1)
-        rep = ease_in_ease_out(job, "barrier_set")
+        rep = drive(job.env, ease_in_ease_out(job, "barrier_set"))
         assert not rep.converged
         assert len(rep.stage_steps) == 2  # relax plus the failed stage
         assert rep.stage_steps[1] > 0
@@ -348,9 +348,10 @@ class TestTransferPlumbing:
         job.stage_band = ConvergenceBand(1e9, 1.0, 1)
         job.final_band = ConvergenceBand(1e9, 1.0, 1)
         shares = StageBudgets.split(job.budget, 1)
-        rep = ease_in_ease_out(job, "barrier_set")
+        rep = drive(job.env, ease_in_ease_out(job, "barrier_set"))
         assert not rep.converged
-        assert rep.stage_steps[0] == relax_stage(job, shares.relax).interaction_steps
+        relax = drive(job.env, relax_stage(job, shares.relax))
+        assert rep.stage_steps[0] == relax.interaction_steps
         assert rep.stage_steps[1] > shares.stages[0]
         assert rep.total_steps <= job.budget
 
@@ -365,14 +366,14 @@ class TestTransferPlumbing:
         spinner.theta[3] = -30.0  # strong negative weight on sin(heading)
         spinner.log_std = np.array([-5.0])
         job = tiny_job(nav1_env, spinner, budget=16000, schedule=None)
-        rep = ease_in_ease_out(job, "barrier_set")
+        rep = drive(job.env, ease_in_ease_out(job, "barrier_set"))
         assert not rep.converged
         assert len(rep.stage_steps) == 1  # only the relax stage ran
 
     def test_baselines_run_and_report(self, nav1_env, nav1_source):
         for method in ("naive", "l2sp", "random"):
             job = tiny_job(nav1_env, nav1_source)
-            rep = baseline_transfer(job, method)
+            rep = drive(job.env, baseline_transfer(job, method))
             assert rep.method == method
             assert rep.converged
             assert len(rep.stage_steps) == 1
@@ -380,7 +381,7 @@ class TestTransferPlumbing:
 
     def test_unknown_baseline(self, nav1_env, nav1_source):
         with pytest.raises(ValueError):
-            baseline_transfer(tiny_job(nav1_env, nav1_source), "finetune")
+            drive(nav1_env, baseline_transfer(tiny_job(nav1_env, nav1_source), "finetune"))
 
     def test_run_transfer_dispatch(self, nav1_env, nav1_source):
         job = tiny_job(nav1_env, nav1_source)
@@ -391,7 +392,7 @@ class TestTransferPlumbing:
 
     def test_random_baseline_ignores_source_weights(self, nav1_env, nav1_source):
         job = tiny_job(nav1_env, nav1_source, budget=1000)
-        rep = baseline_transfer(job, "random")
+        rep = drive(job.env, baseline_transfer(job, "random"))
         # the random run must not start from the source parameters
         assert not np.array_equal(rep.final_policy.theta, nav1_source.theta) or (
             rep.total_steps == 0
@@ -409,7 +410,7 @@ class TestTransferPlumbing:
 
     def test_csv_row_shape(self, nav1_env, nav1_source):
         job = tiny_job(nav1_env, nav1_source, budget=1500)
-        rep = baseline_transfer(job, "naive")
+        rep = drive(job.env, baseline_transfer(job, "naive"))
         row = rep.csv_row()
         assert len(row) == 8
         assert row[0] == "naive"

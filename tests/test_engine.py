@@ -3,6 +3,8 @@ policies, agreement with a plain per-step loop, and the landscape scan's
 simulate-once contract and bits."""
 
 import math
+from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from hypothesis import strategies as st
 from easerl import envs, rl
 from easerl.envs import (
     RewardSpec,
+    RolloutBatch,
+    RolloutRequest,
     angle_band,
     angle_make,
     full_reward,
@@ -22,6 +26,7 @@ from easerl.envs import (
     noise_tapes,
     rollout_batch,
     rollout_record,
+    serve,
 )
 from easerl.geometry import ConvexPolygon, RegionSet, contains
 from easerl.rl import (
@@ -180,6 +185,78 @@ class TestStackedPolicies:
         arch = Arch("linear", 2, 1)
         with pytest.raises(ValueError, match="theta size"):
             PolicyParams(arch, np.zeros((4, 3)), np.zeros(1))
+
+
+def _one_call(request):
+    """A run that makes a single engine call and returns its batch."""
+    return (yield request)
+
+
+class TestMergedRequests:
+    @given(
+        env_name=st.sampled_from(["nav1-7", "nav2", "angle"]),
+        kind=st.sampled_from(["linear", "mlp"]),
+        requests=st.lists(
+            st.tuples(
+                st.integers(0, 10_000),  # policy seed
+                st.sampled_from([-2.0, -0.7, 0.3]),  # log_std
+                st.integers(1, 5),  # rows
+                st.sampled_from(["reward_weight", "barrier_set"]),
+                st.sampled_from([0.0, 0.1, 0.37, 1.0]),  # alpha, or subset size
+            ),
+            min_size=2,
+            max_size=4,
+        ),
+        tape_seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_each_request_equals_its_own_call(self, env_name, kind, requests, tape_seed):
+        env = ENVS[env_name]()
+        reqs, first = [], tape_seed
+        for policy_seed, log_std, rows, mode, alpha in requests:
+            pol = make_policy(env, kind, policy_seed, 0.5)
+            pol.log_std = np.array([log_std])
+            seeds = range(first, first + rows)
+            first += rows
+            reqs.append(RolloutRequest(pol, make_spec(env, mode, alpha), noise_tapes(env, seeds)))
+        with mock.patch.object(envs, "rollout_batch", wraps=envs.rollout_batch) as engine:
+            merged = serve(env, [_one_call(r) for r in reqs])
+        assert engine.call_count == 1
+        for req, got in zip(reqs, merged):
+            alone = rollout_batch(env, req.policy, req.reward_spec, req.noise)
+            for f in fields(RolloutBatch):
+                assert np.array_equal(getattr(got, f.name), getattr(alone, f.name)), f.name
+
+    def test_rows_end_on_their_own(self):
+        # zero-mean nav1-1 episodes reach the goal band at different steps;
+        # each end drops only its own row from the merged call
+        env = nav1_make(1, "left")
+        pols = [make_policy(env, "mlp", 0, 0.0), make_policy(env, "mlp", 1, 0.3)]
+        pols[1].log_std = np.array([0.3])
+        reqs = [
+            RolloutRequest(pols[0], full_reward(env), noise_tapes(env, range(6))),
+            RolloutRequest(pols[1], make_spec(env, "barrier_set", 0.37), noise_tapes(env, [9, 10])),
+        ]
+        merged = serve(env, [_one_call(r) for r in reqs])
+        assert len(set(merged[0].lengths.tolist())) > 2
+        for req, got in zip(reqs, merged):
+            alone = rollout_batch(env, req.policy, req.reward_spec, req.noise)
+            assert np.array_equal(got.lengths, alone.lengths)
+            assert np.array_equal(got.states, alone.states)
+
+    def test_per_row_specs_are_counted(self):
+        env = nav1_make(7, "left")
+        pol = make_policy(env, "linear", 0, 0.1)
+        with pytest.raises(ValueError, match="1 reward specs for 2 noise tapes"):
+            rollout_batch(env, pol, [full_reward(env)], noise_tapes(env, [0, 1]))
+
+    def test_per_row_log_std_rows_are_checked(self):
+        arch = Arch("linear", 2, 1)
+        with pytest.raises(ValueError, match="3 log_std rows for 2 theta rows"):
+            PolicyParams(arch, np.zeros((2, 2)), np.zeros((3, 1)))
+        per_row = PolicyParams(arch, np.zeros((2, 2)), np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="shared log_std"):
+            log_prob_batch(per_row, np.zeros((2, 3, 2)), np.zeros((2, 3, 1)))
 
 
 # --------------------------------------------------------------------------

@@ -3,16 +3,21 @@
 import copy
 import csv
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
 
-from easerl.config import angle_defaults, default_config, nav1_defaults, nav2_defaults
-from easerl.curriculum import CSV_HEADER, CurriculumSchedule, TransferReport
+from easerl import envs
+from easerl.config import (
+    angle_defaults, default_config, nav1_defaults, nav2_defaults, validate_config,
+)
+from easerl.curriculum import CSV_HEADER, CurriculumSchedule, TransferReport, run_transfer
 from easerl.errors import ConfigError, MissingCheckpoint, MissingData
 from easerl.geometry import RegionSet
 from easerl.homotopy import Trajectory, save_trajectory
+from easerl.rl import load_checkpoint
 from easerl.runner import (
     _check_schedule,
     build_table,
@@ -22,6 +27,7 @@ from easerl.runner import (
     read_runs_csv,
     rebuild_tables,
     render_plots,
+    run_grid,
     run_transfer_experiment,
     schedule_from_config,
     write_manifest,
@@ -374,3 +380,70 @@ def test_transfer_experiment_requires_checkpoint(tmp_path):
     cfg["transfer"]["source_checkpoint"] = str(tmp_path / "nope.json")
     with pytest.raises(MissingCheckpoint):
         run_transfer_experiment(cfg, tmp_path / "out")
+
+
+# ------------------------------------------------------------ lockstep grid
+
+ASSETS = os.path.join(os.path.dirname(__file__), os.pardir, "assets")
+
+# (config, source checkpoint, methods, budget): tiny budgets, and a relax
+# band every policy meets, so each curriculum stage runs a few batches
+GRIDS = {
+    "nav1-7": (lambda: nav1_defaults(7, "left"), "source-nav1-7.json",
+               ["ease_barrier", "naive", "l2sp", "random"], 9000),
+    "nav2": (lambda: nav2_defaults("RR"), "source-nav2-LL.json", ["ease_reward", "naive"], 16000),
+}
+
+
+def tiny_grid(name):
+    make, source, methods, budget = GRIDS[name]
+    cfg = make()
+    xf = cfg["transfer"]
+    xf.update(methods=methods, seeds=[0, 1], budget=budget,
+              source_checkpoint=os.path.join(ASSETS, source))
+    xf["relax_convergence"] = {"center": 0.0, "half_width": 1e9, "patience": 1}
+    cfg["training"]["eval_every"] = 2048
+    cfg = validate_config(cfg)
+    return cfg, load_checkpoint(xf["source_checkpoint"])[0]
+
+
+def policy_bytes(policy):
+    return policy.theta.tobytes() + policy.log_std.tobytes()
+
+
+def assert_same_report(got, want):
+    assert got.csv_row() == want.csv_row()
+    assert got.curve == want.curve
+    assert [label for label, _ in got.stage_trajectories] == [
+        label for label, _ in want.stage_trajectories
+    ]
+    for (_, a), (_, b) in zip(got.stage_trajectories, want.stage_trajectories):
+        assert a.states.tobytes() == b.states.tobytes()
+        assert a.raw_states.tobytes() == b.raw_states.tobytes()
+    assert [(label, policy_bytes(p)) for label, p in got.stage_policies] == [
+        (label, policy_bytes(p)) for label, p in want.stage_policies
+    ]
+    assert policy_bytes(got.final_policy) == policy_bytes(want.final_policy)
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_lockstep_grid_equals_each_run_alone(name):
+    cfg, source = tiny_grid(name)
+    env = env_from_config(cfg)
+    with mock.patch.object(envs, "rollout_batch", wraps=envs.rollout_batch) as engine:
+        reports = run_grid(cfg, source)
+    grid_calls = engine.call_count
+    methods = cfg["transfer"]["methods"]
+    assert sorted((r.method, r.seed) for r in reports) == sorted(
+        (m, s) for m in methods for s in (0, 1)
+    )
+    with mock.patch.object(envs, "rollout_batch", wraps=envs.rollout_batch) as engine:
+        alone = [
+            run_transfer(job_from_config(cfg, env, source, r.seed), r.method) for r in reports
+        ]
+    # the runs shared engine calls, and each got the bits it gets alone
+    assert grid_calls < engine.call_count
+    for got, want in zip(reports, alone):
+        assert_same_report(got, want)
+    for got, want in zip(run_grid(cfg, source, workers=2), reports):
+        assert_same_report(got, want)
