@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -12,8 +13,10 @@ from easerl.envs import (
     mean_rollout,
     nav1_make,
     nav2_make,
+    noise_tapes,
     penalty_region,
     relaxed_reward,
+    rollout_batch,
     rollout_record,
     step,
 )
@@ -435,3 +438,33 @@ class TestMeanRollout:
         xs = traj.states[:, 0]
         assert np.max(np.abs(xs)) < 1e-9
         assert env.reached_goal(traj)
+
+
+PINNED_TASKS = {
+    **{f"nav1-{n}-{side}": (lambda n=n, side=side: nav1_make(n, side))
+       for n in (1, 3, 5, 7) for side in ("left", "right")},
+    "nav2-LL": lambda: nav2_make("LL"),
+    "nav2-RR": lambda: nav2_make("RR"),
+    "angle-up": lambda: angle_make("up"),
+    "angle-down": lambda: angle_make("down"),
+    "landscape-5": lambda: landscape_make(5, "left"),
+}
+
+PINNED_DIGEST = "cae202186d3da849eaa6aec275e02c8121742fd9562c75ba58ca7657dcc06206"
+
+
+def test_task_rollouts_are_pinned():
+    """Every task's kinematics, shaping, goal, start and barrier, pinned to
+    the bit: one batch of 16 noisy MLP rollouts per task under the full
+    reward, hashed over returns, states, rewards, base rewards and lengths."""
+    h = hashlib.sha256()
+    for name, make in PINNED_TASKS.items():
+        env = make()
+        arch = Arch("mlp", env.spec.state_dim, env.spec.action_dim)
+        pol = init_policy(arch, 3, log_std_init=0.0)
+        batch = rollout_batch(env, pol, full_reward(env), noise_tapes(env, range(16)))
+        h.update(name.encode())
+        for arr in (batch.returns, batch.states, batch.rewards, batch.base):
+            h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+        h.update(np.asarray(batch.lengths, dtype=np.int64).tobytes())
+    assert h.hexdigest() == PINNED_DIGEST
