@@ -15,12 +15,12 @@ import yaml
 
 from .config import default_config, load_config, validate_config
 from .errors import ConfigError, EaseRlError
+from .envs import PENALTY
 from .geometry import ConvexPolygon, Point2, RegionSet
 from .homotopy import (
     EmpiricalDistribution,
     Trajectory,
     load_trajectory,
-    same_class,
     signature,
     w_infinity_matching,
 )
@@ -107,7 +107,7 @@ def load_region_yaml(path) -> tuple[RegionSet, Point2, Point2]:
             ConvexPolygon.from_xy([(float(x), float(y)) for x, y in ring])
             for ring in doc["parts"]
         )
-        region = RegionSet(parts, float(doc.get("penalty", 1000.0)))
+        region = RegionSet(parts, float(doc.get("penalty", PENALTY)))
         anchors = doc["anchors"]
         start = Point2(float(anchors["start"][0]), float(anchors["start"][1]))
         goal = Point2(float(anchors["goal"][0]), float(anchors["goal"][1]))
@@ -184,7 +184,7 @@ def cmd_homotopy(args) -> int:
         raise ConfigError(f"trajectory file not found: {exc.filename}") from exc
     sa = signature(ta, region, start, goal)
     sb = signature(tb, region, start, goal)
-    same = same_class(ta, tb, region, start, goal)
+    same = sa == sb
     print(f"trajectory A: class {sa.label()}")
     print(f"trajectory B: class {sb.label()}")
     print("verdict: same class" if same else "verdict: different class")

@@ -15,6 +15,7 @@ import math
 import yaml
 
 from .curriculum import METHODS
+from .envs import NAV_SIZES, AngleEnv
 from .errors import ConfigError
 
 SCHEMA_VERSION = 1
@@ -167,7 +168,9 @@ def validate_config(cfg: dict) -> dict:
     env = merged["environment"]
     _require(env["name"] in ("nav1", "nav2", "angle"), f"unknown environment.name {env['name']!r}")
     if env["name"] == "nav1":
-        _require(env["barrier_size"] in (1, 3, 5, 7), "environment.barrier_size must be 1, 3, 5 or 7")
+        _require(
+            env["barrier_size"] in NAV_SIZES, f"environment.barrier_size must be one of {NAV_SIZES}"
+        )
         _require(env["target_side"] in ("left", "right"), "nav1 target_side must be left or right")
     elif env["name"] == "nav2":
         side = env["target_side"]
@@ -214,7 +217,7 @@ def validate_config(cfg: dict) -> dict:
         "transfer.schedule.intervals must be [lo, hi] pairs of finite numbers",
     )
     land = merged["landscape"]
-    _require(land["barrier_size"] in (1, 3, 5, 7), "landscape.barrier_size must be 1, 3, 5 or 7")
+    _require(land["barrier_size"] in NAV_SIZES, f"landscape.barrier_size must be one of {NAV_SIZES}")
     _require(land["bucket"] > 0, "landscape.bucket must be positive")
     _require(land["hi"] > land["lo"], "landscape.hi must exceed landscape.lo")
     _require(land["samples_per_cell"] >= 1, "landscape.samples_per_cell must be >= 1")
@@ -299,12 +302,12 @@ def angle_defaults(target_side: str = "up") -> dict:
     cfg["training"]["convergence"] = {"center": -12.0, "half_width": 6.0, "patience": 3}
     cfg["transfer"]["relax_convergence"] = {"center": -12.0, "half_width": 6.0, "patience": 3}
     cfg["transfer"]["stage_convergence"] = {"center": -12.0, "half_width": 6.0, "patience": 3}
-    c = math.pi / 4.0
+    c, w = AngleEnv.band_center, AngleEnv.band_half_width
     cfg["transfer"]["schedule"] = {
         "mode": "barrier_set",
         "alphas": [],
         "barrier_sizes": [],
-        "intervals": [[c - 0.002, c + 0.002], [c - 0.02, c + 0.02], [c - 0.2, c + 0.2]],
+        "intervals": [[c - 0.002, c + 0.002], [c - 0.02, c + 0.02], [c - w, c + w]],
         "auto_stages": 3,
     }
     return validate_config(cfg)

@@ -546,13 +546,13 @@ def baseline_transfer(job: TransferJob, method: str):
     fresh random initialization, all under the final target reward."""
     if method not in BASELINES:
         raise ValueError(f"unknown baseline {method!r}")
+    if job.source is None:  # random needs the source's arch
+        raise PreconditionViolated(f"{method} needs a source policy")
     if method == "random":
         init = init_policy(job.source.arch, derive_seed(job.seed, "random-init"),
                            log_std_init=job.log_std_init)
         l2sp = None
     else:
-        if job.source is None:
-            raise PreconditionViolated(f"{method} needs a source policy")
         init = job.source
         l2sp = (job.l2sp_coeff, job.source.flat()) if method == "l2sp" else None
     cfg = job.train_cfg(job.budget, job.final_band, method)

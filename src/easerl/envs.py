@@ -2,8 +2,10 @@
 
 Three tasks share one contract: deterministic kinematics, a barrier region
 that only ever affects reward (never transitions), and a reward assembled as
-base(s, a, s') minus a curriculum-controlled barrier penalty.  Every barrier
-is a RegionSet in the task's plane, the plane of its trajectories and
+base(s, a, s') minus a curriculum-controlled barrier penalty.  Kinematics,
+shaping, goal, start and horizon are fixed parts of each task, stated once
+here as constants; only the barrier penalty is a curriculum knob.  Every
+barrier is a RegionSet in the task's plane, the plane of its trajectories and
 homotopy classes.  The curriculum knob is either a weight alpha in [0, 1] on
 the full-barrier penalty or an active subset of the barrier (again a
 RegionSet) charged at full magnitude.
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -38,6 +41,8 @@ from .seeding import rng_for
 
 FIELD_HALF = 10.0
 NAV_SIZES = (1, 3, 5, 7)
+PENALTY = 1000.0  # the barrier penalty M of every task
+HORIZON = 128  # episode length of every task but the landscape scan's
 
 
 @dataclass(frozen=True)
@@ -108,23 +113,25 @@ class CarEnv:
     and work elementwise over the batch.
     """
 
+    dt: ClassVar[float] = 0.1
+    v_set: ClassVar[float] = 2.0
+    kp: ClassVar[float] = 2.0
+    steer_max: ClassVar[float] = 1.5
+    start: ClassVar[tuple[float, float]] = (0.0, -8.0)
+    goal_poly: ClassVar[ConvexPolygon] = ConvexPolygon.rectangle(0.0, 9.0, 2.0 * FIELD_HALF, 2.0)
+    goal_y: ClassVar[float] = goal_poly.bbox()[1]  # the goal band's lower edge
+
     name: str
     spec: MdpSpec
     barrier: RegionSet
     target_bits: tuple[int, ...]  # per part: 1 = left, 0 = right
-    goal_poly: ConvexPolygon
-    start: tuple[float, float]
-    obs_mode: str = "full"  # "full" | "position"
-    dt: float = 0.1
-    v_set: float = 2.0
-    kp: float = 2.0
-    steer_max: float = 1.5
-    c_side: float = 1.0
-    c_goal: float = 2.0
-    goal_bonus: float = 50.0
+    c_side: float
+    c_goal: float
+    goal_bonus: float
     c_pot: float = 0.0
     side_bonus: float = 0.0
     barrier_tops: tuple[float, ...] = ()
+    obs_mode: str = "full"  # "full" | "position"
 
     def initial_state(self) -> np.ndarray:
         n_flags = len(self.barrier_tops)
@@ -172,17 +179,16 @@ class CarEnv:
         `nxt` is tested once for both."""
         goal = self.in_goal(nxt)
         t_norm = state[..., _IT] / self.spec.horizon
-        goal_y = self.goal_poly.bbox()[1]
         r = np.zeros(np.shape(t_norm))
         if self.c_side:
             side_sign = 1.0 if self.target_bits[0] == 1 else -1.0
             r = r + self.c_side * (1.0 - t_norm) * side_sign * np.sin(nxt[..., _IH] - math.pi / 2.0)
         if self.c_goal:
-            dist = np.maximum(0.0, goal_y - nxt[..., _IY])
+            dist = np.maximum(0.0, self.goal_y - nxt[..., _IY])
             r = r + -self.c_goal * t_norm * dist / 16.0
         if self.c_pot:
-            d_prev = np.maximum(0.0, goal_y - state[..., _IY])
-            d_next = np.maximum(0.0, goal_y - nxt[..., _IY])
+            d_prev = np.maximum(0.0, self.goal_y - state[..., _IY])
+            d_next = np.maximum(0.0, self.goal_y - nxt[..., _IY])
             r = r + self.c_pot * (d_prev - d_next)
         if self.side_bonus:
             passed_left = nxt[..., _IX] < 0.0
@@ -215,93 +221,62 @@ class CarEnv:
         return self.goal_poly.contains_point(float(x), float(y))
 
 
-def _goal_band() -> ConvexPolygon:
-    return ConvexPolygon.rectangle(0.0, 9.0, 2.0 * FIELD_HALF, 2.0)
-
-
 def _side_to_bit(side: str) -> int:
     if side not in ("left", "right"):
         raise ValueError(f"target side must be 'left' or 'right', got {side!r}")
     return 1 if side == "left" else 0
 
 
-def nav1_make(
-    barrier_size: int,
-    target_side: str = "right",
-    penalty: float = 1000.0,
-    horizon: int = 128,
-    discount: float = 0.99,
-    c_side: float = 0.3,
-    c_goal: float = 2.0,
-    goal_bonus: float = 50.0,
-) -> CarEnv:
-    """Single centered barrier of the given width (depth 2), start below,
-    goal band above."""
+def nav1_barrier(width: float) -> RegionSet:
+    """nav1's barrier of the given width (depth 2), centered on the origin;
+    narrower ones are the subsets of a barrier_set schedule."""
+    return RegionSet((ConvexPolygon.rectangle(0.0, 0.0, float(width), 2.0),), PENALTY)
+
+
+def nav1_make(barrier_size: int, target_side: str = "right") -> CarEnv:
+    """Single centered barrier of the given width, start below, goal band
+    above."""
     if barrier_size not in NAV_SIZES:
         raise UnsupportedSize(f"nav1 barrier size must be one of {NAV_SIZES}")
-    barrier = RegionSet(
-        (ConvexPolygon.rectangle(0.0, 0.0, float(barrier_size), 2.0),), penalty
-    )
-    goal = _goal_band()
     return CarEnv(
         name=f"nav1-{barrier_size}",
-        spec=MdpSpec(7, 1, horizon, discount),
-        barrier=barrier,
+        spec=MdpSpec(7, 1, HORIZON, 0.99),
+        barrier=nav1_barrier(barrier_size),
         target_bits=(_side_to_bit(target_side),),
-        goal_poly=goal,
-        start=(0.0, -8.0),
-        c_side=c_side,
-        c_goal=c_goal,
-        goal_bonus=goal_bonus,
+        c_side=0.3,
+        c_goal=2.0,
+        goal_bonus=50.0,
     )
 
 
-def nav2_make(
-    target_classes: str = "RR",
-    penalty: float = 1000.0,
-    horizon: int = 128,
-    c_pot: float = 10.0,
-    side_bonus: float = 500.0,
-    goal_bonus: float = 2000.0,
-    c_side: float = 1.0,
-) -> CarEnv:
+def nav2_make(target_classes: str = "RR") -> CarEnv:
     """Two stacked 9x4 barriers; letters in target_classes order bottom, top."""
     if len(target_classes) != 2 or any(c not in "LR" for c in target_classes):
         raise ValueError("nav2 target must be two letters from {L, R}")
     bottom = ConvexPolygon.rectangle(0.0, -3.5, 9.0, 4.0)
     top = ConvexPolygon.rectangle(0.0, 3.5, 9.0, 4.0)
-    barrier = RegionSet((bottom, top), penalty)
-    goal = _goal_band()
-    bits = tuple(1 if c == "L" else 0 for c in target_classes)
     return CarEnv(
         name="nav2",
-        spec=MdpSpec(9, 1, horizon, 1.0),
-        barrier=barrier,
-        target_bits=bits,
-        goal_poly=goal,
-        start=(0.0, -8.0),
-        c_side=c_side,
+        spec=MdpSpec(9, 1, HORIZON, 1.0),
+        barrier=RegionSet((bottom, top), PENALTY),
+        target_bits=tuple(1 if c == "L" else 0 for c in target_classes),
+        c_side=1.0,
         c_goal=0.0,
-        goal_bonus=goal_bonus,
-        c_pot=c_pot,
-        side_bonus=side_bonus,
+        goal_bonus=2000.0,
+        c_pot=10.0,
+        side_bonus=500.0,
         barrier_tops=(bottom.bbox()[3], top.bbox()[3]),
     )
 
 
-def landscape_make(
-    barrier_size: int = 5,
-    target_side: str = "left",
-    penalty: float = 1000.0,
-    horizon: int = 100,
-    discount: float = 0.99,
-) -> CarEnv:
-    """nav1 variant for loss-surface scans: the policy sees position only."""
-    env = nav1_make(barrier_size, target_side, penalty, horizon, discount)
+def landscape_make(barrier_size: int = 5, target_side: str = "left") -> CarEnv:
+    """nav1 variant for loss-surface scans: the policy sees position only,
+    over 100 steps."""
+    env = nav1_make(barrier_size, target_side)
     return replace(
         env,
         name=f"landscape-{barrier_size}",
-        spec=replace(env.spec, state_dim=2),
+        spec=replace(env.spec, state_dim=2, horizon=100),
         obs_mode="position",
     )
 
@@ -320,17 +295,20 @@ class AngleEnv:
     The state methods take one state vector or a batch with leading axes.
     """
 
+    dt: ClassVar[float] = 0.05
+    torque_max: ClassVar[float] = 2.0
+    damping: ClassVar[float] = 0.98
+    c_angle: ClassVar[float] = 1.0
+    c_torque: ClassVar[float] = 0.01
+    band_center: ClassVar[float] = math.pi / 4.0
+    band_half_width: ClassVar[float] = 0.2
+
     name: str
     spec: MdpSpec
     barrier: RegionSet
     target_side: str  # "up": angle below band; "down": angle above band
     start_angle: float
     goal_angle: float
-    dt: float = 0.05
-    torque_max: float = 2.0
-    damping: float = 0.98
-    c_angle: float = 1.0
-    c_torque: float = 0.01
 
     def initial_state(self) -> np.ndarray:
         return np.array([self.start_angle, 0.0, 0.0])
@@ -386,25 +364,16 @@ def angle_band(lo: float, hi: float, span: float, penalty: float) -> RegionSet:
     return RegionSet((rect,), penalty)
 
 
-def angle_make(
-    target_side: str = "up",
-    penalty: float = 1000.0,
-    horizon: int = 128,
-    discount: float = 0.99,
-    band_center: float = math.pi / 4.0,
-    band_half_width: float = 0.2,
-) -> AngleEnv:
+def angle_make(target_side: str = "up") -> AngleEnv:
     if target_side not in ("up", "down"):
         raise ValueError("angle target side must be 'up' or 'down'")
-    band = angle_band(
-        band_center - band_half_width, band_center + band_half_width,
-        horizon * AngleEnv.dt, penalty,
-    )
+    c, w = AngleEnv.band_center, AngleEnv.band_half_width
+    band = angle_band(c - w, c + w, HORIZON * AngleEnv.dt, PENALTY)
     start = math.pi / 2.0 if target_side == "up" else 0.0
     goal = 0.0 if target_side == "up" else math.pi / 2.0
     return AngleEnv(
         name="angle",
-        spec=MdpSpec(3, 1, horizon, discount),
+        spec=MdpSpec(3, 1, HORIZON, 0.99),
         barrier=band,
         target_side=target_side,
         start_angle=start,

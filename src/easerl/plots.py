@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .envs import FIELD_HALF
 from .geometry import RegionSet
 
 _COLORS = (
@@ -150,7 +151,7 @@ def plot_trajectories(
     path,
     title: str = "",
     goal_xy=None,
-    field_half: float = 10.0,
+    field_half: float = FIELD_HALF,
 ) -> None:
     """Overlay x-y trajectories on the field with the barrier region shaded."""
     canvas = SvgCanvas(560, 560)

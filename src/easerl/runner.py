@@ -43,11 +43,10 @@ from .curriculum import (
     validate_schedule,
 )
 from .envs import (
-    angle_band, angle_make, full_reward, landscape_make, mean_rollout, nav1_make, nav2_make,
-    serve,
+    FIELD_HALF, angle_band, angle_make, full_reward, landscape_make, mean_rollout, nav1_barrier,
+    nav1_make, nav2_make, serve,
 )
 from .errors import ConfigError, MissingCheckpoint, MissingData, PreconditionViolated
-from .geometry import ConvexPolygon, RegionSet
 from .homotopy import load_trajectory, save_trajectory
 from .plots import plot_curves, plot_landscape, plot_trajectories
 from .rl import (
@@ -82,14 +81,10 @@ def schedule_from_config(cfg: dict, env) -> CurriculumSchedule | None:
         if not sc["alphas"]:
             raise ConfigError("reward_weight schedule needs transfer.schedule.alphas")
         return CurriculumSchedule("reward_weight", alphas=tuple(float(a) for a in sc["alphas"]))
-    penalty = env.barrier.penalty
     if sc["barrier_sizes"]:
         if not env.name.startswith("nav1"):
             raise ConfigError("schedule.barrier_sizes only applies to nav1 environments")
-        key = "barrier_sizes"
-
-        def subset(s):
-            return RegionSet((ConvexPolygon.rectangle(0.0, 0.0, float(s), 2.0),), penalty)
+        key, subset = "barrier_sizes", nav1_barrier
     elif sc["intervals"]:
         if env.name != "angle":
             raise ConfigError("schedule.intervals only applies to the angle environment")
@@ -97,7 +92,7 @@ def schedule_from_config(cfg: dict, env) -> CurriculumSchedule | None:
         span = env.spec.horizon * env.dt
 
         def subset(iv):
-            return angle_band(float(iv[0]), float(iv[1]), span, penalty)
+            return angle_band(float(iv[0]), float(iv[1]), span, env.barrier.penalty)
     else:
         return None
     try:
@@ -340,7 +335,7 @@ def render_plots(out_dir) -> list[str]:
 
     methods = sorted({r["method"] for r in rows})
     goal = env.anchors()[1]
-    field_half = 10.0 if env.name.startswith(("nav", "landscape")) else max(
+    field_half = FIELD_HALF if env.name.startswith(("nav", "landscape")) else max(
         abs(float(goal.x)), abs(float(goal.y)), 7.0
     )
 

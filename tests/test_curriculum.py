@@ -379,6 +379,12 @@ class TestTransferPlumbing:
             assert len(rep.stage_steps) == 1
             assert rep.stage_trajectories[0][0] == "final"
 
+    @pytest.mark.parametrize("method", ["naive", "l2sp", "random"])
+    def test_baselines_need_source(self, nav1_env, method):
+        job = tiny_job(nav1_env, None)
+        with pytest.raises(PreconditionViolated):
+            drive(job.env, baseline_transfer(job, method))
+
     def test_unknown_baseline(self, nav1_env, nav1_source):
         with pytest.raises(ValueError):
             drive(nav1_env, baseline_transfer(tiny_job(nav1_env, nav1_source), "finetune"))

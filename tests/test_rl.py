@@ -284,9 +284,12 @@ class TestGrid:
         assert hump_height(np.array([3.0, 1.0, 2.0])) == pytest.approx(0.0)
 
     def test_landscape_scan_shapes_and_common_randomness(self):
+        from dataclasses import replace
+
         from easerl.envs import landscape_make
 
-        env = landscape_make(5, "left", horizon=30)
+        env = landscape_make(5, "left")
+        env = replace(env, spec=replace(env.spec, horizon=30))
         grid = GridSpec(-0.5, 0.5, 0.5)
         res = landscape_scan(env, grid, samples_per_cell=2, seed=0)
         n = len(grid.values())
