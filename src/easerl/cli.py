@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
 import yaml
@@ -117,7 +118,8 @@ def load_region_yaml(path) -> tuple[RegionSet, Point2, Point2]:
 
 
 def load_trajectory_set(path) -> EmpiricalDistribution:
-    """CSV with a leading trajectory-id column: traj,t,x,y."""
+    """CSV with a leading trajectory-id column: traj,t,x,y.  Trajectories
+    are ordered by the numeric value of their id."""
     import numpy as np
 
     try:
@@ -128,14 +130,21 @@ def load_trajectory_set(path) -> EmpiricalDistribution:
     if not rows or not {"traj", "t", "x", "y"} <= set(rows[0]):
         raise ConfigError(f"{path}: expected header traj,t,x,y")
     groups: dict[str, list[tuple[float, float, float]]] = {}
-    for row in rows:
-        groups.setdefault(row["traj"], []).append(
-            (float(row["t"]), float(row["x"]), float(row["y"]))
-        )
-    trajs = []
-    for key in sorted(groups):
-        pts = sorted(groups[key])
-        trajs.append(Trajectory(np.array([[x, y] for _, x, y in pts])))
+    try:
+        for row in rows:
+            groups.setdefault(row["traj"], []).append(
+                (float(row["t"]), float(row["x"]), float(row["y"]))
+            )
+        ids = {key: float(key) for key in groups}
+        nan = [key for key, v in ids.items() if math.isnan(v)]
+        if nan:
+            raise ValueError(f"trajectory id {nan[0]!r} is not a number")
+        trajs = [
+            Trajectory(np.array([[x, y] for _, x, y in sorted(groups[key])]))
+            for key in sorted(groups, key=ids.__getitem__)
+        ]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad trajectory set {path}: {exc}") from exc
     return EmpiricalDistribution(tuple(trajs))
 
 

@@ -216,10 +216,6 @@ class CarEnv:
     def class_label(self, bits: tuple[int, ...]) -> str:
         return "".join("L" if b else "R" for b in bits)
 
-    def reached_goal(self, traj: Trajectory) -> bool:
-        x, y = traj.states[-1]
-        return self.goal_poly.contains_point(float(x), float(y))
-
 
 def _side_to_bit(side: str) -> int:
     if side not in ("left", "right"):
@@ -348,11 +344,6 @@ class AngleEnv:
     def class_label(self, bits: tuple[int, ...]) -> str:
         # parity 1 means the path crossed below the band centroid: the up side
         return "U" if bits[0] else "D"
-
-    def reached_goal(self, traj: Trajectory) -> bool:
-        _, lo, _, hi = self.barrier.bbox()
-        final = float(traj.states[-1, 1])
-        return final < lo if self.target_side == "up" else final > hi
 
 
 def angle_band(lo: float, hi: float, span: float, penalty: float) -> RegionSet:

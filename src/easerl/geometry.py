@@ -191,6 +191,19 @@ class RegionSet:
             max(b[3] for b in boxes),
         )
 
+    @functools.cached_property
+    def _edges(self) -> tuple[np.ndarray, ...]:
+        """Every part's ConvexPolygon._edges, concatenated in part order as
+        (E, 1) columns, and the index of each part's first edge."""
+        px, py, dx, dy = (np.concatenate(c)[:, None] for c in zip(*(p._edges for p in self.parts)))
+        first = np.cumsum([0] + [len(p.vertices) for p in self.parts[:-1]])
+        return px, py, dx, dy, first
+
+    @functools.cached_property
+    def _centroids(self) -> tuple[tuple[float, float], ...]:
+        """(x, y) of every part's centroid, in part order."""
+        return tuple(tuple(p.centroid()) for p in self.parts)
+
 
 def _xy(p):
     """Coordinates of a Point2, or the coordinate arrays of an (..., 2) array."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollidingTrajectory, LengthMismatch, UnequalSupport
-from .geometry import Point2, RegionSet, segment_intersects
+from .geometry import EPS, Point2, RegionSet, segment_intersects
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,25 @@ class ClassSignature:
 
 
 def collides(traj: Trajectory, region: RegionSet) -> bool:
-    """True when any inter-state segment of the trajectory touches the region."""
+    """True when any inter-state segment of the trajectory touches the region.
+
+    One pass over the region's edges rules out most segments first: a segment
+    misses a part when both its endpoints lie outside one edge of that part.
+    That is the first clause of the clip in segment_intersects, evaluated with
+    its exact expression, so only the segments left with a part they may
+    touch are clipped, and the flag is the one segment_intersects gives.
+    """
+    if not region.parts:
+        return False
+    px, py, dx, dy, first = region._edges
     st = traj.states
-    return bool(np.any(segment_intersects(region, st[:-1], st[1:])))
+    x, y = st.T
+    outside = dx * (y - py) - dy * (x - px) + EPS < 0.0  # (edge, point)
+    miss = np.logical_or.reduceat(outside[:, :-1] & outside[:, 1:], first)  # (part, segment)
+    if miss.all():
+        return False
+    near = ~miss.all(axis=0)
+    return bool(np.any(segment_intersects(region, st[:-1][near], st[1:][near])))
 
 
 def _ray_parity(
@@ -92,11 +108,7 @@ def parity_bits(
 ) -> tuple[int, ...]:
     """Per-part crossing parities, defined for colliding trajectories too."""
     xs, ys = _extended_polyline(traj, anchor_start, anchor_goal)
-    bits = []
-    for part in barriers.parts:
-        c = part.centroid()
-        bits.append(_ray_parity(xs, ys, c.x, c.y))
-    return tuple(bits)
+    return tuple(_ray_parity(xs, ys, cx, cy) for cx, cy in barriers._centroids)
 
 
 def signature(
@@ -215,11 +227,13 @@ def bottleneck_matching(dist: np.ndarray) -> tuple[float, list[int]]:
         raise ValueError("distance matrix must be square")
     levels = np.unique(dist)
 
-    def adjacency(thr: float) -> list[list[int]]:
-        """Each row's columns within `thr`, in ascending order."""
-        return [np.flatnonzero(row).tolist() for row in dist <= thr]
+    def adjacency(thr: float) -> list[int]:
+        """Each row's columns within `thr`, as a bitset: bit j is column j."""
+        packed = np.packbits(dist <= thr, axis=1, bitorder="little").tobytes()
+        w = (n + 7) // 8  # bytes per row
+        return [int.from_bytes(packed[i * w:(i + 1) * w], "little") for i in range(n)]
 
-    def augment_free(adj: list[list[int]], match_r: list[int]) -> bool:
+    def augment_free(adj: list[int], match_r: list[int]) -> bool:
         """Augment every unmatched row in ascending order; False at the
         first row without an augmenting path."""
         matched = [False] * n
@@ -250,34 +264,33 @@ def bottleneck_matching(dist: np.ndarray) -> tuple[float, list[int]]:
     return float(levels[lo]), best
 
 
-def _augment(root: int, adj: list[list[int]], match_r: list[int]) -> bool:
+def _augment(root: int, adj: list[int], match_r: list[int]) -> bool:
     """Depth-first search for an augmenting path from row `root` (Kuhn's
     algorithm), with an explicit stack so path length is not bounded by the
-    interpreter's recursion limit.  Columns are tried in adjacency order and
-    each column is visited at most once per search.  On success the matching
-    is flipped along the path, which `match_r` (column -> row) records."""
-    seen = [False] * len(match_r)
+    interpreter's recursion limit.  `adj[row]` is the row's column bitset;
+    each row tries its lowest column not yet visited in this search, so
+    columns are tried in ascending order and each is visited at most once.
+    On success the matching is flipped along the path, which `match_r`
+    (column -> row) records."""
+    seen = 0  # bitset of the columns visited
     rows = [root]  # rows on the current path; rows[k + 1] = match_r[cols[k]]
     cols: list[int] = []  # the column through which each deeper row was reached
-    untried = [iter(adj[root])]  # each path row's columns not yet tried
-    while untried:
-        for v in untried[-1]:
-            if not seen[v]:
-                break
-        else:  # dead end: back up one row
-            untried.pop()
+    while rows:
+        cand = adj[rows[-1]] & ~seen
+        if not cand:  # dead end: back up one row
             rows.pop()
             if cols:
                 cols.pop()
             continue
-        seen[v] = True
+        low = cand & -cand
+        seen |= low
+        v = low.bit_length() - 1
         cols.append(v)
         if match_r[v] == -1:
             for r, c in zip(rows, cols):
                 match_r[c] = r
             return True
         rows.append(match_r[v])
-        untried.append(iter(adj[match_r[v]]))
     return False
 
 

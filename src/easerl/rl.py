@@ -456,7 +456,6 @@ def evaluation(env, reward_spec, policy: PolicyParams, episodes: int, seed: int)
         "labels": labels,
         "collided_full": collided_full,
         "collided_active": [bool(c) for c in batch.collided],
-        "reached": [env.reached_goal(traj) for traj in trajs],
         "trajectories": trajs,
     }
 

@@ -355,6 +355,22 @@ def test_trajectory_set_groups_sorted(tmp_path):
     assert len(dist.samples) == 2
 
 
+def test_trajectory_set_ids_sort_numerically(tmp_path):
+    """Ids 0-11 load in the order 0, 1, 2, ..., 11, not 0, 1, 10, 11, 2, ..."""
+    trajs = [line(k, 0, k, 1) for k in range(12)]
+    dist = load_trajectory_set(write_traj_set(tmp_path, "a.csv", trajs))
+    assert [float(t.states[0, 0]) for t in dist.samples] == list(range(12))
+
+
+@pytest.mark.parametrize("row", ["a,0,0.0,0.0", "nan,0,0.0,0.0", "0,0,x,0.0", "0,0,0.0"])
+def test_winf_bad_row_is_usage_error_naming_the_file(tmp_path, capsys, row):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"traj,t,x,y\n0,1,1.0,1.0\n{row}\n")
+    a = write_traj_set(tmp_path, "a.csv", [line(0, 0, 1, 0)])
+    assert main(["winf", "--set-a", str(bad), "--set-b", a]) == EXIT_USAGE
+    assert str(bad) in capsys.readouterr().err
+
+
 # ------------------------------------------------------------ plot
 
 

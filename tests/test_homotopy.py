@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from easerl.errors import CollidingTrajectory, LengthMismatch, UnequalSupport
-from easerl.geometry import ConvexPolygon, Point2, RegionSet
+from easerl.geometry import ConvexPolygon, Point2, RegionSet, dilate, segment_intersects
 from easerl.homotopy import (
     EmpiricalDistribution,
     Trajectory,
@@ -211,6 +211,105 @@ class TestCollides:
         assert 50 < hits < 350
 
 
+def collides_every_segment(traj: Trajectory, region: RegionSet) -> bool:
+    """collides as it was before its edge pass: every segment clipped."""
+    st = traj.states
+    return bool(np.any(segment_intersects(region, st[:-1], st[1:])))
+
+
+def _hull(pts) -> list[tuple[float, float]]:
+    """Convex hull in CCW order (Andrew's monotone chain)."""
+    pts = sorted(set(pts))
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and (
+                (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])
+            ) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return half(pts) + half(reversed(pts))
+
+
+# a coarse grid puts path points exactly on part edges and vertices; parts
+# lie within [-5, 5]^2, and walks start in [-8, 8]^2, so many miss every part
+grid = st.integers(-10, 10).map(lambda v: v / 2.0)
+point = st.tuples(
+    st.one_of(grid, st.floats(-6.0, 6.0, allow_nan=False, allow_infinity=False)),
+    st.one_of(grid, st.floats(-6.0, 6.0, allow_nan=False, allow_infinity=False)),
+)
+far = st.integers(-16, 16).map(lambda v: v / 2.0)
+step = st.one_of(
+    st.integers(-2, 2).map(lambda v: v / 2.0),
+    st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def wandering_path(draw) -> list[tuple[float, float]]:
+    """2-40 points: scattered over the parts, or a walk of short steps."""
+    if draw(st.booleans()):
+        return draw(st.lists(point, min_size=2, max_size=40))
+    x, y = draw(st.tuples(far, far))
+    pts = [(x, y)]
+    for dx, dy in draw(st.lists(st.tuples(step, step), min_size=1, max_size=39)):
+        x, y = x + dx, y + dy
+        pts.append((x, y))
+    return pts
+
+
+@st.composite
+def barrier_part(draw) -> ConvexPolygon:
+    """A random convex hull, a thin sliver, or a dilated hull with many short edges."""
+    kind = draw(st.sampled_from(["hull", "sliver", "dilated"]))
+    try:
+        if kind == "sliver":
+            (x0, y0), (x1, y1) = draw(st.tuples(grid, grid)), draw(st.tuples(grid, grid))
+            length = math.hypot(x1 - x0, y1 - y0)
+            assume(length > 0.0)
+            w = draw(st.sampled_from([1e-6, 1e-3, 0.05])) / length
+            nx, ny = -(y1 - y0) * w, (x1 - x0) * w  # left normal of width w
+            return ConvexPolygon.from_xy([(x0, y0), (x1, y1), (x1 + nx, y1 + ny), (x0 + nx, y0 + ny)])
+        poly = ConvexPolygon.from_xy(_hull(draw(st.lists(point, min_size=3, max_size=8))))
+        if kind == "dilated":
+            r = draw(st.sampled_from([0.05, 0.3, 1.0]))
+            poly = dilate(RegionSet((poly,), 1.0), r).parts[0]
+        return poly
+    except ValueError:  # a degenerate ring
+        assume(False)
+
+
+class TestCollidesEdgePass:
+    @given(
+        st.lists(barrier_part(), min_size=1, max_size=3),
+        wandering_path(),
+    )
+    @example(  # hits the second part while both ends lie outside an edge of the first
+        [ConvexPolygon.rectangle(0.0, 0.0, 2.0, 2.0), ConvexPolygon.rectangle(5.0, 0.0, 2.0, 2.0)],
+        [(4.0, -3.0), (4.0, 3.0)],
+    )
+    @example(  # ends exactly on a vertex of the second part
+        [ConvexPolygon.rectangle(0.0, 0.0, 2.0, 2.0), ConvexPolygon.rectangle(5.0, 0.0, 2.0, 2.0)],
+        [(4.0, -3.0), (4.0, -1.0)],
+    )
+    @example(  # passes outside a corner: no edge has both ends outside, yet it misses
+        [ConvexPolygon.rectangle(0.0, 0.0, 2.0, 2.0)],
+        [(0.5, 2.0), (2.0, 0.5)],
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_equals_clipping_every_segment(self, parts, pts):
+        region = RegionSet(tuple(parts), 1000.0)
+        t = traj(pts)
+        assert collides(t, region) == collides_every_segment(t, region)
+
+    def test_empty_region_touches_nothing(self):
+        assert not collides(THROUGH, RegionSet((), 1000.0))
+
+
 def _segment_hits_loop(poly, ax, ay, bx, by) -> bool:
     lo, hi = 0.0, 1.0
     v = poly.vertices
@@ -329,6 +428,59 @@ def reference_bottleneck(dist: np.ndarray) -> tuple[float, list[int]]:
     return float(levels[lo]), feasible(levels[lo])
 
 
+def listkuhn_bottleneck(dist: np.ndarray) -> tuple[float, list[int]]:
+    """bottleneck_matching as it was with list adjacency: the same warm-started
+    binary search, each row's columns an ascending list scanned with a `seen`
+    array."""
+    n = dist.shape[0]
+    levels = np.unique(dist)
+
+    def augment(root, adj, match_r):
+        seen = [False] * n
+        rows, cols, untried = [root], [], [iter(adj[root])]
+        while untried:
+            for v in untried[-1]:
+                if not seen[v]:
+                    break
+            else:
+                untried.pop()
+                rows.pop()
+                if cols:
+                    cols.pop()
+                continue
+            seen[v] = True
+            cols.append(v)
+            if match_r[v] == -1:
+                for r, c in zip(rows, cols):
+                    match_r[c] = r
+                return True
+            rows.append(match_r[v])
+            untried.append(iter(adj[match_r[v]]))
+        return False
+
+    def augment_free(thr, match_r):
+        adj = [np.flatnonzero(row).tolist() for row in dist <= thr]
+        matched = set(match_r)
+        return all(u in matched or augment(u, adj, match_r) for u in range(n))
+
+    warm = [-1] * n
+    lo, hi = 0, len(levels) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        match_r = list(warm)
+        if augment_free(levels[mid], match_r):
+            hi = mid
+        else:
+            warm = match_r
+            lo = mid + 1
+    match_r = [-1] * n
+    assert augment_free(levels[lo], match_r)
+    best = [-1] * n
+    for v, u in enumerate(match_r):
+        best[u] = v
+    return float(levels[lo]), best
+
+
 # coordinates on a coarse grid give many tied distances; the floats do not
 coord = st.one_of(
     st.integers(-8, 8).map(lambda v: v / 2.0),
@@ -372,6 +524,21 @@ class TestBottleneck:
             n = int(rng.integers(1, 31))
             dist = rng.integers(0, int(rng.integers(1, 10)), size=(n, n)).astype(float)
             assert bottleneck_matching(dist) == reference_bottleneck(dist)
+
+    def test_bitset_search_equals_list_search(self):
+        """Value and assignment equal the list-adjacency search's on tied
+        matrices, where the order columns are tried in decides the matching."""
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            n = int(rng.integers(1, 65))
+            dist = rng.integers(0, int(rng.integers(1, 12)), size=(n, n)).astype(float)
+            assert bottleneck_matching(dist) == listkuhn_bottleneck(dist)
+        for dist in (
+            rng.integers(0, 4, size=(300, 300)).astype(float),
+            rng.integers(0, 40, size=(300, 300)).astype(float),
+            rng.uniform(0.0, 1.0, size=(300, 300)),
+        ):
+            assert bottleneck_matching(dist) == listkuhn_bottleneck(dist)
 
     def test_exact_vs_brute_force(self):
         rng = np.random.default_rng(3)
