@@ -184,13 +184,19 @@ def cmd_landscape(args) -> int:
     return EXIT_OK
 
 
+def _read_trajectory(path) -> Trajectory:
+    """A trajectory CSV; a missing or malformed file is a usage error naming it."""
+    try:
+        return load_trajectory(path)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"trajectory file not found: {path}") from exc
+    except (IndexError, ValueError) as exc:
+        raise ConfigError(f"bad trajectory file {path}: {exc}") from exc
+
+
 def cmd_homotopy(args) -> int:
     region, start, goal = load_region_yaml(args.region)
-    try:
-        ta = load_trajectory(args.traj_a)
-        tb = load_trajectory(args.traj_b)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"trajectory file not found: {exc.filename}") from exc
+    ta, tb = (_read_trajectory(p) for p in (args.traj_a, args.traj_b))
     sa = signature(ta, region, start, goal)
     sb = signature(tb, region, start, goal)
     same = sa == sb
@@ -201,6 +207,8 @@ def cmd_homotopy(args) -> int:
 
 
 def cmd_winf(args) -> int:
+    if args.length is not None and args.length < 2:
+        raise ConfigError(f"--length must be >= 2, got {args.length}")
     mu = load_trajectory_set(args.set_a)
     nu = load_trajectory_set(args.set_b)
     value, assignment = w_infinity_matching(mu, nu, args.length)

@@ -15,7 +15,7 @@ import math
 import yaml
 
 from .curriculum import METHODS
-from .envs import NAV_SIZES, AngleEnv
+from .envs import NAV_SIZES
 from .errors import ConfigError
 
 SCHEMA_VERSION = 1
@@ -62,7 +62,6 @@ _BASE_DEFAULTS = {
             "mode": "barrier_set",
             "alphas": [],
             "barrier_sizes": [],
-            "intervals": [],
             "auto_stages": 3,
         },
         "find_sb1": {"max_halvings": 12, "max_inflations": 20, "inflate_radius": 0.25},
@@ -166,20 +165,18 @@ def validate_config(cfg: dict) -> dict:
         f"schema_version must be {SCHEMA_VERSION}",
     )
     env = merged["environment"]
-    _require(env["name"] in ("nav1", "nav2", "angle"), f"unknown environment.name {env['name']!r}")
+    _require(env["name"] in ("nav1", "nav2"), f"unknown environment.name {env['name']!r}")
     if env["name"] == "nav1":
         _require(
             env["barrier_size"] in NAV_SIZES, f"environment.barrier_size must be one of {NAV_SIZES}"
         )
         _require(env["target_side"] in ("left", "right"), "nav1 target_side must be left or right")
-    elif env["name"] == "nav2":
+    else:
         side = env["target_side"]
         _require(
             len(side) == 2 and all(c in "LR" for c in side),
             "nav2 target_side must be two letters from {L, R}",
         )
-    else:
-        _require(env["target_side"] in ("up", "down"), "angle target_side must be up or down")
     tr = merged["training"]
     _require(tr["arch"] in ("linear", "mlp"), "training.arch must be linear or mlp")
     _require(tr["learning_rate"] > 0, "training.learning_rate must be positive")
@@ -211,11 +208,6 @@ def validate_config(cfg: dict) -> dict:
     _require_count(sched["auto_stages"], "transfer.schedule.auto_stages")
     for key in ("alphas", "barrier_sizes"):
         _require(_finite_numbers(sched[key]), f"transfer.schedule.{key} must be finite numbers")
-    _require(
-        all(isinstance(iv, list) and len(iv) == 2 and _finite_numbers(iv)
-            for iv in sched["intervals"]),
-        "transfer.schedule.intervals must be [lo, hi] pairs of finite numbers",
-    )
     land = merged["landscape"]
     _require(land["barrier_size"] in NAV_SIZES, f"landscape.barrier_size must be one of {NAV_SIZES}")
     _require(land["bucket"] > 0, "landscape.bucket must be positive")
@@ -254,7 +246,6 @@ def nav1_defaults(barrier_size: int, target_side: str = "left") -> dict:
             "mode": "barrier_set",
             "alphas": [],
             "barrier_sizes": [4, 7],
-            "intervals": [],
             "auto_stages": 3,
         }
     return validate_config(cfg)
@@ -290,24 +281,6 @@ def nav2_defaults(target_side: str = "RR") -> dict:
         "mode": "reward_weight",
         "alphas": [0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0],
         "barrier_sizes": [],
-        "intervals": [],
-        "auto_stages": 3,
-    }
-    return validate_config(cfg)
-
-
-def angle_defaults(target_side: str = "up") -> dict:
-    cfg = default_config()
-    cfg["environment"] = {"name": "angle", "barrier_size": 7, "target_side": target_side}
-    cfg["training"]["convergence"] = {"center": -12.0, "half_width": 6.0, "patience": 3}
-    cfg["transfer"]["relax_convergence"] = {"center": -12.0, "half_width": 6.0, "patience": 3}
-    cfg["transfer"]["stage_convergence"] = {"center": -12.0, "half_width": 6.0, "patience": 3}
-    c, w = AngleEnv.band_center, AngleEnv.band_half_width
-    cfg["transfer"]["schedule"] = {
-        "mode": "barrier_set",
-        "alphas": [],
-        "barrier_sizes": [],
-        "intervals": [[c - 0.002, c + 0.002], [c - 0.02, c + 0.02], [c - w, c + w]],
         "auto_stages": 3,
     }
     return validate_config(cfg)

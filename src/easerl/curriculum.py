@@ -118,8 +118,8 @@ def validate_schedule(schedule: CurriculumSchedule, barrier: RegionSet) -> None:
     Alpha ramps must be strictly increasing in (0, 1] and end at exactly 1.
     Subset families must be nested and end at the full barrier; both checks
     run pointwise on a probe grid over the barrier's bounding box.  Each axis
-    is padded and sampled on its own extent, so a thin barrier (the angle
-    band is 6.4 x 0.4) is probed as finely across as along.
+    is padded and sampled on its own extent, so a thin barrier (a 6.4 x 0.4
+    rectangle, say) is probed as finely across as along.
     """
     if schedule.mode == "reward_weight":
         prev = 0.0

@@ -1,13 +1,13 @@
 """Curriculum-parameterized environments.
 
-Three tasks share one contract: deterministic kinematics, a barrier region
+The two tasks share one contract: deterministic kinematics, a barrier region
 that only ever affects reward (never transitions), and a reward assembled as
 base(s, a, s') minus a curriculum-controlled barrier penalty.  Kinematics,
 shaping, goal, start and horizon are fixed parts of each task, stated once
 here as constants; only the barrier penalty is a curriculum knob.  Every
-barrier is a RegionSet in the task's plane, the plane of its trajectories and
-homotopy classes.  The curriculum knob is either a weight alpha in [0, 1] on
-the full-barrier penalty or an active subset of the barrier (again a
+barrier is a RegionSet in the x-y plane, the plane of the car's trajectories
+and homotopy classes.  The curriculum knob is either a weight alpha in [0, 1]
+on the full-barrier penalty or an active subset of the barrier (again a
 RegionSet) charged at full magnitude.
 
 nav1: 20x20 field, car starts below a centered rectangular barrier (width in
@@ -19,10 +19,6 @@ nav2: same field with two stacked 9x4 barriers; +500 for passing each barrier
 on its target side, +2000 at the goal, plus a potential-difference shaping
 term.  Returns are undiscounted so the documented >3000 success threshold is
 meaningful.
-
-angle: 1-D double integrator over a joint angle with a penalized band around
-pi/4.  The task plane is (time, angle), where the band is a rectangle that
-spans the episode; classes are "above" or "below" it.
 """
 
 from __future__ import annotations
@@ -171,9 +167,6 @@ class CarEnv:
             nxt[..., 6 + i] = np.where((flag == 0.0) & (nxt[..., _IY] >= top), 1.0, flag)
         return nxt
 
-    def base_reward(self, state: np.ndarray, action: np.ndarray, nxt: np.ndarray):
-        return self.outcome(state, action, nxt)[0]
-
     def outcome(self, state: np.ndarray, action: np.ndarray, nxt: np.ndarray):
         """(base reward, terminal flag) of a transition; goal membership of
         `nxt` is tested once for both."""
@@ -274,101 +267,6 @@ def landscape_make(barrier_size: int = 5, target_side: str = "left") -> CarEnv:
         name=f"landscape-{barrier_size}",
         spec=replace(env.spec, state_dim=2, horizon=100),
         obs_mode="position",
-    )
-
-
-# angle state vector layout: [angle, ang_vel, t]
-_IA, _IAV, _IAT = 0, 1, 2
-
-
-@dataclass(frozen=True)
-class AngleEnv:
-    """Double-integrator joint angle with a penalized band around pi/4.
-
-    Task-space points are (time * dt, angle), and the barrier is the band as
-    a rectangle in that plane spanning the episode (see `angle_band`), so
-    penalty membership and crossing parity use the car tasks' machinery.
-    The state methods take one state vector or a batch with leading axes.
-    """
-
-    dt: ClassVar[float] = 0.05
-    torque_max: ClassVar[float] = 2.0
-    damping: ClassVar[float] = 0.98
-    c_angle: ClassVar[float] = 1.0
-    c_torque: ClassVar[float] = 0.01
-    band_center: ClassVar[float] = math.pi / 4.0
-    band_half_width: ClassVar[float] = 0.2
-
-    name: str
-    spec: MdpSpec
-    barrier: RegionSet
-    target_side: str  # "up": angle below band; "down": angle above band
-    start_angle: float
-    goal_angle: float
-
-    def initial_state(self) -> np.ndarray:
-        return np.array([self.start_angle, 0.0, 0.0])
-
-    def features(self, state: np.ndarray) -> np.ndarray:
-        return np.stack(
-            [state[..., _IA], state[..., _IAV], state[..., _IAT] / self.spec.horizon], axis=-1
-        )
-
-    def _torque(self, action: np.ndarray):
-        return np.minimum(np.maximum(action[..., 0], -1.0), 1.0) * self.torque_max
-
-    def dynamics(self, state: np.ndarray, action: np.ndarray) -> np.ndarray:
-        w = self.damping * state[..., _IAV] + self._torque(action) * self.dt
-        return np.stack([state[..., _IA] + w * self.dt, w, state[..., _IAT] + 1.0], axis=-1)
-
-    def base_reward(self, state: np.ndarray, action: np.ndarray, nxt: np.ndarray):
-        a = self._torque(action)
-        return -self.c_angle * np.abs(nxt[..., _IA] - self.goal_angle) - self.c_torque * a * a
-
-    def outcome(self, state: np.ndarray, action: np.ndarray, nxt: np.ndarray):
-        """(base reward, terminal flag) of a transition."""
-        return self.base_reward(state, action, nxt), nxt[..., _IAT] >= self.spec.horizon
-
-    def in_region(self, state: np.ndarray, region: RegionSet):
-        return contains(region, np.stack(self.task_point(state), axis=-1))
-
-    def task_point(self, state: np.ndarray) -> tuple:
-        return state[..., _IAT] * self.dt, state[..., _IA]
-
-    def anchors(self) -> tuple[Point2, Point2]:
-        return (
-            Point2(0.0, self.start_angle),
-            Point2(self.spec.horizon * self.dt, self.goal_angle),
-        )
-
-    def class_label(self, bits: tuple[int, ...]) -> str:
-        # parity 1 means the path crossed below the band centroid: the up side
-        return "U" if bits[0] else "D"
-
-
-def angle_band(lo: float, hi: float, span: float, penalty: float) -> RegionSet:
-    """The angle band [lo, hi] as a rectangle over (time, angle) that spans
-    the episode's task-space time [0, span]."""
-    if not lo < hi:
-        raise ValueError(f"bad interval [{lo}, {hi}]")
-    rect = ConvexPolygon.rectangle(span / 2.0, (lo + hi) / 2.0, span, hi - lo)
-    return RegionSet((rect,), penalty)
-
-
-def angle_make(target_side: str = "up") -> AngleEnv:
-    if target_side not in ("up", "down"):
-        raise ValueError("angle target side must be 'up' or 'down'")
-    c, w = AngleEnv.band_center, AngleEnv.band_half_width
-    band = angle_band(c - w, c + w, HORIZON * AngleEnv.dt, PENALTY)
-    start = math.pi / 2.0 if target_side == "up" else 0.0
-    goal = 0.0 if target_side == "up" else math.pi / 2.0
-    return AngleEnv(
-        name="angle",
-        spec=MdpSpec(3, 1, HORIZON, 0.99),
-        barrier=band,
-        target_side=target_side,
-        start_angle=start,
-        goal_angle=goal,
     )
 
 

@@ -22,7 +22,7 @@ _COLORS = (
     "#17becf",
     "#7f7f7f",
 )
-_TICKS = 5  # tick intervals per axis
+_TICKS = 5  # gaps between ticks on each axis, so _TICKS + 1 ticks
 
 
 def _fmt(v: float) -> str:
@@ -151,12 +151,11 @@ def plot_trajectories(
     path,
     title: str = "",
     goal_xy=None,
-    field_half: float = FIELD_HALF,
 ) -> None:
     """Overlay x-y trajectories on the field with the barrier region shaded."""
     canvas = SvgCanvas(560, 560)
-    canvas.set_view(-field_half, field_half, -field_half, field_half)
-    canvas.rect_data(-field_half, -field_half, field_half, field_half, "#f7f7f7")
+    canvas.set_view(-FIELD_HALF, FIELD_HALF, -FIELD_HALF, FIELD_HALF)
+    canvas.rect_data(-FIELD_HALF, -FIELD_HALF, FIELD_HALF, FIELD_HALF, "#f7f7f7")
     _draw_region(canvas, region)
     entries = []
     for i, (traj, label) in enumerate(zip(trajectories, labels)):

@@ -43,8 +43,7 @@ from .curriculum import (
     validate_schedule,
 )
 from .envs import (
-    FIELD_HALF, angle_band, angle_make, full_reward, landscape_make, mean_rollout, nav1_barrier,
-    nav1_make, nav2_make, serve,
+    full_reward, landscape_make, mean_rollout, nav1_barrier, nav1_make, nav2_make, serve,
 )
 from .errors import ConfigError, MissingCheckpoint, MissingData, PreconditionViolated
 from .homotopy import load_trajectory, save_trajectory
@@ -69,9 +68,7 @@ def env_from_config(cfg: dict):
     env = cfg["environment"]
     if env["name"] == "nav1":
         return nav1_make(env["barrier_size"], env["target_side"])
-    if env["name"] == "nav2":
-        return nav2_make(env["target_side"])
-    return angle_make(env["target_side"])
+    return nav2_make(env["target_side"])
 
 
 def schedule_from_config(cfg: dict, env) -> CurriculumSchedule | None:
@@ -81,24 +78,14 @@ def schedule_from_config(cfg: dict, env) -> CurriculumSchedule | None:
         if not sc["alphas"]:
             raise ConfigError("reward_weight schedule needs transfer.schedule.alphas")
         return CurriculumSchedule("reward_weight", alphas=tuple(float(a) for a in sc["alphas"]))
-    if sc["barrier_sizes"]:
-        if not env.name.startswith("nav1"):
-            raise ConfigError("schedule.barrier_sizes only applies to nav1 environments")
-        key, subset = "barrier_sizes", nav1_barrier
-    elif sc["intervals"]:
-        if env.name != "angle":
-            raise ConfigError("schedule.intervals only applies to the angle environment")
-        key = "intervals"
-        span = env.spec.horizon * env.dt
-
-        def subset(iv):
-            return angle_band(float(iv[0]), float(iv[1]), span, env.barrier.penalty)
-    else:
+    if not sc["barrier_sizes"]:
         return None
+    if not env.name.startswith("nav1"):
+        raise ConfigError("schedule.barrier_sizes only applies to nav1 environments")
     try:
-        subsets = tuple(subset(v) for v in sc[key])
+        subsets = tuple(nav1_barrier(v) for v in sc["barrier_sizes"])
     except ValueError as exc:
-        raise ConfigError(f"transfer.schedule.{key}: {exc}") from exc
+        raise ConfigError(f"transfer.schedule.barrier_sizes: {exc}") from exc
     return CurriculumSchedule("barrier_set", subsets=subsets)
 
 
@@ -111,11 +98,11 @@ def _check_schedule(cfg: dict) -> None:
     for method, mode in (("ease_reward", "reward_weight"), ("ease_barrier", "barrier_set")):
         if method in methods and sc["mode"] != mode:
             raise ConfigError(f"transfer.schedule.mode must be {mode} for method {method}")
-    auto = not (sc["barrier_sizes"] or sc["intervals"])
+    auto = not sc["barrier_sizes"]
     if "ease_barrier" in methods and auto and cfg["environment"]["name"] != "nav1":
         raise ConfigError(
-            "ease_barrier without transfer.schedule.barrier_sizes or intervals "
-            "searches the subsets automatically, which needs environment.name: nav1"
+            "ease_barrier without transfer.schedule.barrier_sizes searches the subsets "
+            "automatically, which needs environment.name: nav1"
         )
     env = env_from_config(cfg)
     schedule = schedule_from_config(cfg, env)
@@ -335,9 +322,6 @@ def render_plots(out_dir) -> list[str]:
 
     methods = sorted({r["method"] for r in rows})
     goal = env.anchors()[1]
-    field_half = FIELD_HALF if env.name.startswith(("nav", "landscape")) else max(
-        abs(float(goal.x)), abs(float(goal.y)), 7.0
-    )
 
     # final trajectory of each method, first seed, on one field
     finals, labels = [], []
@@ -354,7 +338,7 @@ def render_plots(out_dir) -> list[str]:
         plot_trajectories(
             finals, labels, env.barrier, p,
             title=f"{env.name}: final mean trajectories",
-            goal_xy=(float(goal.x), float(goal.y)), field_half=field_half,
+            goal_xy=(float(goal.x), float(goal.y)),
         )
         written.append(p)
 
@@ -388,7 +372,7 @@ def render_plots(out_dir) -> list[str]:
             plot_trajectories(
                 stage_trajs, slabels, env.barrier, p,
                 title=f"{env.name}: {m} stages (seed {seed})",
-                goal_xy=(float(goal.x), float(goal.y)), field_half=field_half,
+                goal_xy=(float(goal.x), float(goal.y)),
             )
             written.append(p)
     return written

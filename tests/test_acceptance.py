@@ -177,7 +177,7 @@ def test_criterion_04_reward_contracts():
     for s in probe_states(env, n_side=200):
         nxt = env.dynamics(s, action)
         member = env.in_region(nxt, env.barrier)
-        base = env.base_reward(s, action, nxt)
+        base = env.outcome(s, action, nxt)[0]
         rewards = [step(env, s, action, RewardSpec("reward_weight", alpha=a)).reward
                    for a in alphas]
         if member:

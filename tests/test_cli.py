@@ -20,7 +20,6 @@ from easerl.cli import (
     main,
 )
 from easerl.config import (
-    angle_defaults,
     default_config,
     nav1_defaults,
     nav2_defaults,
@@ -28,9 +27,7 @@ from easerl.config import (
     validate_config,
 )
 from easerl.errors import ConfigError
-from easerl.envs import angle_make
 from easerl.homotopy import Trajectory, save_trajectory
-from easerl.rl import Arch, init_policy, save_checkpoint
 
 
 # ------------------------------------------------------------ fixtures
@@ -128,24 +125,27 @@ def _no_training(*args, **kwargs):
 
 
 @pytest.mark.parametrize(
-    "env, schedule, key",
+    "section, override, key",
     [
-        ("nav1", {"barrier_sizes": [-1, 7]}, "transfer.schedule.barrier_sizes"),
-        ("nav1", {"barrier_sizes": [7, 4]}, "not contained in subset 1"),
-        ("angle", {"intervals": [[1.0, 0.5]]}, "transfer.schedule.intervals"),
+        ("schedule", {"barrier_sizes": [-1, 7]}, "transfer.schedule.barrier_sizes"),
+        ("schedule", {"barrier_sizes": [7, 4]}, "not contained in subset 1"),
+        ("environment", {"name": "angle", "target_side": "up"}, "unknown environment.name"),
+        ("schedule", {"intervals": [[0.6, 0.9]]},
+         "unknown config key: transfer.schedule.intervals"),
     ],
-    ids=["negative-size", "not-nested", "reversed-interval"],
+    ids=["negative-size", "not-nested", "angle-environment", "interval-schedule"],
 )
 def test_bad_transfer_schedule_exits_usage_before_training(
-    env, schedule, key, tmp_path, capsys, monkeypatch
+    section, override, key, tmp_path, capsys, monkeypatch
 ):
     monkeypatch.setattr(envs, "rollout_batch", _no_training)
-    cfg = nav1_defaults(7, "left") if env == "nav1" else angle_defaults("up")
-    cfg["transfer"]["schedule"].update(schedule)
+    cfg = nav1_defaults(7, "left")
+    block = cfg["environment"] if section == "environment" else cfg["transfer"]["schedule"]
+    block.update(override)
     cfg["transfer"]["source_checkpoint"] = SOURCE_NAV1_7
     cfg["transfer"]["seeds"] = [0]
     path = tmp_path / "c.yaml"
-    path.write_text(serialize_config(validate_config(cfg)))
+    path.write_text(serialize_config(cfg))
     rc = main(["transfer", "--config", str(path), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == EXIT_USAGE
@@ -154,8 +154,7 @@ def test_bad_transfer_schedule_exits_usage_before_training(
     assert not (tmp_path / "o").exists()
 
 
-BARRIER_SET = {"mode": "barrier_set", "alphas": [], "barrier_sizes": [], "intervals": [],
-               "auto_stages": 3}
+BARRIER_SET = {"mode": "barrier_set", "alphas": [], "barrier_sizes": [], "auto_stages": 3}
 
 
 @pytest.mark.parametrize(
@@ -186,29 +185,6 @@ def test_method_schedule_mismatch_exits_usage_before_training(
     assert err.startswith("error: ") and key in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
-
-
-def test_angle_ease_barrier_runs_its_interval_stages(tmp_path, capsys):
-    env = angle_make("up")
-    src = tmp_path / "src.json"
-    arch = Arch("mlp", env.spec.state_dim, env.spec.action_dim, 8)
-    save_checkpoint(src, init_policy(arch, 0), 0)
-    cfg = angle_defaults("up")
-    cfg["transfer"]["methods"] = ["ease_barrier"]
-    cfg["transfer"]["seeds"] = [0]
-    cfg["transfer"]["source_checkpoint"] = str(src)
-    cfg["transfer"]["budget"] = 2048
-    cfg["transfer"]["relax_convergence"] = {"center": 0.0, "half_width": 1e12, "patience": 1}
-    cfg["output"]["plots"] = False
-    path = tmp_path / "c.yaml"
-    path.write_text(serialize_config(validate_config(cfg)))
-    rc = main(["transfer", "--config", str(path), "--out", str(tmp_path / "o")])
-    capsys.readouterr()
-    assert rc == EXIT_OK
-    with open(tmp_path / "o" / "runs.csv", newline="") as f:
-        (row,) = list(csv.DictReader(f))
-    assert row["method"] == "ease_barrier"
-    assert len(row["stage_steps"].split(";")) == 4  # relax + the three intervals
 
 
 # ------------------------------------------------------------ homotopy
@@ -247,6 +223,22 @@ def test_homotopy_missing_trajectory_is_usage_error(tmp_path, capsys):
                "--region", region])
     assert rc == EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "text", ["t,x,y\n0,0.0,-8.0\n1,zz,9\n", "t,x,y\n0,0.0,-8.0\n"],
+    ids=["non-numeric-field", "one-row"],
+)
+def test_homotopy_malformed_trajectory_is_usage_error_naming_the_file(tmp_path, capsys, text):
+    region = write_region(tmp_path)
+    a = write_traj(tmp_path, "a.csv", side_traj(-5.0))
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    rc = main(["homotopy", "--traj-a", a, "--traj-b", str(bad), "--region", region])
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert err.startswith("error: ") and str(bad) in err
+    assert "Traceback" not in err
 
 
 def test_region_yaml_round_trip(tmp_path):
@@ -346,6 +338,15 @@ def test_winf_resample_length_handles_unequal_lengths(tmp_path, capsys):
     out = capsys.readouterr().out
     value = float(out.splitlines()[0].split("=")[1])
     assert value < 1e-9  # same underlying segment
+
+
+@pytest.mark.parametrize("length", ["0", "-3", "1"])
+def test_winf_length_below_two_is_usage_error(tmp_path, capsys, length):
+    a = write_traj_set(tmp_path, "a.csv", [line(0, 0, 1, 0)])
+    assert main(["winf", "--set-a", a, "--set-b", a, "--length", length]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--length" in err
+    assert "Traceback" not in err
 
 
 def test_trajectory_set_groups_sorted(tmp_path):

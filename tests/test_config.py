@@ -1,12 +1,9 @@
-import math
-
 import pytest
 import yaml
 
 from easerl.cli import EXIT_USAGE, main
 from easerl.config import (
     SCHEMA_VERSION,
-    angle_defaults,
     config_hash,
     default_config,
     load_config,
@@ -63,12 +60,6 @@ class TestValidation:
             validate_config({"environment": {"name": "nav2", "target_side": "L"}})
         with pytest.raises(ConfigError):
             validate_config({"environment": {"name": "nav2", "target_side": "LX"}})
-
-    def test_angle_side_validation(self):
-        ok = validate_config({"environment": {"name": "angle", "target_side": "down"}})
-        assert ok["environment"]["target_side"] == "down"
-        with pytest.raises(ConfigError):
-            validate_config({"environment": {"name": "angle", "target_side": "left"}})
 
     def test_negative_learning_rate(self):
         with pytest.raises(ConfigError):
@@ -132,8 +123,8 @@ class TestValidation:
              "transfer.schedule.alphas"),
             ("transfer", {"transfer": {"schedule": {"barrier_sizes": 3}}},
              "transfer.schedule.barrier_sizes"),
-            ("transfer", {"transfer": {"schedule": {"intervals": [[1.0]]}}},
-             "transfer.schedule.intervals"),
+            ("transfer", {"transfer": {"schedule": {"barrier_sizes": [4, float("nan")]}}},
+             "transfer.schedule.barrier_sizes"),
             ("landscape", {"landscape": {"theta_source": [1]}}, "landscape.theta_source"),
             ("landscape", {"landscape": {"theta_source": [0.1, float("nan")]}},
              "landscape.theta_source"),
@@ -234,22 +225,11 @@ class TestEnvDefaults:
         assert alphas == sorted(alphas)
         assert cfg["training"]["convergence"]["center"] > 3000.0
 
-    def test_angle_ships_nested_intervals(self):
-        cfg = angle_defaults("up")
-        ivs = cfg["transfer"]["schedule"]["intervals"]
-        c = math.pi / 4
-        for lo, hi in ivs:
-            assert lo < c < hi
-        widths = [hi - lo for lo, hi in ivs]
-        assert widths == sorted(widths)
-        assert ivs[-1] == [pytest.approx(c - 0.2), pytest.approx(c + 0.2)]
-
     def test_all_defaults_validate(self):
         for cfg in (
             nav1_defaults(1),
             nav1_defaults(5, "right"),
             nav1_defaults(7),
             nav2_defaults("RR"),
-            angle_defaults("down"),
         ):
             assert validate_config(cfg) == cfg

@@ -18,7 +18,7 @@ from easerl.curriculum import (
     run_transfer,
     validate_schedule,
 )
-from easerl.envs import angle_band, angle_make, drive, nav1_make, nav2_make
+from easerl.envs import drive, nav1_make, nav2_make
 from easerl.errors import BudgetExhausted, PreconditionViolated
 from easerl.geometry import ConvexPolygon, Point2, RegionSet
 from easerl.homotopy import Trajectory, collides, divides
@@ -122,30 +122,35 @@ class TestValidateSchedule:
             validate_schedule(CurriculumSchedule("barrier_set", subsets=(two,)), two)
 
     def test_interval_barrier_nesting(self):
-        band = angle_band(0.0, 1.0, 6.4, 1000.0)
-        inner = angle_band(0.4, 0.6, 6.4, 1000.0)
+        band = _band(0.0, 1.0)
+        inner = _band(0.4, 0.6)
         validate_schedule(
             CurriculumSchedule("barrier_set", subsets=(inner, band)), band
         )
-        outer = angle_band(-0.5, 0.5, 6.4, 1000.0)
+        outer = _band(-0.5, 0.5)
         with pytest.raises(PreconditionViolated):
             validate_schedule(
                 CurriculumSchedule("barrier_set", subsets=(outer, band)), band
             )
 
     @pytest.mark.parametrize("off", [0.05, 0.1, 0.101, 0.102, 0.103, 0.15])
-    def test_thin_angle_band_outside_next_subset_rejected(self, off):
-        # a 0.004 rad band off the next subset: the probe grid must sample
-        # the angle axis on its own extent (spacing ~0.0022 rad) to see it;
-        # padding it by the band's 6.4 s length would space probes 0.0052 apart
-        env = angle_make("up")
-        span = env.spec.horizon * env.dt
+    def test_thin_band_outside_next_subset_rejected(self, off):
+        # a band 0.004 high off the next subset: the probe grid must sample
+        # the y axis on its own extent (spacing ~0.0022) to see it; padding
+        # it by the barrier's 6.4 length would space probes 0.0052 apart
         c = math.pi / 4.0
-        thin = angle_band(c + off, c + off + 0.004, span, env.barrier.penalty)
-        mid = angle_band(c - 0.02, c + 0.02, span, env.barrier.penalty)
-        schedule = CurriculumSchedule("barrier_set", subsets=(thin, mid, env.barrier))
+        barrier = _band(c - 0.2, c + 0.2)
+        thin = _band(c + off, c + off + 0.004)
+        mid = _band(c - 0.02, c + 0.02)
+        schedule = CurriculumSchedule("barrier_set", subsets=(thin, mid, barrier))
         with pytest.raises(PreconditionViolated):
-            validate_schedule(schedule, env.barrier)
+            validate_schedule(schedule, barrier)
+
+
+def _band(lo: float, hi: float) -> RegionSet:
+    """The horizontal band lo <= y <= hi as a 6.4-long rectangle over
+    0 <= x <= 6.4: a barrier far longer than it is high."""
+    return RegionSet((ConvexPolygon.rectangle(3.2, (lo + hi) / 2.0, 6.4, hi - lo),), 1000.0)
 
 
 class TestStageBudgets:

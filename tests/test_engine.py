@@ -16,8 +16,6 @@ from easerl.envs import (
     RewardSpec,
     RolloutBatch,
     RolloutRequest,
-    angle_band,
-    angle_make,
     full_reward,
     landscape_make,
     mean_rollout,
@@ -44,7 +42,6 @@ ENVS = {
     "nav1-7": lambda: nav1_make(7, "left"),
     "nav1-1": lambda: nav1_make(1, "right"),
     "nav2": lambda: nav2_make("LR"),
-    "angle": lambda: angle_make("up"),
     "landscape": lambda: landscape_make(5, "left"),
 }
 
@@ -59,17 +56,12 @@ def make_policy(env, kind, seed, scale):
 def make_spec(env, mode, alpha):
     if mode == "reward_weight":
         return RewardSpec("reward_weight", alpha=alpha)
-    if env.name == "angle":
-        _, lo, _, hi = env.barrier.bbox()
-        span = env.spec.horizon * env.dt
-        sub = angle_band(lo, lo + alpha * (hi - lo) + 1e-3, span, env.barrier.penalty)
-    else:
-        x0, y0, x1, y1 = env.barrier.parts[0].bbox()
-        w = max(alpha * (x1 - x0), 0.5)
-        sub = RegionSet(
-            (ConvexPolygon.rectangle(0.5 * (x0 + x1), 0.5 * (y0 + y1), w, y1 - y0),),
-            env.barrier.penalty,
-        )
+    x0, y0, x1, y1 = env.barrier.parts[0].bbox()
+    w = max(alpha * (x1 - x0), 0.5)
+    sub = RegionSet(
+        (ConvexPolygon.rectangle(0.5 * (x0 + x1), 0.5 * (y0 + y1), w, y1 - y0),),
+        env.barrier.penalty,
+    )
     return RewardSpec("barrier_set", active=sub)
 
 
@@ -194,7 +186,7 @@ def _one_call(request):
 
 class TestMergedRequests:
     @given(
-        env_name=st.sampled_from(["nav1-7", "nav2", "angle"]),
+        env_name=st.sampled_from(["nav1-7", "nav2"]),
         kind=st.sampled_from(["linear", "mlp"]),
         requests=st.lists(
             st.tuples(
@@ -333,29 +325,6 @@ def _car_loop(env, pol, spec, seed):
     return np.array(states), members, rewards
 
 
-def _angle_loop(env, pol, spec, seed):
-    tape = rng_for(seed, "noise").standard_normal((env.spec.horizon, 1))
-    ang, vel, t = env.start_angle, 0.0, 0.0
-    region = env.barrier if spec.mode == "reward_weight" else spec.active
-    charge = spec.alpha * env.barrier.penalty if spec.mode == "reward_weight" else env.barrier.penalty
-    states, members, rewards = [(0.0, ang)], [], []
-    for k in range(env.spec.horizon):
-        obs = [ang, vel, t / env.spec.horizon]
-        std = math.exp(pol.log_std[0])
-        a = min(1.0, max(-1.0, _policy_mean(pol, obs) + std * tape[k, 0])) * env.torque_max
-        vel = env.damping * vel + a * env.dt
-        ang = ang + vel * env.dt
-        t += 1.0
-        member = _in_region(region, t * env.dt, ang)
-        r = -env.c_angle * abs(ang - env.goal_angle) - env.c_torque * a * a
-        rewards.append(r - (charge if member else 0.0))
-        members.append(member)
-        states.append((t * env.dt, ang))
-        if t >= env.spec.horizon:
-            break
-    return np.array(states), members, rewards
-
-
 @pytest.mark.parametrize("env_name", sorted(ENVS))
 def test_one_barrier_type(env_name):
     """Every barrier is a task-space RegionSet, and penalty membership is
@@ -367,10 +336,7 @@ def test_one_barrier_type(env_name):
     ys = np.linspace(y0 - 0.5 * (y1 - y0), y1 + 0.5 * (y1 - y0), 23)
     pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
     states = np.tile(env.initial_state(), (len(pts), 1))
-    if env_name == "angle":
-        states[:, 2], states[:, 0] = pts[:, 0] / env.dt, pts[:, 1]
-    else:
-        states[:, :2] = pts
+    states[:, :2] = pts
     member = env.in_region(states, env.barrier)
     assert np.array_equal(member, contains(env.barrier, np.stack(env.task_point(states), axis=-1)))
     assert member.any() and not member.all()
@@ -385,9 +351,8 @@ def test_engine_matches_plain_loop(env_name, kind, mode):
     spec = make_spec(env, mode, 0.37)
     seeds = [5, 6, 7, 8, 9]
     batch = rollout_batch(env, pol, spec, noise_tapes(env, seeds))
-    loop = _angle_loop if env_name == "angle" else _car_loop
     for b, seed in enumerate(seeds):
-        states, members, rewards = loop(env, pol, spec, seed)
+        states, members, rewards = _car_loop(env, pol, spec, seed)
         traj = batch.trajectory(env, b)
         assert len(traj) == len(states)
         assert batch.member[b, : len(members)].tolist() == members

@@ -7,7 +7,6 @@ import pytest
 from easerl.envs import (
     MdpSpec,
     RewardSpec,
-    angle_make,
     full_reward,
     landscape_make,
     mean_rollout,
@@ -72,7 +71,7 @@ class TestRewardInterpolation:
         for s in probe_states(env, n_side=12):
             r0 = step(env, s, action, relaxed_reward(env)).reward
             r1 = step(env, s, action, full_reward(env)).reward
-            base = env.base_reward(s, action, env.dynamics(s, action))
+            base = env.outcome(s, action, env.dynamics(s, action))[0]
             nxt = env.dynamics(s, action)
             member = env.in_region(nxt, env.barrier)
             assert r0 == pytest.approx(base)
@@ -220,8 +219,8 @@ class TestNav1:
         s = left.initial_state()
         a = np.array([1.0])  # steer left
         nxt = left.dynamics(s, a)
-        r_left = left.base_reward(s, a, nxt)
-        r_right = right.base_reward(s, a, nxt)
+        r_left = left.outcome(s, a, nxt)[0]
+        r_right = right.outcome(s, a, nxt)[0]
         assert r_left > 0 > r_right
 
     def test_speed_controller_approaches_setpoint(self):
@@ -345,67 +344,6 @@ class TestLandscapeEnv:
         assert env.barrier.parts[0].bbox() == ref.barrier.parts[0].bbox()
 
 
-class TestAngle:
-    def test_dynamics_formula(self):
-        env = angle_make("up")
-        s = np.array([0.5, 0.3, 4.0])
-        nxt = env.dynamics(s, np.array([0.25]))
-        w = env.damping * 0.3 + 0.25 * env.torque_max * env.dt
-        assert nxt[1] == pytest.approx(w)
-        assert nxt[0] == pytest.approx(0.5 + w * env.dt)
-        assert nxt[2] == 5.0
-
-    def test_action_clamped(self):
-        env = angle_make("up")
-        s = env.initial_state()
-        a = env.dynamics(s, np.array([4.0]))
-        b = env.dynamics(s, np.array([1.0]))
-        assert np.array_equal(a, b)
-
-    def test_band_membership_penalized(self):
-        env = angle_make("down")
-        inside = np.array([math.pi / 4, 0.0, 3.0])
-        res = step(env, inside, np.zeros(1), full_reward(env))
-        # the new angle stays within the band for one small step
-        base = env.base_reward(inside, np.zeros(1), env.dynamics(inside, np.zeros(1)))
-        assert res.reward == pytest.approx(base - 1000.0)
-
-    def test_outside_band_unpenalized(self):
-        env = angle_make("up")
-        s = env.initial_state()  # pi/2, far above the band
-        res = step(env, s, np.zeros(1), full_reward(env))
-        assert res.reward == pytest.approx(
-            env.base_reward(s, np.zeros(1), env.dynamics(s, np.zeros(1)))
-        )
-
-    def test_start_and_goal_conventions(self):
-        up = angle_make("up")
-        down = angle_make("down")
-        assert up.start_angle == pytest.approx(math.pi / 2)
-        assert up.goal_angle == 0.0
-        assert down.start_angle == 0.0
-        assert down.goal_angle == pytest.approx(math.pi / 2)
-
-    def test_class_region_is_band_rectangle(self):
-        env = angle_make("up")
-        region = env.barrier
-        assert isinstance(region, RegionSet) and len(region.parts) == 1
-        x0, y0, x1, y1 = region.parts[0].bbox()
-        assert y0 == pytest.approx(math.pi / 4 - 0.2)
-        assert y1 == pytest.approx(math.pi / 4 + 0.2)
-        assert x0 == pytest.approx(0.0)
-        assert x1 == pytest.approx(env.spec.horizon * env.dt)
-
-    def test_task_point_is_time_angle(self):
-        env = angle_make("up")
-        s = np.array([0.7, 0.0, 10.0])
-        assert env.task_point(s) == (pytest.approx(10.0 * env.dt), pytest.approx(0.7))
-
-    def test_bad_side(self):
-        with pytest.raises(ValueError):
-            angle_make("sideways")
-
-
 class TestSpecs:
     def test_reward_spec_validation(self):
         with pytest.raises(ValueError):
@@ -445,12 +383,10 @@ PINNED_TASKS = {
        for n in (1, 3, 5, 7) for side in ("left", "right")},
     "nav2-LL": lambda: nav2_make("LL"),
     "nav2-RR": lambda: nav2_make("RR"),
-    "angle-up": lambda: angle_make("up"),
-    "angle-down": lambda: angle_make("down"),
     "landscape-5": lambda: landscape_make(5, "left"),
 }
 
-PINNED_DIGEST = "cae202186d3da849eaa6aec275e02c8121742fd9562c75ba58ca7657dcc06206"
+PINNED_DIGEST = "2a7d960423b98471751b5a44a64545f8d2ae0d9d68f5008f2dbd01231ad41cf1"
 
 
 def test_task_rollouts_are_pinned():

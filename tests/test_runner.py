@@ -11,7 +11,7 @@ import yaml
 
 from easerl import envs
 from easerl.config import (
-    angle_defaults, default_config, nav1_defaults, nav2_defaults, validate_config,
+    default_config, nav1_defaults, nav2_defaults, validate_config,
 )
 from easerl.curriculum import CSV_HEADER, CurriculumSchedule, TransferReport, run_transfer
 from easerl.errors import ConfigError, MissingCheckpoint, MissingData
@@ -239,44 +239,22 @@ def test_schedule_barrier_sizes_builds_nested_rectangles():
 def test_schedule_barrier_sizes_rejected_off_nav1():
     cfg = nav2_defaults("LL")
     cfg["transfer"]["schedule"] = {
-        "mode": "barrier_set", "alphas": [], "barrier_sizes": [4, 7],
-        "intervals": [], "auto_stages": 3,
+        "mode": "barrier_set", "alphas": [], "barrier_sizes": [4, 7], "auto_stages": 3,
     }
     env = env_from_config(cfg)
     with pytest.raises(ConfigError):
         schedule_from_config(cfg, env)
 
 
-def test_schedule_intervals_builds_interval_sets():
-    cfg = angle_defaults()
-    env = env_from_config(cfg)
-    sched = schedule_from_config(cfg, env)
-    assert sched.mode == "barrier_set"
-    assert all(isinstance(s, RegionSet) for s in sched.subsets)
-    assert len(sched.subsets) == 3
-
-
 @pytest.mark.parametrize(
     "make",
-    [lambda: nav1_defaults(1), lambda: nav1_defaults(7), lambda: nav2_defaults("RR"),
-     lambda: angle_defaults("up"), lambda: angle_defaults("down")],
-    ids=["nav1-1", "nav1-7", "nav2", "angle-up", "angle-down"],
+    [lambda: nav1_defaults(1), lambda: nav1_defaults(7), lambda: nav2_defaults("RR")],
+    ids=["nav1-1", "nav1-7", "nav2"],
 )
 def test_shipped_defaults_suit_their_methods(make):
     # each shipped method list matches its schedule, so `easerl transfer`
     # on a default config gets past the pre-training check
     _check_schedule(make())
-
-
-def test_schedule_intervals_rejected_on_polygonal_env():
-    cfg = nav1_defaults(5)
-    cfg["transfer"]["schedule"] = {
-        "mode": "barrier_set", "alphas": [], "barrier_sizes": [],
-        "intervals": [[-0.1, 0.1]], "auto_stages": 3,
-    }
-    env = env_from_config(cfg)
-    with pytest.raises(ConfigError):
-        schedule_from_config(cfg, env)
 
 
 def test_schedule_auto_mode_is_none():
@@ -291,7 +269,6 @@ def test_schedule_auto_mode_is_none():
 def test_env_from_config_dispatch():
     assert env_from_config(nav1_defaults(5)).name == "nav1-5"
     assert env_from_config(nav2_defaults("RR")).name == "nav2"
-    assert env_from_config(angle_defaults("up")).name == "angle"
 
 
 def test_job_from_config_wiring():
