@@ -14,15 +14,16 @@ import sys
 
 import yaml
 
-from .config import default_config, load_config, validate_config
+from .config import default_config, load_config, read_file, validate_config
 from .errors import ConfigError, EaseRlError
 from .envs import PENALTY
 from .geometry import ConvexPolygon, Point2, RegionSet
 from .homotopy import (
     EmpiricalDistribution,
     Trajectory,
-    load_trajectory,
     signature,
+    sorted_by_t,
+    trajectory_from_csv,
     w_infinity_matching,
 )
 
@@ -91,11 +92,9 @@ def _load_cfg(args) -> dict:
 
 def load_region_yaml(path) -> tuple[RegionSet, Point2, Point2]:
     """Region file: penalty, convex polygon parts, and the two anchors."""
+    text = read_file(path, "region file")
     try:
-        with open(path) as f:
-            doc = yaml.safe_load(f.read())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"region file not found: {path}") from exc
+        doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"region file is not valid YAML: {exc}") from exc
     if not isinstance(doc, dict):
@@ -119,14 +118,10 @@ def load_region_yaml(path) -> tuple[RegionSet, Point2, Point2]:
 
 def load_trajectory_set(path) -> EmpiricalDistribution:
     """CSV with a leading trajectory-id column: traj,t,x,y.  Trajectories
-    are ordered by the numeric value of their id."""
+    are ordered by the numeric value of their id, and each one's rows by t."""
     import numpy as np
 
-    try:
-        with open(path, newline="") as f:
-            rows = list(csv.DictReader(f))
-    except FileNotFoundError as exc:
-        raise ConfigError(f"trajectory set not found: {path}") from exc
+    rows = list(csv.DictReader(read_file(path, "trajectory set").splitlines()))
     if not rows or not {"traj", "t", "x", "y"} <= set(rows[0]):
         raise ConfigError(f"{path}: expected header traj,t,x,y")
     groups: dict[str, list[tuple[float, float, float]]] = {}
@@ -140,7 +135,7 @@ def load_trajectory_set(path) -> EmpiricalDistribution:
         if nan:
             raise ValueError(f"trajectory id {nan[0]!r} is not a number")
         trajs = [
-            Trajectory(np.array([[x, y] for _, x, y in sorted(groups[key])]))
+            Trajectory(np.array([[x, y] for _, x, y in sorted_by_t(groups[key])]))
             for key in sorted(groups, key=ids.__getitem__)
         ]
     except (TypeError, ValueError) as exc:
@@ -186,10 +181,9 @@ def cmd_landscape(args) -> int:
 
 def _read_trajectory(path) -> Trajectory:
     """A trajectory CSV; a missing or malformed file is a usage error naming it."""
+    text = read_file(path, "trajectory file")
     try:
-        return load_trajectory(path)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"trajectory file not found: {path}") from exc
+        return trajectory_from_csv(text)
     except (IndexError, ValueError) as exc:
         raise ConfigError(f"bad trajectory file {path}: {exc}") from exc
 

@@ -300,12 +300,20 @@ def parse_config(text: str) -> dict:
     return validate_config(doc)
 
 
-def load_config(path) -> dict:
+def read_file(path, what: str) -> str:
+    """The text of a file named on the command line; a missing or unreadable
+    one (a directory, say) is a ConfigError naming it."""
     try:
         with open(path) as f:
-            return parse_config(f.read())
+            return f.read()
     except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+        raise ConfigError(f"{what} not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from exc
+
+
+def load_config(path) -> dict:
+    return parse_config(read_file(path, "config file"))
 
 
 def config_hash(cfg: dict) -> str:

@@ -19,11 +19,17 @@ nav2: same field with two stacked 9x4 barriers; +500 for passing each barrier
 on its target side, +2000 at the goal, plus a potential-difference shaping
 term.  Returns are undiscounted so the documented >3000 success threshold is
 meaningful.
+
+Every transition, in `step` and in the lockstep engine `rollout_batch`, runs
+through one batched kernel on the state's columns, `CarEnv.transition`; it
+tests the goal and every penalized set in one broadcast over their edges.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 from typing import ClassVar
 
@@ -31,7 +37,8 @@ import numpy as np
 
 from . import rl as _rl
 from .errors import NonFiniteAction, UnsupportedSize
-from .geometry import ConvexPolygon, Point2, RegionSet, contains
+from .geometry import EPS, ConvexPolygon, Point2, RegionSet
+from .geometry import contains  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .homotopy import Trajectory
 from .seeding import rng_for
 
@@ -97,8 +104,11 @@ class StepResult:
     base: float | np.ndarray  # the reward before the barrier penalty
 
 
-# car state vector layout: [x, y, heading, speed, ang_vel, t, flags...]
-_IX, _IY, _IH, _IV, _IW, _IT = 0, 1, 2, 3, 4, 5
+# car state vector layout: [x, y, heading, speed, ang_vel, t, flags...]; as
+# columns, flags is (..., n_flags), and a column that is the same on every
+# row (speed, time) may be a scalar
+CarColumns = namedtuple("CarColumns", "x y heading speed ang_vel t flags")
+_IX, _IY, _IH = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -136,68 +146,74 @@ class CarEnv:
         v[_IH] = math.pi / 2.0
         return v
 
+    def columns(self, state: np.ndarray) -> CarColumns:
+        """The columns of state vectors; those of one state are scalars."""
+        return CarColumns(*(state[..., k][()] for k in range(6)), state[..., 6:])
+
+    def put_state(self, out: np.ndarray, s: CarColumns) -> None:
+        """Write state columns into the state vectors `out`."""
+        for k in range(6):
+            out[..., k] = s[k]
+        out[..., 6:] = s.flags
+
     def features(self, state: np.ndarray) -> np.ndarray:
+        s = self.columns(state)
+        return self._features(s, np.cos(s.heading), np.sin(s.heading))
+
+    def _features(self, s: CarColumns, cos_h, sin_h) -> np.ndarray:
+        """C-contiguous observation features of states given as columns."""
         if self.obs_mode == "position":
-            return np.stack([state[..., _IX] / FIELD_HALF, state[..., _IY] / FIELD_HALF], axis=-1)
-        n_flags = len(self.barrier_tops)
-        out = np.empty(state.shape[:-1] + (7 + n_flags,))
-        out[..., 0] = state[..., _IX] / FIELD_HALF
-        out[..., 1] = state[..., _IY] / FIELD_HALF
-        out[..., 2] = np.cos(state[..., _IH])
-        out[..., 3] = np.sin(state[..., _IH])
-        out[..., 4] = state[..., _IV] / self.v_set
-        out[..., 5] = state[..., _IW] / self.steer_max
-        out[..., 6] = state[..., _IT] / self.spec.horizon
-        out[..., 7:] = state[..., 6:]
+            return np.stack([s.x / FIELD_HALF, s.y / FIELD_HALF], axis=-1)
+        out = np.empty(np.shape(s.x) + (7 + len(self.barrier_tops),))
+        out[..., 0] = s.x / FIELD_HALF
+        out[..., 1] = s.y / FIELD_HALF
+        out[..., 2] = cos_h
+        out[..., 3] = sin_h
+        out[..., 4] = s.speed / self.v_set
+        out[..., 5] = s.ang_vel / self.steer_max
+        out[..., 6] = s.t / self.spec.horizon
+        out[..., 7:] = s.flags
         return out
 
-    def dynamics(self, state: np.ndarray, action: np.ndarray) -> np.ndarray:
+    def transition(self, s: CarColumns, action: np.ndarray, rows: "RowRewards"):
+        """The batched transition kernel: (next columns, reward, base reward,
+        terminal flag, penalized-set membership, next features) of every
+        row, with `rows` giving each row's penalty and the edge table."""
         omega = np.minimum(np.maximum(action[..., 0], -1.0), 1.0) * self.steer_max
-        heading = state[..., _IH] + omega * self.dt
-        speed = state[..., _IV] + self.kp * (self.v_set - state[..., _IV]) * self.dt
-        nxt = state.copy()
-        nxt[..., _IH] = heading
-        nxt[..., _IV] = speed
-        nxt[..., _IX] = state[..., _IX] + speed * np.cos(heading) * self.dt
-        nxt[..., _IY] = state[..., _IY] + speed * np.sin(heading) * self.dt
-        nxt[..., _IW] = omega
-        nxt[..., _IT] = state[..., _IT] + 1.0
-        for i, top in enumerate(self.barrier_tops):
-            flag = nxt[..., 6 + i]
-            nxt[..., 6 + i] = np.where((flag == 0.0) & (nxt[..., _IY] >= top), 1.0, flag)
-        return nxt
+        heading = s.heading + omega * self.dt
+        speed = s.speed + self.kp * (self.v_set - s.speed) * self.dt
+        cos_h, sin_h = np.cos(heading), np.sin(heading)
+        x = s.x + speed * cos_h * self.dt
+        y = s.y + speed * sin_h * self.dt
+        flags = s.flags
+        if self.barrier_tops:
+            flags = np.where((flags == 0.0) & (y[..., None] >= self.barrier_tops), 1.0, flags)
+        nxt = CarColumns(x, y, heading, speed, omega, s.t + 1.0, flags)
+        goal, member = rows.membership(x, y)
 
-    def outcome(self, state: np.ndarray, action: np.ndarray, nxt: np.ndarray):
-        """(base reward, terminal flag) of a transition; goal membership of
-        `nxt` is tested once for both."""
-        goal = self.in_goal(nxt)
-        t_norm = state[..., _IT] / self.spec.horizon
-        r = np.zeros(np.shape(t_norm))
+        t_norm = s.t / self.spec.horizon
+        r = 0.0
         if self.c_side:
             side_sign = 1.0 if self.target_bits[0] == 1 else -1.0
-            r = r + self.c_side * (1.0 - t_norm) * side_sign * np.sin(nxt[..., _IH] - math.pi / 2.0)
+            r = r + self.c_side * (1.0 - t_norm) * side_sign * np.sin(heading - math.pi / 2.0)
         if self.c_goal:
-            dist = np.maximum(0.0, self.goal_y - nxt[..., _IY])
+            dist = np.maximum(0.0, self.goal_y - y)
             r = r + -self.c_goal * t_norm * dist / 16.0
         if self.c_pot:
-            d_prev = np.maximum(0.0, self.goal_y - state[..., _IY])
-            d_next = np.maximum(0.0, self.goal_y - nxt[..., _IY])
+            d_prev = np.maximum(0.0, self.goal_y - s.y)
+            d_next = np.maximum(0.0, self.goal_y - y)
             r = r + self.c_pot * (d_prev - d_next)
         if self.side_bonus:
-            passed_left = nxt[..., _IX] < 0.0
+            passed_left = x < 0.0
             for i in range(len(self.barrier_tops)):
-                passed = (state[..., 6 + i] == 0.0) & (nxt[..., 6 + i] == 1.0)
+                passed = (s.flags[..., i] == 0.0) & (flags[..., i] == 1.0)
                 on_target = passed_left == (self.target_bits[i] == 1)
                 r = r + np.where(passed & on_target, self.side_bonus, 0.0)
         if self.goal_bonus:
             r = r + np.where(goal, self.goal_bonus, 0.0)
-        return r, goal | (nxt[..., _IT] >= self.spec.horizon)
-
-    def in_goal(self, state: np.ndarray):
-        return self.goal_poly.contains_point(state[..., _IX], state[..., _IY])
-
-    def in_region(self, state: np.ndarray, region: RegionSet):
-        return contains(region, state[..., :2])
+        reward = r - np.where(member, rows.charge, 0.0)
+        terminal = goal | (nxt.t >= self.spec.horizon)
+        return nxt, reward, r, terminal, member, self._features(nxt, cos_h, sin_h)
 
     def task_point(self, state: np.ndarray) -> tuple:
         return state[..., _IX], state[..., _IY]
@@ -284,58 +300,70 @@ def penalty_charge(env, reward_spec: RewardSpec) -> float:
     return env.barrier.penalty
 
 
+# the one edge of an empty region: its inner side x <= -inf holds no point
+_NO_PART = (np.array([np.inf]), np.zeros(1), np.zeros(1), np.full(1, -1.0))
+
+
+@functools.lru_cache(maxsize=64)
+def _edge_table(goal: ConvexPolygon, regions: tuple[RegionSet, ...]):
+    """Edges (px, py, dx, dy) of the goal and every part of every region, the
+    first edge of each polygon, and the first polygon of each set (or None)."""
+    sets = [[goal._edges]] + [[p._edges for p in r.parts] or [_NO_PART] for r in regions]
+    polys = [e for polygons in sets for e in polygons]
+    edges = tuple(np.concatenate(c) for c in zip(*polys))
+    first_edge = np.cumsum([0] + [len(e[0]) for e in polys[:-1]])
+    first_part = np.cumsum([0] + [len(p) for p in sets[:-1]]) if len(polys) > len(sets) else None
+    return edges, first_edge, first_part
+
+
 @dataclass(frozen=True)
 class RowRewards:
-    """One reward spec per row of a lockstep batch.
+    """The reward spec of each row of a lockstep batch, with the edge table
+    that tests the goal and every distinct penalized set in one broadcast;
+    row b is charged charge[b] inside its own penalized set."""
 
-    Row b is charged charge[b] inside regions[group[b]].  Rows whose specs
-    penalize equal sets share a group, so each distinct set is tested once
-    per step.
-    """
-
-    regions: tuple[RegionSet, ...]
-    group: np.ndarray  # (B,) index into regions
-    charge: np.ndarray  # (B,)
+    pick: tuple | None  # (row, set) index of each row's own set; None with one set
+    charge: float | np.ndarray
+    edges: tuple[np.ndarray, ...]  # px, py, dx, dy: the goal's edges, then every part's
+    first_edge: np.ndarray  # of the goal and of each part
+    first_part: np.ndarray | None  # of the goal and of each region; None if all parts are single
 
     @staticmethod
     def of(env, specs) -> "RowRewards":
+        """The RowRewards of one RewardSpec for every row, or of one spec per row."""
+        one = isinstance(specs, RewardSpec)
         index: dict[RegionSet, int] = {}
-        group = [index.setdefault(penalty_region(env, spec), len(index)) for spec in specs]
-        charge = [penalty_charge(env, spec) for spec in specs]
-        return RowRewards(tuple(index), np.array(group, dtype=int), np.array(charge, dtype=float))
+        group = [index.setdefault(penalty_region(env, s), len(index))
+                 for s in ([specs] if one else specs)]
+        charge = (penalty_charge(env, specs) if one
+                  else np.array([penalty_charge(env, s) for s in specs]))
+        pick = (np.arange(len(group)), 1 + np.array(group)) if len(index) > 1 else None
+        return RowRewards(pick, charge, *_edge_table(env.goal_poly, tuple(index)))
 
-    def take(self, rows) -> "RowRewards":
-        return RowRewards(self.regions, self.group[rows], self.charge[rows])
-
-    def member(self, env, state: np.ndarray) -> np.ndarray:
-        """Each row's membership of its own penalized set."""
-        if len(self.regions) == 1:
-            return env.in_region(state, self.regions[0])
-        out = np.zeros(len(self.group), dtype=bool)
-        for k, region in enumerate(self.regions):
-            rows = self.group == k
-            out[rows] = env.in_region(state[rows], region)
-        return out
+    def membership(self, x, y):
+        """(goal membership, each row's penalized-set membership) of (x, y)."""
+        px, py, dx, dy = self.edges
+        inside = dx * (y[..., None] - py) - dy * (x[..., None] - px) >= -EPS
+        hit = np.logical_and.reduceat(inside, self.first_edge, axis=-1)
+        if self.first_part is not None:
+            hit = np.logical_or.reduceat(hit, self.first_part, axis=-1)
+        if self.pick is None:
+            return hit[..., 0], hit[..., 1]
+        return hit[..., 0], hit[self.pick]
 
 
-def step(env, state: np.ndarray, action, reward_spec) -> StepResult:
-    """One transition of one state, or of each row of a (B, D) state batch.
-
-    `reward_spec` is a RewardSpec for every row, or the RowRewards of the
-    batch.  The kinematic update never depends on the reward spec.
-    """
+def step(env, state: np.ndarray, action, reward_spec: RewardSpec) -> StepResult:
+    """One transition of one state, or of each row of a (B, D) state batch,
+    under one reward spec.  The kinematic update never depends on it."""
     a = np.asarray(action, dtype=float).reshape(np.shape(state)[:-1] + (-1,))
     if not np.isfinite(a).all():
         raise NonFiniteAction(f"non-finite action {a}")
-    nxt = env.dynamics(state, a)
-    base, terminal = env.outcome(state, a, nxt)
-    if isinstance(reward_spec, RowRewards):
-        member, charge = reward_spec.member(env, nxt), reward_spec.charge
-    else:
-        member = env.in_region(nxt, penalty_region(env, reward_spec))
-        charge = penalty_charge(env, reward_spec)
-    reward = base - np.where(member, charge, 0.0)
-    return StepResult(nxt, reward, terminal, member, base)
+    nxt, reward, base, terminal, member, _ = env.transition(
+        env.columns(state), a, RowRewards.of(env, reward_spec)
+    )
+    out = np.empty(np.shape(state))
+    env.put_state(out, nxt)
+    return StepResult(out, reward, terminal, member, base)
 
 
 def noise_tapes(env, seeds) -> np.ndarray:
@@ -401,60 +429,56 @@ class RolloutBatch:
 def rollout_batch(env, policy, reward_spec, noise: np.ndarray) -> RolloutBatch:
     """Simulate one episode per noise tape, all in lockstep.
 
-    Every episode steps until it terminates, on its own; finished episodes
-    drop out of the batch.  `policy` is one policy shared by all episodes,
-    or a stacked one (theta of shape (B, theta_size), log_std shared or
-    (B, action_dim)) whose row b drives episode b.  `reward_spec` is one
-    RewardSpec for all episodes, or a sequence of B specs, one per episode.
-    The batch-size-independent forward pass gives each episode the same bits
-    at any B, so an episode's results depend only on its own row's
-    parameters, its own reward spec and its own tape.
+    Every episode steps until it terminates, on its own; rows past their end
+    keep stepping until every episode has ended, and their entries are then
+    zeroed.  `policy` is one policy shared by all episodes, or a stacked one
+    (theta of shape (B, theta_size), log_std shared or (B, action_dim))
+    whose row b drives episode b.  `reward_spec` is one RewardSpec for all
+    episodes, or a sequence of B specs, one per episode.  The
+    batch-size-independent forward pass gives each episode the same bits at
+    any B, so an episode's results depend only on its own row's parameters,
+    its own reward spec and its own tape.
     """
     n, horizon = noise.shape[0], env.spec.horizon
-    stacked = policy.theta.ndim == 2
-    if stacked and policy.theta.shape[0] != n:
+    if policy.theta.ndim == 2 and policy.theta.shape[0] != n:
         raise ValueError(f"{policy.theta.shape[0]} policy rows for {n} noise tapes")
-    per_row = not isinstance(reward_spec, RewardSpec)
-    if per_row:
-        if len(reward_spec) != n:
-            raise ValueError(f"{len(reward_spec)} reward specs for {n} noise tapes")
-        reward_spec = RowRewards.of(env, reward_spec)
-    state = np.repeat(env.initial_state()[None, :], n, axis=0)
-    states = np.zeros((n, horizon + 1, state.shape[1]))
-    states[:, 0] = state
+    if not isinstance(reward_spec, RewardSpec) and len(reward_spec) != n:
+        raise ValueError(f"{len(reward_spec)} reward specs for {n} noise tapes")
+    rows = RowRewards.of(env, reward_spec)
+    mean = _rl.mean_net(policy)
+    std = np.exp(policy.log_std)
+    states = np.zeros((n, horizon + 1, len(env.initial_state())))
+    states[:, 0] = env.initial_state()
+    # the initial state's scalar columns broadcast; speed and time stay scalars
+    s = env.columns(env.initial_state())
+    o = env.features(states[:, 0])
     obs = np.zeros((n, horizon, env.spec.state_dim))
     actions = np.zeros((n, horizon, env.spec.action_dim))
     rewards = np.zeros((n, horizon))
     base = np.zeros((n, horizon))
     member = np.zeros((n, horizon), dtype=bool)
-    lengths = np.full(n, horizon)
-    returns = np.zeros(n)
-    gamma_t = 1.0
-    live = np.arange(n)
+    ends = np.zeros((n, horizon), dtype=bool)
+    ended = np.zeros(n, dtype=bool)
     for t in range(horizon):
-        if live.size == 0:
+        if ended.all():
             break
-        o = env.features(state)
-        a = _rl.act(policy, o, noise[live, t])
-        res = step(env, state, a, reward_spec)
-        obs[live, t] = o
-        actions[live, t] = a
-        rewards[live, t] = res.reward
-        base[live, t] = res.base
-        member[live, t] = res.collided
-        states[live, t + 1] = res.state
-        returns[live] += gamma_t * res.reward
-        gamma_t *= env.spec.discount
-        state = res.state
-        if res.terminal.any():
-            lengths[live[res.terminal]] = t + 1
-            going = ~res.terminal
-            live = live[going]
-            state = state[going]
-            if stacked:
-                policy = policy.take(going)
-            if per_row:
-                reward_spec = reward_spec.take(going)
+        a = mean(o) + std * noise[:, t]
+        obs[:, t] = o
+        actions[:, t] = a
+        s, rewards[:, t], base[:, t], ends[:, t], member[:, t], o = env.transition(s, a, rows)
+        env.put_state(states[:, t + 1], s)
+        ended |= ends[:, t]
+    lengths = ends.argmax(axis=1) + 1
+    after = np.arange(horizon) >= lengths[:, None]
+    for arr in (obs, actions, rewards, base, member, states[:, 1:]):
+        arr[after] = 0
+    bad = ~np.isfinite(actions).all(axis=-1)
+    if bad.any():
+        b, t = np.argwhere(bad)[0]
+        raise NonFiniteAction(f"non-finite action {actions[b, t]} in episode {b} at step {t}")
+    # discount**t as the running product 1, d, d*d, ...; returns summed in step order
+    gamma = np.cumprod(np.r_[1.0, np.full(horizon - 1, env.spec.discount)])
+    returns = np.add.accumulate(rewards * gamma, axis=1)[:, -1]
     return RolloutBatch(obs, actions, rewards, base, member, states, lengths, returns)
 
 

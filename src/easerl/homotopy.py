@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -351,7 +352,16 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     return buf.getvalue()
 
 
+def sorted_by_t(rows: list) -> list:
+    """Rows (t, ...) in increasing t; a NaN or repeated t is a ValueError."""
+    ts = [row[0] for row in rows]
+    if any(math.isnan(t) for t in ts) or len(set(ts)) < len(ts):
+        raise ValueError("every row needs a t of its own that is a number")
+    return sorted(rows, key=lambda row: row[0])
+
+
 def trajectory_from_csv(text: str) -> Trajectory:
+    """A trajectory from its CSV, its rows taken in increasing t."""
     rows = list(csv.reader(io.StringIO(text)))
     if len(rows) < 3:
         raise ValueError("trajectory CSV needs a header and at least 2 rows")
@@ -359,15 +369,9 @@ def trajectory_from_csv(text: str) -> Trajectory:
     if header[:3] != ["t", "x", "y"]:
         raise ValueError(f"unexpected trajectory CSV header {header[:3]}")
     raw_dim = len(header) - 3
-    states = []
-    raws = []
-    for row in rows[1:]:
-        states.append((float(row[1]), float(row[2])))
-        if raw_dim:
-            raws.append([float(v) for v in row[3:]])
-    return Trajectory(
-        np.array(states), np.array(raws) if raw_dim else None
-    )
+    rows = sorted_by_t([[float(v) for v in row[: 3 + raw_dim]] for row in rows[1:]])
+    raws = np.array([row[3:] for row in rows]) if raw_dim else None
+    return Trajectory(np.array([row[1:3] for row in rows]), raws)
 
 
 def save_trajectory(path, traj: Trajectory) -> None:

@@ -86,11 +86,6 @@ class PolicyParams:
     def copy(self) -> "PolicyParams":
         return PolicyParams(self.arch, self.theta.copy(), self.log_std.copy())
 
-    def take(self, rows) -> "PolicyParams":
-        """The given rows of a stacked policy."""
-        log_std = self.log_std[rows] if self.log_std.ndim == 2 else self.log_std
-        return PolicyParams(self.arch, self.theta[rows], log_std)
-
     def flat(self) -> np.ndarray:
         """Full trainable vector: mean weights then log_std entries."""
         return np.concatenate([self.theta, self.log_std])
@@ -144,25 +139,28 @@ def _affine_rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...hi->...h", x, w)
 
 
-def mean_batch(policy: PolicyParams, obs: np.ndarray) -> np.ndarray:
-    """Mean actions for (..., obs_dim) observations, row by row.
-
-    A stacked policy gives the observations obs[b] (shape (B, ..., obs_dim))
-    the weights theta[b].
-    """
-    obs = np.asarray(obs, dtype=float)
+def mean_net(policy: PolicyParams, extra_axes: int = 0):
+    """The mean network as a function of observations, its weights unpacked
+    once.  With a stacked policy, the function gives obs[b] (shape
+    (B, <extra_axes axes>, obs_dim)) the weights theta[b]."""
     arch = policy.arch
     theta = policy.theta
     affine = _affine
     if theta.ndim == 2:
         # row b's weights, broadcast over the further axes of obs[b]
-        theta = theta.reshape(theta.shape[:1] + (1,) * (obs.ndim - 2) + theta.shape[1:])
+        theta = theta.reshape(theta.shape[:1] + (1,) * extra_axes + theta.shape[1:])
         affine = _affine_rows
     if arch.kind == "linear":
-        return affine(obs, theta.reshape(theta.shape[:-1] + (arch.action_dim, arch.obs_dim)))
+        w = theta.reshape(theta.shape[:-1] + (arch.action_dim, arch.obs_dim))
+        return lambda obs: affine(obs, w)
     w1, b1, w2, b2 = _unpack_mlp(arch, theta)
-    hidden = np.tanh(affine(obs, w1) + b1)
-    return affine(hidden, w2) + b2
+    return lambda obs: affine(np.tanh(affine(obs, w1) + b1), w2) + b2
+
+
+def mean_batch(policy: PolicyParams, obs: np.ndarray) -> np.ndarray:
+    """Mean actions for (..., obs_dim) observations, row by row (`mean_net`)."""
+    obs = np.asarray(obs, dtype=float)
+    return mean_net(policy, obs.ndim - 2)(obs)
 
 
 def _gaussian_log_prob(log_std: np.ndarray, z: np.ndarray):

@@ -25,9 +25,10 @@ from easerl.envs import (
     nav1_make,
     relaxed_reward,
     rollout_record,
+    serve,
     step,
 )
-from easerl.geometry import ConvexPolygon, Point2, RegionSet
+from easerl.geometry import ConvexPolygon, Point2, RegionSet, contains
 from easerl.homotopy import (
     EmpiricalDistribution,
     Trajectory,
@@ -47,7 +48,7 @@ from easerl.rl import (
     segment_profile,
 )
 from easerl.runner import env_from_config, job_from_config
-from easerl.curriculum import run_transfer
+from easerl.curriculum import transfer
 from easerl.seeding import derive_seed
 
 from test_homotopy import brute_force_bottleneck, loop_encloses_barrier
@@ -175,9 +176,9 @@ def test_criterion_04_reward_contracts():
     hit = 0
     ok = True
     for s in probe_states(env, n_side=200):
-        nxt = env.dynamics(s, action)
-        member = env.in_region(nxt, env.barrier)
-        base = env.outcome(s, action, nxt)[0]
+        relaxed = step(env, s, action, relaxed_reward(env))
+        member = contains(env.barrier, relaxed.state[:2])
+        base = relaxed.base
         rewards = [step(env, s, action, RewardSpec("reward_weight", alpha=a)).reward
                    for a in alphas]
         if member:
@@ -187,7 +188,7 @@ def test_criterion_04_reward_contracts():
         else:
             ok &= all(r == base for r in rewards)
         # endpoints: alpha=0 is the relaxed reward, alpha=1 the target reward
-        ok &= rewards[0] == step(env, s, action, relaxed_reward(env)).reward
+        ok &= rewards[0] == relaxed.reward
         ok &= rewards[-1] == step(env, s, action, full_reward(env)).reward
         # nested subsets never increase the reward
         sub = [step(env, s, action, RewardSpec("barrier_set", active=c)).reward
@@ -275,9 +276,10 @@ def test_criterion_07_reward_weight_monotone():
     n_stages = len(cfg["transfer"]["schedule"]["alphas"])
     good_seeds = 0
     notes = []
-    for seed in range(5):
-        job = job_from_config(cfg, env, source, seed)
-        report = run_transfer(job, "ease_reward")
+    # the five runs step in lockstep; each gets the bits it gets alone
+    jobs = [job_from_config(cfg, env, source, seed) for seed in range(5)]
+    reports = serve(env, [transfer(job, "ease_reward") for job in jobs])
+    for seed, report in enumerate(reports):
         stages = [(lab, pol) for lab, pol in report.stage_policies
                   if lab.startswith("stage-")]
         if len(stages) != n_stages:
@@ -313,11 +315,12 @@ def test_criterion_08_headline_transfer():
     env = env_from_config(cfg)
     source, _ = load_checkpoint(os.path.join(ASSETS, "source-nav1-7.json"))
     outcomes = {"ease_barrier": [], "naive": []}
-    for method in outcomes:
-        for seed in range(5):
-            job = job_from_config(cfg, env, source, seed)
-            report = run_transfer(job, method)
-            outcomes[method].append(report)
+    # all ten runs step in lockstep; each gets the bits it gets alone
+    tasks = [(method, seed) for method in outcomes for seed in range(5)]
+    reports = serve(env, [transfer(job_from_config(cfg, env, source, seed), method)
+                          for method, seed in tasks])
+    for (method, _), report in zip(tasks, reports):
+        outcomes[method].append(report)
     ease_conv = [r for r in outcomes["ease_barrier"] if r.converged]
     naive_conv = [r for r in outcomes["naive"] if r.converged]
     ok = len(ease_conv) >= 4 and len(naive_conv) <= 1

@@ -241,6 +241,65 @@ def test_homotopy_malformed_trajectory_is_usage_error_naming_the_file(tmp_path, 
     assert "Traceback" not in err
 
 
+# the left-passing path of the default region, one (t, x, y) row per step
+LEFT_ROWS = [("0", "0.0", "-8.0"), ("1", "-3.0", "-2.0"), ("2", "-3.0", "2.0"), ("3", "0.0", "8.0")]
+
+
+def write_rows(tmp_path, name, rows):
+    path = tmp_path / name
+    path.write_text("t,x,y\n" + "".join(",".join(row) + "\n" for row in rows))
+    return str(path)
+
+
+def test_homotopy_orders_rows_by_t(tmp_path, capsys):
+    region = write_region(tmp_path)
+    a = write_rows(tmp_path, "a.csv", LEFT_ROWS)
+    b = write_rows(tmp_path, "b.csv", [LEFT_ROWS[k] for k in (0, 2, 1, 3)])
+    assert main(["homotopy", "--traj-a", a, "--traj-b", b, "--region", region]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "trajectory A: class L" in out and "trajectory B: class L" in out
+
+
+@pytest.mark.parametrize("t", ["1", "zz", "nan"], ids=["duplicate", "non-numeric", "nan"])
+def test_homotopy_bad_t_is_usage_error_naming_the_file(tmp_path, capsys, t):
+    region = write_region(tmp_path)
+    a = write_rows(tmp_path, "a.csv", LEFT_ROWS)
+    bad = write_rows(tmp_path, "bad.csv", [(t,) + row[1:] if k == 2 else row
+                                            for k, row in enumerate(LEFT_ROWS)])
+    rc = main(["homotopy", "--traj-a", a, "--traj-b", bad, "--region", region])
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert err.startswith("error: ") and bad in err
+    assert "Traceback" not in err
+
+
+# each file flag, with the command that takes it and that command's flags
+FILE_FLAGS = {
+    "--config": ("transfer", "--config", "--out"),
+    "--region": ("homotopy", "--traj-a", "--traj-b", "--region"),
+    "--traj-a": ("homotopy", "--traj-a", "--traj-b", "--region"),
+    "--traj-b": ("homotopy", "--traj-a", "--traj-b", "--region"),
+    "--set-a": ("winf", "--set-a", "--set-b"),
+    "--set-b": ("winf", "--set-a", "--set-b"),
+}
+
+
+@pytest.mark.parametrize("flag", list(FILE_FLAGS))
+def test_directory_argument_is_usage_error_naming_it(tmp_path, capsys, flag):
+    folder = tmp_path / "d"
+    folder.mkdir()
+    traj = write_traj(tmp_path, "a.csv", side_traj(-5.0))
+    trajs = write_traj_set(tmp_path, "s.csv", [line(0, 0, 1, 0)])
+    files = {"--region": write_region(tmp_path), "--traj-a": traj, "--traj-b": traj,
+             "--set-a": trajs, "--set-b": trajs, "--out": str(tmp_path / "o"), flag: str(folder)}
+    command, *flags = FILE_FLAGS[flag]
+    rc = main([command] + [v for k in flags for v in (k, files[k])])
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert err.startswith("error: ") and str(folder) in err
+    assert "Traceback" not in err
+
+
 def test_region_yaml_round_trip(tmp_path):
     region, start, goal = load_region_yaml(write_region(tmp_path))
     assert region.penalty == 1000.0
@@ -363,7 +422,8 @@ def test_trajectory_set_ids_sort_numerically(tmp_path):
     assert [float(t.states[0, 0]) for t in dist.samples] == list(range(12))
 
 
-@pytest.mark.parametrize("row", ["a,0,0.0,0.0", "nan,0,0.0,0.0", "0,0,x,0.0", "0,0,0.0"])
+@pytest.mark.parametrize("row", ["a,0,0.0,0.0", "nan,0,0.0,0.0", "0,0,x,0.0", "0,0,0.0",
+                                 "0,1,2.0,2.0", "0,z,0.0,0.0", "0,nan,0.0,0.0"])
 def test_winf_bad_row_is_usage_error_naming_the_file(tmp_path, capsys, row):
     bad = tmp_path / "bad.csv"
     bad.write_text(f"traj,t,x,y\n0,1,1.0,1.0\n{row}\n")

@@ -26,6 +26,7 @@ from easerl.envs import (
     rollout_record,
     serve,
 )
+from easerl.errors import NonFiniteAction
 from easerl.geometry import ConvexPolygon, RegionSet, contains
 from easerl.rl import (
     Arch,
@@ -251,6 +252,42 @@ class TestMergedRequests:
             log_prob_batch(per_row, np.zeros((2, 3, 2)), np.zeros((2, 3, 1)))
 
 
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+class TestKernel:
+    @pytest.mark.parametrize("env_name", ["nav1-7", "nav2"])
+    def test_every_engine_step_equals_the_single_state_step(self, env_name):
+        """Each row's state, reward, base, membership and features after an
+        engine step equal, bit for bit, `envs.step` on that row's state alone
+        under that row's own spec."""
+        env = ENVS[env_name]()
+        specs = [make_spec(env, mode, alpha)
+                 for alpha in (0.0, 0.37, 1.0) for mode in ("reward_weight", "barrier_set")]
+        pol = make_policy(env, "mlp", 4, 0.5)
+        batch = rollout_batch(env, pol, specs, noise_tapes(env, range(40, 40 + len(specs))))
+        assert batch.member.any()
+        for b, spec in enumerate(specs):
+            for t in range(batch.lengths[b]):
+                res = envs.step(env, batch.states[b, t], batch.actions[b, t], spec)
+                assert same_bits(res.state, batch.states[b, t + 1])
+                assert same_bits(res.reward, batch.rewards[b, t])
+                assert same_bits(res.base, batch.base[b, t])
+                assert res.collided == batch.member[b, t]
+                assert res.terminal == (t + 1 == batch.lengths[b])
+                assert same_bits(env.features(batch.states[b, t]), batch.obs[b, t])
+
+    def test_non_finite_row_raises(self):
+        env = nav1_make(7, "left")
+        pols = [make_policy(env, "mlp", seed, 0.5) for seed in range(6)]
+        theta = np.stack([p.theta for p in pols])
+        theta[3, 0] = np.nan
+        stacked = PolicyParams(pols[0].arch, theta, pols[0].log_std)
+        with pytest.raises(NonFiniteAction):
+            rollout_batch(env, stacked, full_reward(env), noise_tapes(env, range(6)))
+
+
 # --------------------------------------------------------------------------
 # a plain per-step loop over Python floats, independent of the engine and of
 # the environments' array methods
@@ -328,7 +365,7 @@ def _car_loop(env, pol, spec, seed):
 @pytest.mark.parametrize("env_name", sorted(ENVS))
 def test_one_barrier_type(env_name):
     """Every barrier is a task-space RegionSet, and penalty membership is
-    containment of the state's task point."""
+    containment of the next state's task point."""
     env = ENVS[env_name]()
     assert isinstance(env.barrier, RegionSet)
     x0, y0, x1, y1 = env.barrier.bbox()
@@ -337,8 +374,10 @@ def test_one_barrier_type(env_name):
     pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
     states = np.tile(env.initial_state(), (len(pts), 1))
     states[:, :2] = pts
-    member = env.in_region(states, env.barrier)
-    assert np.array_equal(member, contains(env.barrier, np.stack(env.task_point(states), axis=-1)))
+    res = envs.step(env, states, np.zeros((len(pts), 1)), full_reward(env))
+    member = res.collided
+    task_points = np.stack(env.task_point(res.state), axis=-1)
+    assert np.array_equal(member, contains(env.barrier, task_points))
     assert member.any() and not member.all()
 
 

@@ -20,7 +20,7 @@ from easerl.envs import (
     step,
 )
 from easerl.errors import NonFiniteAction, UnsupportedSize
-from easerl.geometry import ConvexPolygon, RegionSet, bisect
+from easerl.geometry import ConvexPolygon, RegionSet, bisect, contains
 from easerl.rl import Arch, PolicyParams, init_policy
 
 
@@ -55,8 +55,8 @@ class TestRewardInterpolation:
                 step(env, s, action, RewardSpec("reward_weight", alpha=a)).reward
                 for a in alphas
             ]
-            nxt = env.dynamics(s, action)
-            if env.in_region(nxt, env.barrier):
+            nxt = step(env, s, action, relaxed_reward(env)).state
+            if contains(env.barrier, nxt[:2]):
                 hit_barrier += 1
                 base = rewards[0]
                 for a, r in zip(alphas, rewards):
@@ -71,9 +71,9 @@ class TestRewardInterpolation:
         for s in probe_states(env, n_side=12):
             r0 = step(env, s, action, relaxed_reward(env)).reward
             r1 = step(env, s, action, full_reward(env)).reward
-            base = env.outcome(s, action, env.dynamics(s, action))[0]
-            nxt = env.dynamics(s, action)
-            member = env.in_region(nxt, env.barrier)
+            relaxed = step(env, s, action, relaxed_reward(env))
+            base = relaxed.base
+            member = contains(env.barrier, relaxed.state[:2])
             assert r0 == pytest.approx(base)
             assert r1 == pytest.approx(base - (env.barrier.penalty if member else 0.0))
 
@@ -157,7 +157,7 @@ class TestScriptedPathOracle:
             res = step(env, state, np.zeros(1), spec)
             total += gamma_t * res.reward
 
-            nxt = env.dynamics(state, np.zeros(1))
+            nxt = res.state
             t_norm = state[5] / env.spec.horizon
             shaping = 0.0
             # heading stays pi/2 exactly, so the side term is sin(0) = 0
@@ -200,7 +200,7 @@ class TestNav1:
             steps += 1
             if res.terminal:
                 break
-        assert env.in_goal(state)
+        assert env.goal_poly.contains_point(*state[:2])
         assert steps < env.spec.horizon
 
     def test_feature_vector_shape_and_scaling(self):
@@ -218,9 +218,8 @@ class TestNav1:
         right = nav1_make(5, "right")
         s = left.initial_state()
         a = np.array([1.0])  # steer left
-        nxt = left.dynamics(s, a)
-        r_left = left.outcome(s, a, nxt)[0]
-        r_right = right.outcome(s, a, nxt)[0]
+        r_left = step(left, s, a, relaxed_reward(left)).base
+        r_right = step(right, s, a, relaxed_reward(right)).base
         assert r_left > 0 > r_right
 
     def test_speed_controller_approaches_setpoint(self):
@@ -228,7 +227,7 @@ class TestNav1:
         s = env.initial_state()
         assert s[3] == 0.0
         for _ in range(40):
-            s = env.dynamics(s, np.zeros(1))
+            s = step(env, s, np.zeros(1), relaxed_reward(env)).state
         assert s[3] == pytest.approx(env.v_set, abs=1e-3)
 
     def test_class_labels(self):
@@ -300,7 +299,7 @@ class TestNav2:
             state = res.state
             if res.terminal:
                 break
-        assert env.in_goal(state)
+        assert env.goal_poly.contains_point(*state[:2])
         assert total > 3000.0
 
     def test_wrong_class_stays_below_threshold(self):
@@ -375,7 +374,7 @@ class TestMeanRollout:
         traj = mean_rollout(env, pol, full_reward(env))
         xs = traj.states[:, 0]
         assert np.max(np.abs(xs)) < 1e-9
-        assert env.in_goal(traj.raw_states[-1])
+        assert env.goal_poly.contains_point(*traj.raw_states[-1][:2])
 
 
 PINNED_TASKS = {
