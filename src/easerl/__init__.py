@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .config import default_config, nav1_defaults, nav2_defaults, validate_config
 from .curriculum import (
-    CurriculumSchedule,
     FindSb1Config,
     StageBudgets,
     TransferJob,
@@ -66,7 +65,6 @@ __all__ = [
     "ClassSignature",
     "ConvergenceBand",
     "ConvexPolygon",
-    "CurriculumSchedule",
     "EmpiricalDistribution",
     "FindSb1Config",
     "GridSpec",

@@ -2,11 +2,13 @@
 
 The transfer recipe: train a relaxed policy (barrier penalty off) from the
 source policy, then re-introduce the penalty along a validated schedule,
-warm-starting every stage from the previous one.  Schedules either ramp the
-penalty weight alpha up to 1 or grow a nested family of barrier subsets up to
-the full barrier.  The starting subset can be found automatically by
-bisecting the barrier until a piece separates the source and relaxed
-trajectories, then inflating it until it touches the relaxed trajectory.
+warm-starting every stage from the previous one.  A schedule is the tuple of
+its stages' RewardSpecs, whose penalty fields w * M * [s in S] grow stage by
+stage up to the full barrier at w = 1: `ease_reward` ramps the weight w on
+the full barrier, `ease_barrier` grows a nested family of barrier subsets S
+at w = 1.  The starting subset can be found automatically by bisecting the
+barrier until a piece separates the source and relaxed trajectories, then
+inflating it until it touches the relaxed trajectory.
 """
 
 from __future__ import annotations
@@ -77,32 +79,6 @@ def stage_labels(method: str, n_stages: int) -> list[str]:
     return ["final"]
 
 
-@dataclass(frozen=True)
-class CurriculumSchedule:
-    """Either a strictly increasing alpha ramp ending at 1, or a nested
-    subset family ending at the full barrier."""
-
-    mode: str  # "reward_weight" | "barrier_set"
-    alphas: tuple[float, ...] = ()
-    subsets: tuple[RegionSet, ...] = ()  # active barrier subset per stage
-
-    def __post_init__(self):
-        if self.mode not in ("reward_weight", "barrier_set"):
-            raise ValueError(f"unknown schedule mode {self.mode!r}")
-        if self.mode == "reward_weight" and not self.alphas:
-            raise ValueError("reward_weight schedule needs alphas")
-        if self.mode == "barrier_set" and not self.subsets:
-            raise ValueError("barrier_set schedule needs subsets")
-
-    def stages(self) -> int:
-        return len(self.alphas) if self.mode == "reward_weight" else len(self.subsets)
-
-    def reward_spec(self, k: int) -> RewardSpec:
-        if self.mode == "reward_weight":
-            return RewardSpec("reward_weight", alpha=self.alphas[k])
-        return RewardSpec("barrier_set", active=self.subsets[k])
-
-
 def _region_probe_points(barrier: RegionSet, n: int) -> np.ndarray:
     """(n * n, 2) grid over the barrier's padded bounding box, x-major."""
     x0, y0, x1, y1 = barrier.bbox()
@@ -112,29 +88,22 @@ def _region_probe_points(barrier: RegionSet, n: int) -> np.ndarray:
     return np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
-def validate_schedule(schedule: CurriculumSchedule, barrier: RegionSet) -> None:
+def validate_schedule(schedule: tuple[RewardSpec, ...], barrier: RegionSet) -> None:
     """Check the schedule's defining inequalities before any training runs.
 
-    Alpha ramps must be strictly increasing in (0, 1] and end at exactly 1.
-    Subset families must be nested and end at the full barrier; both checks
-    run pointwise on a probe grid over the barrier's bounding box.  Each axis
-    is padded and sampled on its own extent, so a thin barrier (a 6.4 x 0.4
-    rectangle, say) is probed as finely across as along.
+    Stage k charges the penalty field w_k * M * [p in S_k].  Every weight must
+    be in (0, 1]; each stage's field must be pointwise >= its predecessor's and
+    differ from it; the last stage must be the full barrier at weight 1.  The
+    fields are compared on a probe grid over the barrier's bounding box.  Each
+    axis is padded and sampled on its own extent, so a thin barrier (a 6.4 x
+    0.4 rectangle, say) is probed as finely across as along.  A field that
+    falls is reported as a subset that leaves the next one or, inside nested
+    subsets, as a weight that falls.
     """
-    if schedule.mode == "reward_weight":
-        prev = 0.0
-        for a in schedule.alphas:
-            if not (prev < a <= 1.0):
-                raise PreconditionViolated(
-                    f"alphas must satisfy 0 < a_1 < ... < a_K = 1, got {schedule.alphas}"
-                )
-            prev = a
-        if schedule.alphas[-1] != 1.0:
-            raise PreconditionViolated("final alpha must equal 1")
-        return
-
-    if len(barrier.parts) != 1:
-        raise PreconditionViolated("barrier-set schedules need a single connected barrier")
+    weights = tuple(s.weight for s in schedule)
+    ramp = f"alphas must satisfy 0 < a_1 < ... < a_K = 1, got {weights}"
+    if not schedule or min(weights) <= 0.0:
+        raise PreconditionViolated(ramp)
     x0, y0, x1, y1 = barrier.bbox()
     xs, ys = (
         np.linspace(lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo), PROBE_N)
@@ -142,13 +111,21 @@ def validate_schedule(schedule: CurriculumSchedule, barrier: RegionSet) -> None:
     )
     pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
 
-    masks = [contains(s, pts) for s in schedule.subsets]
+    inside = {r: contains(r, pts) for r in {s.region for s in schedule} | {barrier}}
+    masks = [inside[s.region] for s in schedule]
+    fields = [s.weight * m for s, m in zip(schedule, masks)]
     for k in range(len(masks) - 1):
         if np.any(masks[k] & ~masks[k + 1]):
             raise PreconditionViolated(f"subset {k} is not contained in subset {k + 1}")
-    full = contains(barrier, pts)
-    if np.any(masks[-1] != full):
+    if any(np.any(f1 < f0) for f0, f1 in zip(fields, fields[1:])):
+        raise PreconditionViolated(ramp)
+    if weights[-1] != 1.0:
+        raise PreconditionViolated("final alpha must equal 1")
+    if np.any(masks[-1] != inside[barrier]):
         raise PreconditionViolated("final subset must equal the full barrier")
+    for k in range(len(fields) - 1):
+        if np.array_equal(fields[k], fields[k + 1]):
+            raise PreconditionViolated(f"stage {k + 1} charges the same penalty as stage {k}")
 
 
 @dataclass(frozen=True)
@@ -244,7 +221,9 @@ def find_sb1(
     return FindSb1Result(result, halvings, inflations)
 
 
-def auto_barrier_schedule(sb1: RegionSet, barrier: RegionSet, stages: int = 3) -> CurriculumSchedule:
+def auto_barrier_schedule(
+    sb1: RegionSet, barrier: RegionSet, stages: int = 3
+) -> tuple[RewardSpec, ...]:
     """Nested subsets from sb1 to the full barrier by dilate-and-clip."""
     if stages < 1:
         raise ValueError("need at least one stage")
@@ -259,7 +238,7 @@ def auto_barrier_schedule(sb1: RegionSet, barrier: RegionSet, stages: int = 3) -
         r = reach * k / stages
         subsets.append(intersect_clip(dilate(sb1, r), part) if r > 0 else sb1)
     subsets.append(barrier)
-    return CurriculumSchedule("barrier_set", subsets=tuple(subsets))
+    return tuple(RewardSpec(s, 1.0) for s in subsets)
 
 
 @dataclass(frozen=True)
@@ -298,7 +277,7 @@ class TransferJob:
     source: PolicyParams | None
     seed: int
     budget: int
-    schedule: CurriculumSchedule | None
+    schedule: tuple[RewardSpec, ...] | None  # the stages' specs; None: found by ease_barrier
     relax_band: ConvergenceBand
     stage_band: ConvergenceBand
     final_band: ConvergenceBand
@@ -419,7 +398,7 @@ def relax_until_crossing(job: TransferJob, budget: int):
 
 def run_curriculum(
     job: TransferJob,
-    schedule: CurriculumSchedule,
+    schedule: tuple[RewardSpec, ...],
     start: PolicyParams,
     budgets: tuple[int, ...],
     carry: int,
@@ -437,12 +416,11 @@ def run_curriculum(
     validate_schedule(schedule, job.env.barrier)
     reports: list[TrainReport] = []
     policy = start
-    n = schedule.stages()
-    for k in range(n):
-        band = job.final_band if k == n - 1 else job.stage_band
+    for k, spec in enumerate(schedule):
+        band = job.final_band if k == len(schedule) - 1 else job.stage_band
         allowance = budgets[k] + carry
         cfg = job.train_cfg(allowance, band, f"stage-{k}", keep_best=True)
-        report = yield from training(job.env, schedule.reward_spec(k), policy, cfg)
+        report = yield from training(job.env, spec, policy, cfg)
         reports.append(report)
         policy = report.params
         carry = allowance - report.interaction_steps
@@ -496,25 +474,22 @@ def _transfer_report(
     )
 
 
-def ease_in_ease_out(job: TransferJob, mode: str = "reward_weight"):
-    """Relax stage, then the curriculum; failure of any stage fails the run.
+def ease_in_ease_out(job: TransferJob, method: str):
+    """Relax stage, then the curriculum `method`; failure of any stage fails the run.
 
     The run spends at most job.budget steps in total: the relax stage gets
     its StageBudgets share, and its leftover passes on to the curriculum.
     """
+    if method not in CURRICULA:
+        raise ValueError(f"unknown curriculum {method!r}")
     schedule = job.schedule
-    if schedule is not None and schedule.mode != mode:
-        raise PreconditionViolated(
-            f"schedule mode {schedule.mode!r} does not match requested {mode!r}"
-        )
-    if schedule is None and mode == "reward_weight":
+    if schedule is None and method == "ease_reward":
         raise PreconditionViolated("reward-weight transfer needs an explicit alpha schedule")
-    if mode == "barrier_set" and len(job.env.barrier.parts) != 1:
+    if method == "ease_barrier" and len(job.env.barrier.parts) != 1:
         raise PreconditionViolated("barrier-set transfer needs a single connected barrier")
 
-    n_stages = schedule.stages() if schedule is not None else job.auto_stages
+    n_stages = len(schedule) if schedule is not None else job.auto_stages
     budgets = StageBudgets.split(job.budget, n_stages)
-    method = "ease_reward" if mode == "reward_weight" else "ease_barrier"
 
     if schedule is None:
         # the subset search needs a relaxed trajectory that actually crosses
@@ -562,10 +537,8 @@ def baseline_transfer(job: TransferJob, method: str):
 
 def transfer(job: TransferJob, method: str):
     """One (method, job) run as a request generator; returns its TransferReport."""
-    if method == "ease_reward":
-        return (yield from ease_in_ease_out(job, "reward_weight"))
-    if method == "ease_barrier":
-        return (yield from ease_in_ease_out(job, "barrier_set"))
+    if method in CURRICULA:
+        return (yield from ease_in_ease_out(job, method))
     return (yield from baseline_transfer(job, method))
 
 

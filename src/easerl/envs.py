@@ -6,9 +6,9 @@ base(s, a, s') minus a curriculum-controlled barrier penalty.  Kinematics,
 shaping, goal, start and horizon are fixed parts of each task, stated once
 here as constants; only the barrier penalty is a curriculum knob.  Every
 barrier is a RegionSet in the x-y plane, the plane of the car's trajectories
-and homotopy classes.  The curriculum knob is either a weight alpha in [0, 1]
-on the full-barrier penalty or an active subset of the barrier (again a
-RegionSet) charged at full magnitude.
+and homotopy classes.  The curriculum knob is a RewardSpec(region, weight):
+the penalty weight * M is charged inside the region, a subset of the barrier
+(again a RegionSet), with weight in [0, 1].
 
 nav1: 20x20 field, car starts below a centered rectangular barrier (width in
 {1, 3, 5, 7}, depth 2) and must reach the goal band at the top, passing on a
@@ -64,33 +64,27 @@ class MdpSpec:
 
 @dataclass(frozen=True)
 class RewardSpec:
-    """Curriculum knob: penalty weight or active barrier subset.
+    """Curriculum knob: reward = base - weight * M * [s' in region], with M
+    the task's barrier penalty and weight in [0, 1].
 
-    mode "reward_weight": reward = base - alpha * M * [s' in full barrier].
-    mode "barrier_set":   reward = base - M * [s' in active subset].
-
-    The active subset is a RegionSet in the task plane, as the barrier is.
+    The region is a RegionSet in the task plane, as the barrier is: the full
+    barrier for a weight ramp, a growing subset of it for a barrier ramp.
     """
 
-    mode: str
-    alpha: float = 1.0
-    active: RegionSet | None = None  # the charged subset when mode == "barrier_set"
+    region: RegionSet
+    weight: float
 
     def __post_init__(self):
-        if self.mode not in ("reward_weight", "barrier_set"):
-            raise ValueError(f"unknown reward mode {self.mode!r}")
-        if self.mode == "reward_weight" and not (0.0 <= self.alpha <= 1.0):
-            raise ValueError("alpha must be in [0, 1]")
-        if self.mode == "barrier_set" and self.active is None:
-            raise ValueError("barrier_set mode needs an active subset")
+        if not (0.0 <= self.weight <= 1.0):
+            raise ValueError(f"weight must be in [0, 1], got {self.weight}")
 
 
 def relaxed_reward(env) -> RewardSpec:
-    return RewardSpec("reward_weight", alpha=0.0)
+    return RewardSpec(env.barrier, 0.0)
 
 
 def full_reward(env) -> RewardSpec:
-    return RewardSpec("reward_weight", alpha=1.0)
+    return RewardSpec(env.barrier, 1.0)
 
 
 @dataclass(frozen=True)
@@ -222,9 +216,6 @@ class CarEnv:
         gx0, gy0, gx1, gy1 = self.goal_poly.bbox()
         return Point2(*self.start), Point2(0.5 * (gx0 + gx1), 0.5 * (gy0 + gy1))
 
-    def class_label(self, bits: tuple[int, ...]) -> str:
-        return "".join("L" if b else "R" for b in bits)
-
 
 def _side_to_bit(side: str) -> int:
     if side not in ("left", "right"):
@@ -234,7 +225,7 @@ def _side_to_bit(side: str) -> int:
 
 def nav1_barrier(width: float) -> RegionSet:
     """nav1's barrier of the given width (depth 2), centered on the origin;
-    narrower ones are the subsets of a barrier_set schedule."""
+    narrower ones are the regions of a barrier ramp's stages."""
     return RegionSet((ConvexPolygon.rectangle(0.0, 0.0, float(width), 2.0),), PENALTY)
 
 
@@ -286,20 +277,6 @@ def landscape_make(barrier_size: int = 5, target_side: str = "left") -> CarEnv:
     )
 
 
-def penalty_region(env, reward_spec: RewardSpec):
-    """The set whose membership is charged this step under the given spec."""
-    if reward_spec.mode == "reward_weight":
-        return env.barrier
-    return reward_spec.active
-
-
-def penalty_charge(env, reward_spec: RewardSpec) -> float:
-    """The penalty charged inside `penalty_region` under the given spec."""
-    if reward_spec.mode == "reward_weight":
-        return reward_spec.alpha * env.barrier.penalty
-    return env.barrier.penalty
-
-
 # the one edge of an empty region: its inner side x <= -inf holds no point
 _NO_PART = (np.array([np.inf]), np.zeros(1), np.zeros(1), np.full(1, -1.0))
 
@@ -333,10 +310,9 @@ class RowRewards:
         """The RowRewards of one RewardSpec for every row, or of one spec per row."""
         one = isinstance(specs, RewardSpec)
         index: dict[RegionSet, int] = {}
-        group = [index.setdefault(penalty_region(env, s), len(index))
-                 for s in ([specs] if one else specs)]
-        charge = (penalty_charge(env, specs) if one
-                  else np.array([penalty_charge(env, s) for s in specs]))
+        group = [index.setdefault(s.region, len(index)) for s in ([specs] if one else specs)]
+        m = env.barrier.penalty
+        charge = specs.weight * m if one else np.array([s.weight * m for s in specs])
         pick = (np.arange(len(group)), 1 + np.array(group)) if len(index) > 1 else None
         return RowRewards(pick, charge, *_edge_table(env.goal_poly, tuple(index)))
 

@@ -104,6 +104,13 @@ class ConvexPolygon:
             )
         )
 
+    # the dataclass hash of the fields, computed on first use: a lookup keyed
+    # by a polygon or a region would otherwise walk every vertex on each call
+    _hash = functools.cached_property(lambda self: hash((self.vertices,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def area(self) -> float:
         v = self.vertices
         s = 0.0
@@ -179,6 +186,11 @@ class RegionSet:
     def __post_init__(self):
         if self.penalty <= 0.0:
             raise ValueError("penalty must be positive")
+
+    _hash = functools.cached_property(lambda self: hash((self.parts, self.penalty)))
+
+    def __hash__(self) -> int:  # computed once, as ConvexPolygon's
+        return self._hash
 
     def bbox(self) -> tuple[float, float, float, float]:
         if not self.parts:

@@ -231,13 +231,6 @@ def episode_grad(
     return np.concatenate([d_theta, d_log_std])
 
 
-def grad_log_prob(policy: PolicyParams, state: np.ndarray, action: np.ndarray) -> np.ndarray:
-    """Analytic gradient of log pi(action|state) over the trainable vector."""
-    state = np.asarray(state, dtype=float).reshape(1, -1)
-    action = np.asarray(action, dtype=float).reshape(1, -1)
-    return episode_grad(policy, state, action, np.ones(1))
-
-
 def reward_to_go(rewards: np.ndarray, discount: float) -> np.ndarray:
     """G_t = sum_{k>=t} discount^(k-t) r_k along the last axis.
 
@@ -438,7 +431,7 @@ def evaluation(env, reward_spec, policy: PolicyParams, episodes: int, seed: int)
     collided_full = [_homotopy.collides(traj, region) for traj in trajs]
     labels = [
         None if coll
-        else env.class_label(_homotopy.parity_bits(traj, region, a_start, a_goal))
+        else _homotopy.ClassSignature(_homotopy.parity_bits(traj, region, a_start, a_goal)).label()
         for traj, coll in zip(trajs, collided_full)
     ]
     hist: dict[str, int] = {}

@@ -32,7 +32,6 @@ from .config import config_hash, serialize_config
 from .curriculum import (
     CSV_HEADER,
     CURRICULA,
-    CurriculumSchedule,
     FindSb1Config,
     TransferJob,
     TransferReport,
@@ -43,7 +42,8 @@ from .curriculum import (
     validate_schedule,
 )
 from .envs import (
-    full_reward, landscape_make, mean_rollout, nav1_barrier, nav1_make, nav2_make, serve,
+    RewardSpec, full_reward, landscape_make, mean_rollout, nav1_barrier, nav1_make, nav2_make,
+    serve,
 )
 from .errors import ConfigError, MissingCheckpoint, MissingData, PreconditionViolated
 from .homotopy import load_trajectory, save_trajectory
@@ -71,47 +71,43 @@ def env_from_config(cfg: dict):
     return nav2_make(env["target_side"])
 
 
-def schedule_from_config(cfg: dict, env) -> CurriculumSchedule | None:
-    """None means the barrier-set schedule is found automatically."""
-    sc = cfg["transfer"]["schedule"]
-    if sc["mode"] == "reward_weight":
-        if not sc["alphas"]:
-            raise ConfigError("reward_weight schedule needs transfer.schedule.alphas")
-        return CurriculumSchedule("reward_weight", alphas=tuple(float(a) for a in sc["alphas"]))
-    if not sc["barrier_sizes"]:
-        return None
-    if not env.name.startswith("nav1"):
-        raise ConfigError("schedule.barrier_sizes only applies to nav1 environments")
-    try:
-        subsets = tuple(nav1_barrier(v) for v in sc["barrier_sizes"])
-    except ValueError as exc:
-        raise ConfigError(f"transfer.schedule.barrier_sizes: {exc}") from exc
-    return CurriculumSchedule("barrier_set", subsets=subsets)
-
-
-def _check_schedule(cfg: dict) -> None:
-    """Check that the schedule suits the methods, build it and check its
-    defining inequalities, so a mismatch or a malformed schedule is a config
-    error before any training runs."""
+def schedule_from_config(cfg: dict, env) -> tuple[RewardSpec, ...] | None:
+    """The grid's schedule, built and checked once before any training runs:
+    a schedule that does not suit the methods or breaks its defining
+    inequalities is a config error.  None: the subsets are found automatically."""
     methods = cfg["transfer"]["methods"]
     sc = cfg["transfer"]["schedule"]
     for method, mode in (("ease_reward", "reward_weight"), ("ease_barrier", "barrier_set")):
         if method in methods and sc["mode"] != mode:
             raise ConfigError(f"transfer.schedule.mode must be {mode} for method {method}")
-    auto = not sc["barrier_sizes"]
-    if "ease_barrier" in methods and auto and cfg["environment"]["name"] != "nav1":
-        raise ConfigError(
-            "ease_barrier without transfer.schedule.barrier_sizes searches the subsets "
-            "automatically, which needs environment.name: nav1"
-        )
-    env = env_from_config(cfg)
-    schedule = schedule_from_config(cfg, env)
-    if schedule is None:
-        return
+    if sc["mode"] == "reward_weight":
+        if not sc["alphas"]:
+            raise ConfigError("reward_weight schedule needs transfer.schedule.alphas")
+        alphas = tuple(float(a) for a in sc["alphas"])
+        if not all(0.0 <= a <= 1.0 for a in alphas):  # RewardSpec's range
+            raise ConfigError(
+                f"transfer.schedule: alphas must satisfy 0 < a_1 < ... < a_K = 1, got {alphas}"
+            )
+        schedule = tuple(RewardSpec(env.barrier, a) for a in alphas)
+    elif not sc["barrier_sizes"]:
+        if "ease_barrier" in methods and cfg["environment"]["name"] != "nav1":
+            raise ConfigError(
+                "ease_barrier without transfer.schedule.barrier_sizes searches the subsets "
+                "automatically, which needs environment.name: nav1"
+            )
+        return None
+    else:
+        if not env.name.startswith("nav1"):
+            raise ConfigError("schedule.barrier_sizes only applies to nav1 environments")
+        try:
+            schedule = tuple(RewardSpec(nav1_barrier(v), 1.0) for v in sc["barrier_sizes"])
+        except ValueError as exc:
+            raise ConfigError(f"transfer.schedule.barrier_sizes: {exc}") from exc
     try:
         validate_schedule(schedule, env.barrier)
     except PreconditionViolated as exc:
         raise ConfigError(f"transfer.schedule: {exc}") from exc
+    return schedule
 
 
 def _band(d: dict) -> ConvergenceBand:
@@ -133,7 +129,8 @@ def train_config(cfg: dict) -> TrainConfig:
     )
 
 
-def job_from_config(cfg: dict, env, source, seed: int) -> TransferJob:
+def job_from_config(cfg: dict, env, source, seed: int, schedule) -> TransferJob:
+    """One seed's transfer job; the jobs of a grid share one `schedule`."""
     tr = cfg["training"]
     xf = cfg["transfer"]
     return TransferJob(
@@ -141,7 +138,7 @@ def job_from_config(cfg: dict, env, source, seed: int) -> TransferJob:
         source=source,
         seed=seed,
         budget=xf["budget"],
-        schedule=schedule_from_config(cfg, env),
+        schedule=schedule,
         relax_band=_band(xf["relax_convergence"]),
         stage_band=_band(xf["stage_convergence"]),
         final_band=_band(tr["convergence"]),
@@ -160,14 +157,14 @@ def _serve_tasks(env, tasks: list) -> list[TransferReport]:
     return serve(env, [transfer(job, method) for method, job in tasks])
 
 
-def run_grid(cfg: dict, source, workers: int = 1) -> list[TransferReport]:
-    """Run the (method x seed) grid in lockstep; `workers` processes each
-    serve every workers-th task.  A run's bits, and the report order, do not
-    depend on the worker count."""
+def run_grid(cfg: dict, source, schedule, workers: int = 1) -> list[TransferReport]:
+    """Run the (method x seed) grid in lockstep, every job sharing `schedule`;
+    `workers` processes each serve every workers-th task.  A run's bits, and
+    the report order, do not depend on the worker count."""
     env = env_from_config(cfg)
     methods = sorted(cfg["transfer"]["methods"], key=method_rank)
     tasks = [
-        (m, job_from_config(cfg, env, source, int(s)))
+        (m, job_from_config(cfg, env, source, int(s), schedule))
         for m in methods
         for s in cfg["transfer"]["seeds"]
     ]
@@ -379,7 +376,7 @@ def render_plots(out_dir) -> list[str]:
 
 
 def run_transfer_experiment(cfg: dict, out_dir, workers: int = 1) -> list[TransferReport]:
-    _check_schedule(cfg)
+    schedule = schedule_from_config(cfg, env_from_config(cfg))
     ckpt = cfg["transfer"]["source_checkpoint"]
     if not ckpt:
         raise MissingCheckpoint("transfer.source_checkpoint is not set")
@@ -387,7 +384,7 @@ def run_transfer_experiment(cfg: dict, out_dir, workers: int = 1) -> list[Transf
         raise MissingCheckpoint(f"source checkpoint not found: {ckpt}")
     source, _ = load_checkpoint(ckpt)
     os.makedirs(out_dir, exist_ok=True)
-    reports = run_grid(cfg, source, workers)
+    reports = run_grid(cfg, source, schedule, workers)
     _write_config_snapshot(out_dir, cfg)
     write_manifest(out_dir, cfg)
     write_runs_csv(os.path.join(out_dir, "runs.csv"), reports)

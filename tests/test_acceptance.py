@@ -41,13 +41,13 @@ from easerl.homotopy import (
 from easerl.rl import (
     GridSpec,
     PolicyParams,
+    episode_grad,
     evaluate_detail,
-    grad_log_prob,
     landscape_scan,
     load_checkpoint,
     segment_profile,
 )
-from easerl.runner import env_from_config, job_from_config
+from easerl.runner import env_from_config, job_from_config, schedule_from_config
 from easerl.curriculum import transfer
 from easerl.seeding import derive_seed
 
@@ -78,7 +78,7 @@ def test_criterion_01_gradient_oracle():
         pol = random_policy(rng, kind)
         s = rng.normal(size=4)
         a = mean_batch(pol, s.reshape(1, -1))[0] + rng.normal(size=2) * np.exp(pol.log_std)
-        got = grad_log_prob(pol, s, a)
+        got = episode_grad(pol, s[None], a[None], np.ones(1))
         want = numeric_grad(pol, s.reshape(1, -1), a.reshape(1, -1), np.ones(1))
         rel = np.abs(got - want) / np.maximum(np.abs(want), 1e-6)
         worst = max(worst, float(rel.max()))
@@ -179,7 +179,7 @@ def test_criterion_04_reward_contracts():
         relaxed = step(env, s, action, relaxed_reward(env))
         member = contains(env.barrier, relaxed.state[:2])
         base = relaxed.base
-        rewards = [step(env, s, action, RewardSpec("reward_weight", alpha=a)).reward
+        rewards = [step(env, s, action, RewardSpec(env.barrier, a)).reward
                    for a in alphas]
         if member:
             hit += 1
@@ -191,7 +191,7 @@ def test_criterion_04_reward_contracts():
         ok &= rewards[0] == relaxed.reward
         ok &= rewards[-1] == step(env, s, action, full_reward(env)).reward
         # nested subsets never increase the reward
-        sub = [step(env, s, action, RewardSpec("barrier_set", active=c)).reward
+        sub = [step(env, s, action, RewardSpec(c, 1.0)).reward
                for c in chain]
         ok &= rewards[0] >= sub[0] >= sub[1]
         if not ok:
@@ -212,9 +212,9 @@ def test_criterion_05_transition_invariance():
     half = RegionSet((ConvexPolygon.rectangle(0.0, 0.0, 3.5, 2.0),), env.barrier.penalty)
     specs = [
         relaxed_reward(env),
-        RewardSpec("reward_weight", alpha=0.001),
-        RewardSpec("reward_weight", alpha=0.5),
-        RewardSpec("barrier_set", active=half),
+        RewardSpec(env.barrier, 0.001),
+        RewardSpec(env.barrier, 0.5),
+        RewardSpec(half, 1.0),
         full_reward(env),
     ]
     ok = True
@@ -243,8 +243,9 @@ def test_criterion_06_find_sb1_contract():
         source, _ = load_checkpoint(os.path.join(ASSETS, f"source-nav1-{size}.json"))
         xi_s = mean_rollout(env, source, relaxed_reward(env))
         a0, a1 = env.anchors()
+        schedule = schedule_from_config(cfg, env)
         for seed in range(5):
-            job = job_from_config(cfg, env, source, seed)
+            job = job_from_config(cfg, env, source, seed, schedule)
             budgets = StageBudgets.split(job.budget, 2)
             relax = drive(env, relax_until_crossing(job, budgets.relax))
             if not relax.converged:
@@ -277,7 +278,8 @@ def test_criterion_07_reward_weight_monotone():
     good_seeds = 0
     notes = []
     # the five runs step in lockstep; each gets the bits it gets alone
-    jobs = [job_from_config(cfg, env, source, seed) for seed in range(5)]
+    schedule = schedule_from_config(cfg, env)
+    jobs = [job_from_config(cfg, env, source, seed, schedule) for seed in range(5)]
     reports = serve(env, [transfer(job, "ease_reward") for job in jobs])
     for seed, report in enumerate(reports):
         stages = [(lab, pol) for lab, pol in report.stage_policies
@@ -317,7 +319,8 @@ def test_criterion_08_headline_transfer():
     outcomes = {"ease_barrier": [], "naive": []}
     # all ten runs step in lockstep; each gets the bits it gets alone
     tasks = [(method, seed) for method in outcomes for seed in range(5)]
-    reports = serve(env, [transfer(job_from_config(cfg, env, source, seed), method)
+    schedule = schedule_from_config(cfg, env)
+    reports = serve(env, [transfer(job_from_config(cfg, env, source, seed, schedule), method)
                           for method, seed in tasks])
     for (method, _), report in zip(tasks, reports):
         outcomes[method].append(report)

@@ -187,6 +187,34 @@ def test_method_schedule_mismatch_exits_usage_before_training(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "make, schedule",
+    [
+        (lambda: nav1_defaults(7, "left"),
+         {"mode": "barrier_set", "alphas": [], "barrier_sizes": [4, 4, 7], "auto_stages": 3}),
+        (lambda: nav2_defaults("RR"),
+         {"mode": "reward_weight", "alphas": [0.5, 0.5, 1.0], "barrier_sizes": [],
+          "auto_stages": 3}),
+    ],
+    ids=["barrier-sizes", "alphas"],
+)
+def test_repeated_stage_exits_usage_before_training(make, schedule, tmp_path, capsys, monkeypatch):
+    # a stage that charges what the stage before it charged is rejected by
+    # the one schedule rule; barrier_sizes [4, 4, 7] was accepted before
+    monkeypatch.setattr(envs, "rollout_batch", _no_training)
+    cfg = make()
+    cfg["transfer"]["schedule"] = dict(schedule)
+    cfg["transfer"]["source_checkpoint"] = SOURCE_NAV1_7
+    cfg["transfer"]["seeds"] = [0]
+    path = tmp_path / "c.yaml"
+    path.write_text(serialize_config(validate_config(cfg)))
+    rc = main(["transfer", "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert err == "error: transfer.schedule: stage 1 charges the same penalty as stage 0\n"
+    assert not (tmp_path / "o").exists()
+
+
 # ------------------------------------------------------------ homotopy
 
 

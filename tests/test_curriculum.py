@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from easerl.curriculum import (
-    CurriculumSchedule,
     FindSb1Config,
     StageBudgets,
     TransferJob,
@@ -18,7 +17,7 @@ from easerl.curriculum import (
     run_transfer,
     validate_schedule,
 )
-from easerl.envs import drive, nav1_make, nav2_make
+from easerl.envs import RewardSpec, drive, nav1_make, nav2_make
 from easerl.errors import BudgetExhausted, PreconditionViolated
 from easerl.geometry import ConvexPolygon, Point2, RegionSet
 from easerl.homotopy import Trajectory, collides, divides
@@ -42,96 +41,106 @@ def vertical(x, lo=-8.0, hi=9.0, n=40) -> Trajectory:
 RIGHT_AROUND = path((0, -8), (5, -4), (5, 4), (0, 9))
 
 
-class TestScheduleType:
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            CurriculumSchedule("linear", alphas=(1.0,))
+def weight_ramp(*weights, barrier=BARRIER):
+    """A schedule that ramps the weight on the full barrier."""
+    return tuple(RewardSpec(barrier, w) for w in weights)
 
+
+def subset_ramp(*regions):
+    """A schedule that grows the charged subset at full weight."""
+    return tuple(RewardSpec(r, 1.0) for r in regions)
+
+
+class TestScheduleType:
     def test_missing_payload(self):
-        with pytest.raises(ValueError):
-            CurriculumSchedule("reward_weight")
-        with pytest.raises(ValueError):
-            CurriculumSchedule("barrier_set")
+        with pytest.raises(PreconditionViolated):
+            validate_schedule((), BARRIER)
 
     def test_stages_and_specs(self):
-        sched = CurriculumSchedule("reward_weight", alphas=(0.1, 0.5, 1.0))
-        assert sched.stages() == 3
-        assert sched.reward_spec(0).alpha == 0.1
-        assert sched.reward_spec(2).mode == "reward_weight"
+        sched = weight_ramp(0.1, 0.5, 1.0)
+        assert len(sched) == 3
+        assert sched[0].weight == 0.1
+        assert sched[2].region is BARRIER
         sub = RegionSet((ConvexPolygon.rectangle(0, 0, 1, 2),), 1000.0)
-        bsched = CurriculumSchedule("barrier_set", subsets=(sub, BARRIER))
-        assert bsched.stages() == 2
-        assert bsched.reward_spec(0).active is sub
+        bsched = subset_ramp(sub, BARRIER)
+        assert len(bsched) == 2
+        assert bsched[0].region is sub and bsched[0].weight == 1.0
 
 
 class TestValidateSchedule:
     def test_good_alpha_ramp(self):
-        validate_schedule(
-            CurriculumSchedule("reward_weight", alphas=(0.001, 0.01, 0.1, 1.0)), BARRIER
-        )
+        validate_schedule(weight_ramp(0.001, 0.01, 0.1, 1.0), BARRIER)
 
     def test_alpha_not_increasing(self):
-        with pytest.raises(PreconditionViolated):
-            validate_schedule(
-                CurriculumSchedule("reward_weight", alphas=(0.5, 0.5, 1.0)), BARRIER
-            )
+        with pytest.raises(PreconditionViolated, match="alphas must satisfy"):
+            validate_schedule(weight_ramp(0.5, 0.3, 1.0), BARRIER)
 
     def test_alpha_zero_start(self):
-        with pytest.raises(PreconditionViolated):
-            validate_schedule(
-                CurriculumSchedule("reward_weight", alphas=(0.0, 1.0)), BARRIER
-            )
+        with pytest.raises(PreconditionViolated, match="alphas must satisfy"):
+            validate_schedule(weight_ramp(0.0, 1.0), BARRIER)
 
     def test_alpha_must_end_at_one(self):
-        with pytest.raises(PreconditionViolated):
-            validate_schedule(
-                CurriculumSchedule("reward_weight", alphas=(0.1, 0.9)), BARRIER
-            )
+        with pytest.raises(PreconditionViolated, match="final alpha must equal 1"):
+            validate_schedule(weight_ramp(0.1, 0.9), BARRIER)
 
     def test_good_nested_subsets(self):
         inner = RegionSet((ConvexPolygon.rectangle(0, 0, 2, 2),), 1000.0)
-        validate_schedule(
-            CurriculumSchedule("barrier_set", subsets=(inner, BARRIER)), BARRIER
-        )
+        validate_schedule(subset_ramp(inner, BARRIER), BARRIER)
 
     def test_non_nested_subsets(self):
         left = RegionSet((ConvexPolygon.rectangle(-1.5, 0, 2, 2),), 1000.0)
         right = RegionSet((ConvexPolygon.rectangle(1.5, 0, 2, 2),), 1000.0)
-        with pytest.raises(PreconditionViolated):
-            validate_schedule(
-                CurriculumSchedule("barrier_set", subsets=(left, right, BARRIER)), BARRIER
-            )
+        with pytest.raises(PreconditionViolated, match="subset 0 is not contained in subset 1"):
+            validate_schedule(subset_ramp(left, right, BARRIER), BARRIER)
 
     def test_final_subset_must_be_full_barrier(self):
         inner = RegionSet((ConvexPolygon.rectangle(0, 0, 2, 2),), 1000.0)
         almost = RegionSet((ConvexPolygon.rectangle(0, 0, 4.9, 2),), 1000.0)
-        with pytest.raises(PreconditionViolated):
-            validate_schedule(
-                CurriculumSchedule("barrier_set", subsets=(inner, almost)), BARRIER
-            )
+        with pytest.raises(PreconditionViolated, match="final subset must equal the full barrier"):
+            validate_schedule(subset_ramp(inner, almost), BARRIER)
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            weight_ramp(0.5, 0.5, 1.0),
+            subset_ramp(RegionSet((ConvexPolygon.rectangle(0, 0, 2, 2),), 1000.0),
+                        RegionSet((ConvexPolygon.rectangle(0, 0, 2, 2),), 1000.0), BARRIER),
+            weight_ramp(0.5, 1.0, 1.0),
+        ],
+        ids=["repeated-alpha", "repeated-subset", "repeated-final-stage"],
+    )
+    def test_repeated_stage_rejected(self, schedule):
+        # one rule for both ramps: each stage must charge more than the one
+        # before it somewhere, so a stage equal to its predecessor is rejected
+        with pytest.raises(PreconditionViolated, match="stage [12] charges the same penalty as stage [01]"):
+            validate_schedule(schedule, BARRIER)
+
+    def test_weight_may_rise_while_the_subset_grows(self):
+        inner = RegionSet((ConvexPolygon.rectangle(0, 0, 2, 2),), 1000.0)
+        validate_schedule((RewardSpec(inner, 0.5), RewardSpec(inner, 1.0),
+                           RewardSpec(BARRIER, 1.0)), BARRIER)
+        with pytest.raises(PreconditionViolated, match="alphas must satisfy"):
+            validate_schedule((RewardSpec(inner, 1.0), RewardSpec(BARRIER, 0.5),
+                               RewardSpec(BARRIER, 1.0)), BARRIER)
 
     def test_multipart_barrier_rejected(self):
-        two = RegionSet(
-            (
-                ConvexPolygon.rectangle(0, -3.5, 9, 4),
-                ConvexPolygon.rectangle(0, 3.5, 9, 4),
-            ),
-            1000.0,
-        )
-        with pytest.raises(PreconditionViolated):
-            validate_schedule(CurriculumSchedule("barrier_set", subsets=(two,)), two)
+        # explicit stages on nav2 pass validate_schedule, whose one rule
+        # suits any barrier; ease_barrier itself refuses a barrier of two parts
+        env2 = nav2_make("LL")
+        stages = subset_ramp(env2.barrier)
+        validate_schedule(stages, env2.barrier)
+        job = tiny_job(env2, init_policy(Arch("linear", env2.spec.state_dim, 1), 0),
+                       schedule=stages)
+        with pytest.raises(PreconditionViolated, match="single connected barrier"):
+            drive(job.env, ease_in_ease_out(job, "ease_barrier"))
 
     def test_interval_barrier_nesting(self):
         band = _band(0.0, 1.0)
         inner = _band(0.4, 0.6)
-        validate_schedule(
-            CurriculumSchedule("barrier_set", subsets=(inner, band)), band
-        )
+        validate_schedule(subset_ramp(inner, band), band)
         outer = _band(-0.5, 0.5)
         with pytest.raises(PreconditionViolated):
-            validate_schedule(
-                CurriculumSchedule("barrier_set", subsets=(outer, band)), band
-            )
+            validate_schedule(subset_ramp(outer, band), band)
 
     @pytest.mark.parametrize("off", [0.05, 0.1, 0.101, 0.102, 0.103, 0.15])
     def test_thin_band_outside_next_subset_rejected(self, off):
@@ -142,7 +151,7 @@ class TestValidateSchedule:
         barrier = _band(c - 0.2, c + 0.2)
         thin = _band(c + off, c + off + 0.004)
         mid = _band(c - 0.02, c + 0.02)
-        schedule = CurriculumSchedule("barrier_set", subsets=(thin, mid, barrier))
+        schedule = subset_ramp(thin, mid, barrier)
         with pytest.raises(PreconditionViolated):
             validate_schedule(schedule, barrier)
 
@@ -245,15 +254,15 @@ class TestAutoSchedule:
         relax = vertical(-1.0)
         sb1 = find_sb1(RIGHT_AROUND, relax, BARRIER, FindSb1Config(), START, GOAL)
         sched = auto_barrier_schedule(sb1.region, BARRIER, stages=3)
-        assert sched.stages() == 3
+        assert len(sched) == 3
         validate_schedule(sched, BARRIER)
-        assert sched.subsets[-1] is BARRIER
+        assert sched[-1].region is BARRIER and sched[-1].weight == 1.0
 
     def test_single_stage_is_full_barrier(self):
         sb1 = RegionSet((ConvexPolygon.rectangle(-1, 0, 1, 2),), 1000.0)
         sched = auto_barrier_schedule(sb1, BARRIER, stages=1)
-        assert sched.stages() == 1
-        assert sched.subsets[0] is BARRIER
+        assert len(sched) == 1
+        assert sched[0].region is BARRIER
 
     def test_rejects_zero_stages(self):
         sb1 = RegionSet((ConvexPolygon.rectangle(-1, 0, 1, 2),), 1000.0)
@@ -298,9 +307,9 @@ class TestTransferPlumbing:
             drive(job.env, relax_stage(job, 1000))
 
     def test_ease_barrier_instant_bands(self, nav1_env, nav1_source):
-        sched = CurriculumSchedule("barrier_set", subsets=(nav1_env.barrier,))
+        sched = subset_ramp(nav1_env.barrier)
         job = tiny_job(nav1_env, nav1_source, schedule=sched)
-        rep = drive(job.env, ease_in_ease_out(job, "barrier_set"))
+        rep = drive(job.env, ease_in_ease_out(job, "ease_barrier"))
         assert rep.method == "ease_barrier"
         assert rep.converged
         assert len(rep.stage_steps) == 2  # relax + one stage
@@ -312,35 +321,29 @@ class TestTransferPlumbing:
     def test_ease_reward_needs_alphas(self, nav1_env, nav1_source):
         job = tiny_job(nav1_env, nav1_source, schedule=None)
         with pytest.raises(PreconditionViolated):
-            drive(job.env, ease_in_ease_out(job, "reward_weight"))
-
-    def test_schedule_mode_mismatch(self, nav1_env, nav1_source):
-        sched = CurriculumSchedule("reward_weight", alphas=(1.0,))
-        job = tiny_job(nav1_env, nav1_source, schedule=sched)
-        with pytest.raises(PreconditionViolated):
-            drive(job.env, ease_in_ease_out(job, "barrier_set"))
+            drive(job.env, ease_in_ease_out(job, "ease_reward"))
 
     def test_barrier_set_rejects_multipart_env(self, nav1_source):
         env2 = nav2_make("LL")
         job = tiny_job(env2, None)
         job.source = init_policy(Arch("linear", env2.spec.state_dim, 1), 0)
         with pytest.raises(PreconditionViolated):
-            drive(job.env, ease_in_ease_out(job, "barrier_set"))
+            drive(job.env, ease_in_ease_out(job, "ease_barrier"))
 
     def test_relax_failure_skips_curriculum(self, nav1_env, nav1_source):
-        sched = CurriculumSchedule("barrier_set", subsets=(nav1_env.barrier,))
+        sched = subset_ramp(nav1_env.barrier)
         job = tiny_job(nav1_env, nav1_source, schedule=sched, center=1e9, half=1.0)
-        rep = drive(job.env, ease_in_ease_out(job, "barrier_set"))
+        rep = drive(job.env, ease_in_ease_out(job, "ease_barrier"))
         assert not rep.converged
         assert len(rep.stage_steps) == 1  # only the relax stage ran
         assert rep.stage_trajectories[0][0] == "relax"
 
     def test_stage_failure_reported(self, nav1_env, nav1_source):
-        sched = CurriculumSchedule("barrier_set", subsets=(nav1_env.barrier,))
+        sched = subset_ramp(nav1_env.barrier)
         job = tiny_job(nav1_env, nav1_source, schedule=sched)
         job.stage_band = ConvergenceBand(1e9, 1.0, 1)
         job.final_band = ConvergenceBand(1e9, 1.0, 1)
-        rep = drive(job.env, ease_in_ease_out(job, "barrier_set"))
+        rep = drive(job.env, ease_in_ease_out(job, "ease_barrier"))
         assert not rep.converged
         assert len(rep.stage_steps) == 2  # relax plus the failed stage
         assert rep.stage_steps[1] > 0
@@ -348,12 +351,12 @@ class TestTransferPlumbing:
     def test_unspent_budget_passes_to_later_stages(self, nav1_env, nav1_source):
         # the relax band is reached at step 0, so its whole share is left
         # over; the stage band is unreachable, so the stage spends all it may
-        sched = CurriculumSchedule("barrier_set", subsets=(nav1_env.barrier,))
+        sched = subset_ramp(nav1_env.barrier)
         job = tiny_job(nav1_env, nav1_source, schedule=sched)
         job.stage_band = ConvergenceBand(1e9, 1.0, 1)
         job.final_band = ConvergenceBand(1e9, 1.0, 1)
         shares = StageBudgets.split(job.budget, 1)
-        rep = drive(job.env, ease_in_ease_out(job, "barrier_set"))
+        rep = drive(job.env, ease_in_ease_out(job, "ease_barrier"))
         assert not rep.converged
         relax = drive(job.env, relax_stage(job, shares.relax))
         assert rep.stage_steps[0] == relax.interaction_steps
@@ -371,7 +374,7 @@ class TestTransferPlumbing:
         spinner.theta[3] = -30.0  # strong negative weight on sin(heading)
         spinner.log_std = np.array([-5.0])
         job = tiny_job(nav1_env, spinner, budget=16000, schedule=None)
-        rep = drive(job.env, ease_in_ease_out(job, "barrier_set"))
+        rep = drive(job.env, ease_in_ease_out(job, "ease_barrier"))
         assert not rep.converged
         assert len(rep.stage_steps) == 1  # only the relax stage ran
 
@@ -390,6 +393,11 @@ class TestTransferPlumbing:
         with pytest.raises(PreconditionViolated):
             drive(job.env, baseline_transfer(job, method))
 
+    def test_unknown_curriculum(self, nav1_env, nav1_source):
+        job = tiny_job(nav1_env, nav1_source, schedule=subset_ramp(nav1_env.barrier))
+        with pytest.raises(ValueError, match="unknown curriculum"):
+            drive(nav1_env, ease_in_ease_out(job, "barrier_set"))
+
     def test_unknown_baseline(self, nav1_env, nav1_source):
         with pytest.raises(ValueError):
             drive(nav1_env, baseline_transfer(tiny_job(nav1_env, nav1_source), "finetune"))
@@ -397,7 +405,7 @@ class TestTransferPlumbing:
     def test_run_transfer_dispatch(self, nav1_env, nav1_source):
         job = tiny_job(nav1_env, nav1_source)
         assert run_transfer(job, "naive").method == "naive"
-        sched = CurriculumSchedule("reward_weight", alphas=(1.0,))
+        sched = weight_ramp(1.0, barrier=nav1_env.barrier)
         job2 = tiny_job(nav1_env, nav1_source, schedule=sched)
         assert run_transfer(job2, "ease_reward").method == "ease_reward"
 

@@ -55,15 +55,18 @@ def make_policy(env, kind, seed, scale):
 
 
 def make_spec(env, mode, alpha):
+    """A stage of a weight ramp ("reward_weight": weight alpha on the whole
+    barrier) or of a subset ramp ("barrier_set": a centered piece of the
+    barrier, alpha of its width, at weight 1)."""
     if mode == "reward_weight":
-        return RewardSpec("reward_weight", alpha=alpha)
+        return RewardSpec(env.barrier, alpha)
     x0, y0, x1, y1 = env.barrier.parts[0].bbox()
     w = max(alpha * (x1 - x0), 0.5)
     sub = RegionSet(
         (ConvexPolygon.rectangle(0.5 * (x0 + x1), 0.5 * (y0 + y1), w, y1 - y0),),
         env.barrier.penalty,
     )
-    return RewardSpec("barrier_set", active=sub)
+    return RewardSpec(sub, 1.0)
 
 
 def assert_episode_equal(batch, b, single, env):
@@ -324,8 +327,8 @@ def _car_loop(env, pol, spec, seed):
     h, v, w, t = math.pi / 2.0, 0.0, 0.0, 0.0
     flags = [0.0] * len(env.barrier_tops)
     goal_y = env.goal_poly.bbox()[1]
-    region = env.barrier if spec.mode == "reward_weight" else spec.active
-    charge = spec.alpha * env.barrier.penalty if spec.mode == "reward_weight" else env.barrier.penalty
+    region = spec.region
+    charge = spec.weight * env.barrier.penalty
     states, members, rewards = [(x, y)], [], []
     for k in range(env.spec.horizon):
         if env.obs_mode == "position":

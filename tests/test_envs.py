@@ -13,7 +13,6 @@ from easerl.envs import (
     nav1_make,
     nav2_make,
     noise_tapes,
-    penalty_region,
     relaxed_reward,
     rollout_batch,
     rollout_record,
@@ -21,6 +20,7 @@ from easerl.envs import (
 )
 from easerl.errors import NonFiniteAction, UnsupportedSize
 from easerl.geometry import ConvexPolygon, RegionSet, bisect, contains
+from easerl.homotopy import ClassSignature
 from easerl.rl import Arch, PolicyParams, init_policy
 
 
@@ -52,7 +52,7 @@ class TestRewardInterpolation:
         hit_barrier = 0
         for s in probe_states(env):
             rewards = [
-                step(env, s, action, RewardSpec("reward_weight", alpha=a)).reward
+                step(env, s, action, RewardSpec(env.barrier, a)).reward
                 for a in alphas
             ]
             nxt = step(env, s, action, relaxed_reward(env)).state
@@ -91,7 +91,7 @@ class TestBarrierSetMonotonicity:
         action = np.zeros(1)
         for s in probe_states(env):
             rewards = [
-                step(env, s, action, RewardSpec("barrier_set", active=sub)).reward
+                step(env, s, action, RewardSpec(sub, 1.0)).reward
                 for sub in chain
             ]
             assert rewards[0] >= rewards[1] >= rewards[2]
@@ -101,7 +101,7 @@ class TestBarrierSetMonotonicity:
         empty = RegionSet((), env.barrier.penalty)
         action = np.array([-0.5])
         for s in probe_states(env, n_side=10):
-            r_empty = step(env, s, action, RewardSpec("barrier_set", active=empty)).reward
+            r_empty = step(env, s, action, RewardSpec(empty, 1.0)).reward
             r_relax = step(env, s, action, relaxed_reward(env)).reward
             assert r_empty == pytest.approx(r_relax)
 
@@ -115,10 +115,10 @@ class TestTransitionInvariance:
         )
         specs = [
             relaxed_reward(env),
-            RewardSpec("reward_weight", alpha=0.37),
+            RewardSpec(env.barrier, 0.37),
             full_reward(env),
-            RewardSpec("barrier_set", active=half),
-            RewardSpec("barrier_set", active=env.barrier),
+            RewardSpec(half, 1.0),
+            RewardSpec(env.barrier, 1.0),
         ]
         recs = [rollout_record(env, pol, spec, seed=11) for spec in specs]
         ref = recs[0]
@@ -232,10 +232,11 @@ class TestNav1:
 
     def test_class_labels(self):
         env = nav1_make(5, "left")
-        assert env.class_label(env.target_bits) == "L"
-        assert env.class_label((0,)) == "R"
+        assert ClassSignature(env.target_bits).label() == "L"
+        assert ClassSignature((0,)).label() == "R"
         right = nav1_make(5, "right")
-        assert right.class_label(right.target_bits) == "R"
+        assert ClassSignature(right.target_bits).label() == "R"
+        assert ClassSignature(nav2_make("LR").target_bits).label() == "LR"
 
 
 class TestNav2:
@@ -345,12 +346,10 @@ class TestLandscapeEnv:
 
 class TestSpecs:
     def test_reward_spec_validation(self):
-        with pytest.raises(ValueError):
-            RewardSpec("other")
-        with pytest.raises(ValueError):
-            RewardSpec("reward_weight", alpha=1.5)
-        with pytest.raises(ValueError):
-            RewardSpec("barrier_set")
+        barrier = nav1_make(5, "left").barrier
+        for weight in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError):
+                RewardSpec(barrier, weight)
 
     def test_mdp_spec_validation(self):
         with pytest.raises(ValueError):
@@ -363,8 +362,19 @@ class TestSpecs:
         sub = RegionSet(
             (ConvexPolygon.rectangle(0.0, 0.0, 1.0, 2.0),), env.barrier.penalty
         )
-        assert penalty_region(env, full_reward(env)) is env.barrier
-        assert penalty_region(env, RewardSpec("barrier_set", active=sub)) is sub
+        assert full_reward(env) == RewardSpec(env.barrier, 1.0)
+        assert relaxed_reward(env) == RewardSpec(env.barrier, 0.0)
+        # states whose next task point is in the barrier but not in the subset
+        # are charged under the full reward only
+        states = np.array(probe_states(env, n_side=40))
+        action = np.zeros((len(states), 1))
+        full = step(env, states, action, full_reward(env))
+        part = step(env, states, action, RewardSpec(sub, 1.0))
+        nxt = full.state[:, :2]
+        assert np.array_equal(part.collided, contains(sub, nxt))
+        assert np.array_equal(full.collided, contains(env.barrier, nxt))
+        assert (full.collided & ~part.collided).any()
+        assert np.array_equal(part.reward, full.base - np.where(part.collided, env.barrier.penalty, 0.0))
 
 
 class TestMeanRollout:

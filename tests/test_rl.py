@@ -17,7 +17,6 @@ from easerl.rl import (
     act,
     episode_grad,
     evaluate_detail,
-    grad_log_prob,
     hump_height,
     init_policy,
     landscape_scan,
@@ -81,7 +80,7 @@ class TestGradients:
         pol = random_policy(rng, "linear")
         obs = rng.normal(size=4)
         action = rng.normal(size=2)
-        got = grad_log_prob(pol, obs, action)
+        got = episode_grad(pol, obs[None], action[None], np.ones(1))
         want = numeric_grad(pol, obs[None, :], action[None, :], np.ones(1))
         assert np.allclose(got, want, rtol=1e-4, atol=1e-6)
 

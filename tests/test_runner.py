@@ -9,17 +9,16 @@ import numpy as np
 import pytest
 import yaml
 
-from easerl import envs
+from easerl import envs, runner
 from easerl.config import (
     default_config, nav1_defaults, nav2_defaults, validate_config,
 )
-from easerl.curriculum import CSV_HEADER, CurriculumSchedule, TransferReport, run_transfer
+from easerl.curriculum import CSV_HEADER, TransferReport, run_transfer
 from easerl.errors import ConfigError, MissingCheckpoint, MissingData
 from easerl.geometry import RegionSet
 from easerl.homotopy import Trajectory, save_trajectory
 from easerl.rl import load_checkpoint
 from easerl.runner import (
-    _check_schedule,
     build_table,
     env_from_config,
     job_from_config,
@@ -213,8 +212,9 @@ def test_schedule_reward_weight_from_config():
     cfg = nav2_defaults("LL")
     env = env_from_config(cfg)
     sched = schedule_from_config(cfg, env)
-    assert sched.mode == "reward_weight"
-    assert sched.alphas[-1] == 1.0
+    assert [spec.weight for spec in sched] == cfg["transfer"]["schedule"]["alphas"]
+    assert all(spec.region == env.barrier for spec in sched)
+    assert sched[-1].weight == 1.0
 
 
 def test_schedule_reward_weight_requires_alphas():
@@ -229,20 +229,20 @@ def test_schedule_barrier_sizes_builds_nested_rectangles():
     cfg = nav1_defaults(7)
     env = env_from_config(cfg)
     sched = schedule_from_config(cfg, env)
-    assert sched.mode == "barrier_set"
-    assert len(sched.subsets) == 2
-    assert sched.subsets[0].parts[0].bbox() == (-2.0, -1.0, 2.0, 1.0)
-    assert sched.subsets[1].parts[0].bbox() == (-3.5, -1.0, 3.5, 1.0)
-    assert all(isinstance(s, RegionSet) for s in sched.subsets)
+    assert len(sched) == 2
+    assert sched[0].region.parts[0].bbox() == (-2.0, -1.0, 2.0, 1.0)
+    assert sched[1].region.parts[0].bbox() == (-3.5, -1.0, 3.5, 1.0)
+    assert all(isinstance(s.region, RegionSet) and s.weight == 1.0 for s in sched)
 
 
 def test_schedule_barrier_sizes_rejected_off_nav1():
     cfg = nav2_defaults("LL")
+    cfg["transfer"]["methods"] = ["naive"]
     cfg["transfer"]["schedule"] = {
         "mode": "barrier_set", "alphas": [], "barrier_sizes": [4, 7], "auto_stages": 3,
     }
     env = env_from_config(cfg)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="only applies to nav1"):
         schedule_from_config(cfg, env)
 
 
@@ -254,7 +254,8 @@ def test_schedule_barrier_sizes_rejected_off_nav1():
 def test_shipped_defaults_suit_their_methods(make):
     # each shipped method list matches its schedule, so `easerl transfer`
     # on a default config gets past the pre-training check
-    _check_schedule(make())
+    cfg = make()
+    schedule_from_config(cfg, env_from_config(cfg))
 
 
 def test_schedule_auto_mode_is_none():
@@ -274,13 +275,54 @@ def test_env_from_config_dispatch():
 def test_job_from_config_wiring():
     cfg = nav1_defaults(7)
     env = env_from_config(cfg)
-    job = job_from_config(cfg, env, source=None, seed=3)
+    schedule = schedule_from_config(cfg, env)
+    job = job_from_config(cfg, env, source=None, seed=3, schedule=schedule)
     assert job.seed == 3
+    assert job.schedule is schedule
     assert job.budget == cfg["transfer"]["budget"]
     assert job.final_band.center == cfg["training"]["convergence"]["center"]
     assert job.relax_band.center == cfg["transfer"]["relax_convergence"]["center"]
     assert job.find_cfg.max_halvings == 12
     assert job.find_cfg.max_inflations == 20
+
+
+def test_grid_builds_its_schedule_once(tmp_path, monkeypatch):
+    """`easerl transfer` builds and checks the schedule once, before the
+    grid, and every (method, seed) job of the grid holds that one tuple."""
+    cfg = nav1_defaults(7, "left")
+    cfg["transfer"].update(methods=["ease_barrier", "naive"], seeds=[0, 1, 2],
+                           source_checkpoint=os.path.join(ASSETS, "source-nav1-7.json"))
+    built, served = [], []
+
+    def build(*args):
+        built.append(schedule_from_config(*args))
+        return built[-1]
+
+    class Served(Exception):
+        pass
+
+    def serve_tasks(env, tasks):
+        served.extend(tasks)
+        raise Served
+
+    monkeypatch.setattr(runner, "schedule_from_config", build)
+    monkeypatch.setattr(runner, "_serve_tasks", serve_tasks)
+    with pytest.raises(Served):
+        run_transfer_experiment(validate_config(cfg), tmp_path / "o")
+    assert len(built) == 1 and len(built[0]) == 2
+    assert sorted((m, job.seed) for m, job in served) == [
+        (m, s) for m in ("ease_barrier", "naive") for s in (0, 1, 2)
+    ]
+    assert all(job.schedule is built[0] for _, job in served)
+
+
+def test_package_exports_resolve():
+    import easerl
+
+    missing = [name for name in easerl.__all__ if not hasattr(easerl, name)]
+    assert missing == []
+    assert len(set(easerl.__all__)) == len(easerl.__all__)
+    assert "CurriculumSchedule" not in easerl.__all__
 
 
 # ------------------------------------------------------------ artifacts
@@ -407,8 +449,9 @@ def assert_same_report(got, want):
 def test_lockstep_grid_equals_each_run_alone(name):
     cfg, source = tiny_grid(name)
     env = env_from_config(cfg)
+    schedule = schedule_from_config(cfg, env)
     with mock.patch.object(envs, "rollout_batch", wraps=envs.rollout_batch) as engine:
-        reports = run_grid(cfg, source)
+        reports = run_grid(cfg, source, schedule)
     grid_calls = engine.call_count
     methods = cfg["transfer"]["methods"]
     assert sorted((r.method, r.seed) for r in reports) == sorted(
@@ -416,11 +459,12 @@ def test_lockstep_grid_equals_each_run_alone(name):
     )
     with mock.patch.object(envs, "rollout_batch", wraps=envs.rollout_batch) as engine:
         alone = [
-            run_transfer(job_from_config(cfg, env, source, r.seed), r.method) for r in reports
+            run_transfer(job_from_config(cfg, env, source, r.seed, schedule), r.method)
+            for r in reports
         ]
     # the runs shared engine calls, and each got the bits it gets alone
     assert grid_calls < engine.call_count
     for got, want in zip(reports, alone):
         assert_same_report(got, want)
-    for got, want in zip(run_grid(cfg, source, workers=2), reports):
+    for got, want in zip(run_grid(cfg, source, schedule, workers=2), reports):
         assert_same_report(got, want)
