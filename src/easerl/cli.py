@@ -21,8 +21,8 @@ from .geometry import ConvexPolygon, Point2, RegionSet
 from .homotopy import (
     EmpiricalDistribution,
     Trajectory,
+    order_by_t,
     signature,
-    sorted_by_t,
     trajectory_from_csv,
     w_infinity_matching,
 )
@@ -116,28 +116,53 @@ def load_region_yaml(path) -> tuple[RegionSet, Point2, Point2]:
     return region, start, goal
 
 
+def _raise_first_bad_field(rows: list[list[str]], header: dict[str, int], width: int) -> None:
+    """Raise the error of the first bad field in file order, reading each
+    row's t, x and y in turn: a value that is not a number, or a row with
+    fewer than `width` fields."""
+    for i, row in enumerate(rows, start=1):
+        for name in ("t", "x", "y"):
+            if header[name] < len(row):
+                float(row[header[name]])
+        if len(row) < width:
+            raise ValueError(f"data row {i} has {len(row)} fields, expected {width}")
+
+
 def load_trajectory_set(path) -> EmpiricalDistribution:
     """CSV with a leading trajectory-id column: traj,t,x,y.  Trajectories
     are ordered by the numeric value of their id, and each one's rows by t."""
     import numpy as np
 
-    rows = list(csv.DictReader(read_file(path, "trajectory set").splitlines()))
-    if not rows or not {"traj", "t", "x", "y"} <= set(rows[0]):
+    lines = csv.reader(read_file(path, "trajectory set").splitlines())
+    header = {name: k for k, name in enumerate(next(lines, []))}  # a repeated name: the last
+    rows = list(filter(None, lines))  # blank lines are skipped
+    if not rows or not {"traj", "t", "x", "y"} <= set(header):
         raise ConfigError(f"{path}: expected header traj,t,x,y")
-    groups: dict[str, list[tuple[float, float, float]]] = {}
     try:
-        for row in rows:
-            groups.setdefault(row["traj"], []).append(
-                (float(row["t"]), float(row["x"]), float(row["y"]))
-            )
-        ids = {key: float(key) for key in groups}
-        nan = [key for key, v in ids.items() if math.isnan(v)]
+        width = 1 + max(header[name] for name in ("traj", "t", "x", "y"))
+        try:
+            if min(map(len, rows)) < width:
+                raise ValueError("a short row")
+            columns = list(zip(*rows))
+            t, x, y = (np.array(columns[header[name]], dtype=float) for name in ("t", "x", "y"))
+        except ValueError:
+            _raise_first_bad_field(rows, header, width)
+            raise
+        keys, first, group = np.unique(columns[header["traj"]], return_index=True,
+                                       return_inverse=True)
+        keys, appearance = keys.tolist(), np.argsort(first)
+        ids = [float(keys[k]) for k in appearance]
+        nan = [keys[k] for k, v in zip(appearance, ids) if math.isnan(v)]
         if nan:
             raise ValueError(f"trajectory id {nan[0]!r} is not a number")
-        trajs = [
-            Trajectory(np.array([[x, y] for _, x, y in sorted_by_t(groups[key])]))
-            for key in sorted(groups, key=ids.__getitem__)
-        ]
+        # rank by id; equal ids keep their order of appearance
+        rank = np.empty(len(ids), dtype=int)
+        rank[appearance[sorted(range(len(ids)), key=ids.__getitem__)]] = np.arange(len(ids))
+        row_rank = rank[group]
+        order = order_by_t(row_rank, t)
+        points = np.stack([x[order], y[order]], axis=1)
+        bounds = [0, *(np.flatnonzero(np.diff(row_rank[order])) + 1), len(order)]
+        trajs = [Trajectory(points[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad trajectory set {path}: {exc}") from exc
     return EmpiricalDistribution(tuple(trajs))

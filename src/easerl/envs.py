@@ -22,7 +22,11 @@ meaningful.
 
 Every transition, in `step` and in the lockstep engine `rollout_batch`, runs
 through one batched kernel on the state's columns, `CarEnv.transition`; it
-tests the goal and every penalized set in one broadcast over their edges.
+moves x and y as one (2, B) array and tests the goal and every penalized set
+in one broadcast over their edges.  The engine writes each step into
+time-major buffers and keeps the state columns it steps; speed and time are
+the same on every row and are computed once per call.  A batch assembles its
+state vectors only when they are read.
 """
 
 from __future__ import annotations
@@ -89,7 +93,7 @@ def full_reward(env) -> RewardSpec:
 
 @dataclass(frozen=True)
 class StepResult:
-    """One transition, for one state or elementwise over a (B, D) batch."""
+    """One transition, for one state or elementwise over a batch of them."""
 
     state: np.ndarray
     reward: float | np.ndarray
@@ -98,19 +102,44 @@ class StepResult:
     base: float | np.ndarray  # the reward before the barrier penalty
 
 
-# car state vector layout: [x, y, heading, speed, ang_vel, t, flags...]; as
-# columns, flags is (..., n_flags), and a column that is the same on every
-# row (speed, time) may be a scalar
-CarColumns = namedtuple("CarColumns", "x y heading speed ang_vel t flags")
+# car state vector layout: [x, y, heading, speed, ang_vel, t, flags...].  As
+# columns of a batch of B states, xy is (2, B), flags (B, n_flags) and the
+# rest (B,); speed and time, the same on every row of a lockstep batch (the
+# speed controller ignores the action), are scalars there.  A batch with
+# more leading axes, such as a RolloutBatch's (B, horizon + 1), has columns
+# the same way: xy (2, B, horizon + 1), and so on.
+CarColumns = namedtuple("CarColumns", "xy heading speed ang_vel t flags")
 _IX, _IY, _IH = 0, 1, 2
+
+
+def _pair_axis(a: np.ndarray, source: int, destination: int) -> np.ndarray:
+    """np.moveaxis(a, source, destination) for the length-2 axis of xy or a
+    direction; with at most one other axis, the far cheaper transpose."""
+    return a.T if a.ndim <= 2 else np.moveaxis(a, source, destination)
+
+
+def _columns(state: np.ndarray) -> CarColumns:
+    """The columns of one state vector (scalars, and xy of shape (2,)) or of
+    a batch of them with any leading axes (xy of shape (2, ...))."""
+    xy = _pair_axis(state[..., :2], -1, 0)
+    return CarColumns(xy, *(state[..., k][()] for k in range(2, 6)), state[..., 6:])
+
+
+def _put_state(out: np.ndarray, s: CarColumns) -> None:
+    """Write state columns into the state vectors `out`."""
+    out[..., 0], out[..., 1] = s.xy
+    for k, column in enumerate(s[1:5], start=2):
+        out[..., k] = column
+    out[..., 6:] = s.flags
 
 
 @dataclass(frozen=True)
 class CarEnv:
     """Unicycle car in the 20x20 field with a rectangular barrier union.
 
-    The state methods take one state vector or a batch with leading axes,
-    and work elementwise over the batch.
+    `features` takes one state vector or a batch with any leading axes and
+    works elementwise over the batch; `transition` works on the columns of
+    one state or of a batch (see CarColumns).
     """
 
     dt: ClassVar[float] = 0.1
@@ -140,50 +169,63 @@ class CarEnv:
         v[_IH] = math.pi / 2.0
         return v
 
-    def columns(self, state: np.ndarray) -> CarColumns:
-        """The columns of state vectors; those of one state are scalars."""
-        return CarColumns(*(state[..., k][()] for k in range(6)), state[..., 6:])
+    def clock(self) -> tuple[np.ndarray, np.ndarray]:
+        """(speed, time) at every step 0..horizon of an episode: the same on
+        every row, since the speed controller ignores the action."""
+        s = _columns(self.initial_state())
+        ticks = [(float(s.speed), float(s.t))]
+        for _ in range(self.spec.horizon):
+            ticks.append(self._tick(*ticks[-1]))
+        speed, t = np.array(ticks).T
+        return speed, t
 
-    def put_state(self, out: np.ndarray, s: CarColumns) -> None:
-        """Write state columns into the state vectors `out`."""
-        for k in range(6):
-            out[..., k] = s[k]
-        out[..., 6:] = s.flags
+    def _tick(self, speed, t):
+        """(speed, time) one step on."""
+        return speed + self.kp * (self.v_set - speed) * self.dt, t + 1.0
 
     def features(self, state: np.ndarray) -> np.ndarray:
-        s = self.columns(state)
-        return self._features(s, np.cos(s.heading), np.sin(s.heading))
-
-    def _features(self, s: CarColumns, cos_h, sin_h) -> np.ndarray:
-        """C-contiguous observation features of states given as columns."""
-        if self.obs_mode == "position":
-            return np.stack([s.x / FIELD_HALF, s.y / FIELD_HALF], axis=-1)
-        out = np.empty(np.shape(s.x) + (7 + len(self.barrier_tops),))
-        out[..., 0] = s.x / FIELD_HALF
-        out[..., 1] = s.y / FIELD_HALF
-        out[..., 2] = cos_h
-        out[..., 3] = sin_h
-        out[..., 4] = s.speed / self.v_set
-        out[..., 5] = s.ang_vel / self.steer_max
-        out[..., 6] = s.t / self.spec.horizon
-        out[..., 7:] = s.flags
+        s = _columns(state)
+        out = np.empty(np.shape(state)[:-1] + (self.spec.state_dim,))
+        self._row_features(out, s, np.stack([np.cos(s.heading), np.sin(s.heading)]))
+        self._clock_features(out, s.speed, s.t)
         return out
 
+    def _row_features(self, out: np.ndarray, s: CarColumns, direction: np.ndarray) -> None:
+        """Write the features that differ from row to row: all but speed and
+        time.  `direction` is (cos, sin) of the heading, shaped like xy."""
+        np.divide(_pair_axis(s.xy, 0, -1), FIELD_HALF, out=out[..., :2])
+        if self.obs_mode == "position":
+            return
+        out[..., 2:4] = _pair_axis(direction, 0, -1)
+        np.divide(s.ang_vel, self.steer_max, out=out[..., 5])
+        if self.barrier_tops:
+            out[..., 7:] = s.flags
+
+    def _clock_features(self, out: np.ndarray, speed, t) -> None:
+        """Write the speed and time features (none in position mode)."""
+        if self.obs_mode == "full":
+            out[..., 4] = speed / self.v_set
+            out[..., 6] = t / self.spec.horizon
+
     def transition(self, s: CarColumns, action: np.ndarray, rows: "RowRewards"):
-        """The batched transition kernel: (next columns, reward, base reward,
-        terminal flag, penalized-set membership, next features) of every
-        row, with `rows` giving each row's penalty and the edge table."""
+        """The batched transition kernel: (next columns, direction, reward,
+        base reward, terminal flag, penalized-set membership) of every row,
+        with `rows` giving each row's penalty and the edge table.  The
+        direction (cos, sin) of the next heading, shaped like xy, is what
+        `_row_features` reads."""
         omega = np.minimum(np.maximum(action[..., 0], -1.0), 1.0) * self.steer_max
         heading = s.heading + omega * self.dt
-        speed = s.speed + self.kp * (self.v_set - s.speed) * self.dt
-        cos_h, sin_h = np.cos(heading), np.sin(heading)
-        x = s.x + speed * cos_h * self.dt
-        y = s.y + speed * sin_h * self.dt
+        speed, t = self._tick(s.speed, s.t)
+        direction = np.empty((2,) + heading.shape)
+        np.cos(heading, out=direction[0, ...])
+        np.sin(heading, out=direction[1, ...])
+        xy = s.xy + speed * direction * self.dt
+        y = xy[1]
         flags = s.flags
         if self.barrier_tops:
             flags = np.where((flags == 0.0) & (y[..., None] >= self.barrier_tops), 1.0, flags)
-        nxt = CarColumns(x, y, heading, speed, omega, s.t + 1.0, flags)
-        goal, member = rows.membership(x, y)
+        nxt = CarColumns(xy, heading, speed, omega, t, flags)
+        goal, member = rows.membership(xy)
 
         t_norm = s.t / self.spec.horizon
         r = 0.0
@@ -194,11 +236,11 @@ class CarEnv:
             dist = np.maximum(0.0, self.goal_y - y)
             r = r + -self.c_goal * t_norm * dist / 16.0
         if self.c_pot:
-            d_prev = np.maximum(0.0, self.goal_y - s.y)
+            d_prev = np.maximum(0.0, self.goal_y - s.xy[1])
             d_next = np.maximum(0.0, self.goal_y - y)
             r = r + self.c_pot * (d_prev - d_next)
         if self.side_bonus:
-            passed_left = x < 0.0
+            passed_left = xy[0] < 0.0
             for i in range(len(self.barrier_tops)):
                 passed = (s.flags[..., i] == 0.0) & (flags[..., i] == 1.0)
                 on_target = passed_left == (self.target_bits[i] == 1)
@@ -206,8 +248,8 @@ class CarEnv:
         if self.goal_bonus:
             r = r + np.where(goal, self.goal_bonus, 0.0)
         reward = r - np.where(member, rows.charge, 0.0)
-        terminal = goal | (nxt.t >= self.spec.horizon)
-        return nxt, reward, r, terminal, member, self._features(nxt, cos_h, sin_h)
+        terminal = goal | (t >= self.spec.horizon)
+        return nxt, direction, reward, r, terminal, member
 
     def task_point(self, state: np.ndarray) -> tuple:
         return state[..., _IX], state[..., _IY]
@@ -283,14 +325,15 @@ _NO_PART = (np.array([np.inf]), np.zeros(1), np.zeros(1), np.full(1, -1.0))
 
 @functools.lru_cache(maxsize=64)
 def _edge_table(goal: ConvexPolygon, regions: tuple[RegionSet, ...]):
-    """Edges (px, py, dx, dy) of the goal and every part of every region, the
-    first edge of each polygon, and the first polygon of each set (or None)."""
+    """Edges (start points (2, 1, E), dx, dy) of the goal and every part of
+    every region, the first edge of each polygon, and the first polygon of
+    each set (or None)."""
     sets = [[goal._edges]] + [[p._edges for p in r.parts] or [_NO_PART] for r in regions]
     polys = [e for polygons in sets for e in polygons]
-    edges = tuple(np.concatenate(c) for c in zip(*polys))
+    px, py, dx, dy = (np.concatenate(c) for c in zip(*polys))
     first_edge = np.cumsum([0] + [len(e[0]) for e in polys[:-1]])
     first_part = np.cumsum([0] + [len(p) for p in sets[:-1]]) if len(polys) > len(sets) else None
-    return edges, first_edge, first_part
+    return (np.stack([px, py])[:, None], dx, dy), first_edge, first_part
 
 
 @dataclass(frozen=True)
@@ -301,7 +344,7 @@ class RowRewards:
 
     pick: tuple | None  # (row, set) index of each row's own set; None with one set
     charge: float | np.ndarray
-    edges: tuple[np.ndarray, ...]  # px, py, dx, dy: the goal's edges, then every part's
+    edges: tuple[np.ndarray, ...]  # start points, dx, dy: the goal's edges, then every part's
     first_edge: np.ndarray  # of the goal and of each part
     first_part: np.ndarray | None  # of the goal and of each region; None if all parts are single
 
@@ -316,10 +359,14 @@ class RowRewards:
         pick = (np.arange(len(group)), 1 + np.array(group)) if len(index) > 1 else None
         return RowRewards(pick, charge, *_edge_table(env.goal_poly, tuple(index)))
 
-    def membership(self, x, y):
-        """(goal membership, each row's penalized-set membership) of (x, y)."""
-        px, py, dx, dy = self.edges
-        inside = dx * (y[..., None] - py) - dy * (x[..., None] - px) >= -EPS
+    def membership(self, xy):
+        """(goal membership, each row's penalized-set membership) of the
+        points xy: (2, B), one point (2,), or (2, ...) under one reward spec."""
+        p, dx, dy = self.edges
+        if xy.ndim != 2:
+            p = p.reshape((2,) + (1,) * (xy.ndim - 1) + (-1,))
+        d = xy[..., None] - p
+        inside = dx * d[1] - dy * d[0] >= -EPS
         hit = np.logical_and.reduceat(inside, self.first_edge, axis=-1)
         if self.first_part is not None:
             hit = np.logical_or.reduceat(hit, self.first_part, axis=-1)
@@ -329,16 +376,16 @@ class RowRewards:
 
 
 def step(env, state: np.ndarray, action, reward_spec: RewardSpec) -> StepResult:
-    """One transition of one state, or of each row of a (B, D) state batch,
-    under one reward spec.  The kinematic update never depends on it."""
+    """One transition of one state, or of each state of a batch with any
+    leading axes, under one reward spec.  The kinematic update never depends on it."""
     a = np.asarray(action, dtype=float).reshape(np.shape(state)[:-1] + (-1,))
     if not np.isfinite(a).all():
         raise NonFiniteAction(f"non-finite action {a}")
-    nxt, reward, base, terminal, member, _ = env.transition(
-        env.columns(state), a, RowRewards.of(env, reward_spec)
+    nxt, _, reward, base, terminal, member = env.transition(
+        _columns(state), a, RowRewards.of(env, reward_spec)
     )
     out = np.empty(np.shape(state))
-    env.put_state(out, nxt)
+    _put_state(out, nxt)
     return StepResult(out, reward, terminal, member, base)
 
 
@@ -367,10 +414,12 @@ class RolloutRecord:
 
 @dataclass
 class RolloutBatch:
-    """B episodes stepped in lockstep.
+    """B episodes stepped in lockstep; every array is indexed by episode first.
 
-    Episode b owns the first lengths[b] steps of each per-step array (and
-    lengths[b] + 1 states); entries after its end are zero.
+    Episode b owns the first lengths[b] steps of each per-step array and the
+    first lengths[b] + 1 entries of each state column; entries after its end
+    are zero, but for speed and t, which are the same on every row.  The
+    state vectors are assembled from the columns when read.
     """
 
     obs: np.ndarray  # (B, horizon, obs_dim)
@@ -378,17 +427,40 @@ class RolloutBatch:
     rewards: np.ndarray  # (B, horizon)
     base: np.ndarray  # (B, horizon) rewards before the barrier penalty
     member: np.ndarray  # (B, horizon) membership of the penalized set
-    states: np.ndarray  # (B, horizon + 1, state vector size)
     lengths: np.ndarray  # (B,)
     returns: np.ndarray  # (B,) discounted returns
+    # the state columns (see CarColumns) at steps 0..horizon
+    xy: np.ndarray  # (B, horizon + 1, 2)
+    heading: np.ndarray  # (B, horizon + 1), and so on
+    speed: np.ndarray
+    ang_vel: np.ndarray
+    t: np.ndarray
+    flags: np.ndarray  # (B, horizon + 1, n_flags)
 
     @property
     def collided(self) -> np.ndarray:
         return self.member.any(axis=1)
 
+    @property
+    def states(self) -> np.ndarray:
+        """(B, horizon + 1, state vector size) state vectors."""
+        out = self._state_vectors(np.s_[:, :])
+        out[:, 1:][np.arange(out.shape[1] - 1) >= self.lengths[:, None]] = 0.0
+        return out
+
     def trajectory(self, env, b: int) -> Trajectory:
-        raw = self.states[b, : self.lengths[b] + 1]
+        raw = self._state_vectors(np.s_[b, : self.lengths[b] + 1])
         return Trajectory(np.stack(env.task_point(raw), axis=-1), raw)
+
+    def _state_vectors(self, index) -> np.ndarray:
+        """The state vectors at the (episode, step) entries `index` picks."""
+        xy = self.xy[index]
+        out = np.empty(xy.shape[:-1] + (6 + self.flags.shape[-1],))
+        _put_state(out, CarColumns(
+            np.moveaxis(xy, -1, 0), self.heading[index], self.speed[index], self.ang_vel[index],
+            self.t[index], self.flags[index],
+        ))
+        return out
 
     def record(self, env, b: int) -> RolloutRecord:
         t_len = self.lengths[b]
@@ -400,6 +472,10 @@ class RolloutBatch:
             float(self.returns[b]),
             bool(self.collided[b]),
         )
+
+    def rows(self, lo: int, hi: int) -> "RolloutBatch":
+        """Episodes lo..hi-1, as views of this batch's arrays."""
+        return RolloutBatch(*(getattr(self, f.name)[lo:hi] for f in fields(self)))
 
 
 def rollout_batch(env, policy, reward_spec, noise: np.ndarray) -> RolloutBatch:
@@ -414,6 +490,12 @@ def rollout_batch(env, policy, reward_spec, noise: np.ndarray) -> RolloutBatch:
     batch-size-independent forward pass gives each episode the same bits at
     any B, so an episode's results depend only on its own row's parameters,
     its own reward spec and its own tape.
+
+    The buffers are time-major, (horizon, B, ...), so that each step writes
+    one contiguous block and the policy reads a contiguous obs[t]; the batch
+    holds transposed views of them.  Speed and time, the same on every row,
+    and their features are computed once per call, as is each row's noise
+    scaled by its std.
     """
     n, horizon = noise.shape[0], env.spec.horizon
     if policy.theta.ndim == 2 and policy.theta.shape[0] != n:
@@ -422,40 +504,52 @@ def rollout_batch(env, policy, reward_spec, noise: np.ndarray) -> RolloutBatch:
         raise ValueError(f"{len(reward_spec)} reward specs for {n} noise tapes")
     rows = RowRewards.of(env, reward_spec)
     mean = _rl.mean_net(policy)
-    std = np.exp(policy.log_std)
-    states = np.zeros((n, horizon + 1, len(env.initial_state())))
-    states[:, 0] = env.initial_state()
-    # the initial state's scalar columns broadcast; speed and time stay scalars
-    s = env.columns(env.initial_state())
-    o = env.features(states[:, 0])
-    obs = np.zeros((n, horizon, env.spec.state_dim))
-    actions = np.zeros((n, horizon, env.spec.action_dim))
-    rewards = np.zeros((n, horizon))
-    base = np.zeros((n, horizon))
-    member = np.zeros((n, horizon), dtype=bool)
-    ends = np.zeros((n, horizon), dtype=bool)
+    scaled_noise = np.multiply(np.exp(policy.log_std), noise.transpose(1, 0, 2), order="C")
+    speeds, times = env.clock()
+    start = env.initial_state()
+    obs = np.zeros((horizon + 1, n, env.spec.state_dim))
+    obs[0] = env.features(start)
+    env._clock_features(obs, speeds[:, None], times[:, None])
+    actions = np.zeros((horizon, n, env.spec.action_dim))
+    rewards = np.zeros((horizon, n))
+    base = np.zeros((horizon, n))
+    member = np.zeros((horizon, n), dtype=bool)
+    ends = np.zeros((horizon, n), dtype=bool)
+    # the initial state, one row that broadcasts against the batch
+    s = _columns(start[None])._replace(speed=float(speeds[0]), t=float(times[0]))
+    xy = np.zeros((horizon + 1, 2, n))
+    heading = np.zeros((horizon + 1, n))
+    ang_vel = np.zeros((horizon + 1, n))
+    flags = np.zeros((horizon + 1, n, len(env.barrier_tops)))
+    xy[0], heading[0], ang_vel[0], flags[0] = s.xy, s.heading, s.ang_vel, s.flags
     ended = np.zeros(n, dtype=bool)
     for t in range(horizon):
         if ended.all():
             break
-        a = mean(o) + std * noise[:, t]
-        obs[:, t] = o
-        actions[:, t] = a
-        s, rewards[:, t], base[:, t], ends[:, t], member[:, t], o = env.transition(s, a, rows)
-        env.put_state(states[:, t + 1], s)
-        ended |= ends[:, t]
-    lengths = ends.argmax(axis=1) + 1
+        np.add(mean(obs[t]), scaled_noise[t], out=actions[t])
+        s, direction, rewards[t], base[t], ends[t], member[t] = env.transition(s, actions[t], rows)
+        env._row_features(obs[t + 1], s, direction)
+        xy[t + 1], heading[t + 1], ang_vel[t + 1], flags[t + 1] = s.xy, s.heading, s.ang_vel, s.flags
+        ended |= ends[t]
+    lengths = ends.argmax(axis=0) + 1
+    per_step = (obs[:horizon].transpose(1, 0, 2), actions.transpose(1, 0, 2), rewards.T, base.T,
+                member.T)
+    columns = (xy.transpose(2, 0, 1), heading.T, ang_vel.T, flags.transpose(1, 0, 2))
     after = np.arange(horizon) >= lengths[:, None]
-    for arr in (obs, actions, rewards, base, member, states[:, 1:]):
+    for arr in per_step + tuple(c[:, 1:] for c in columns):
         arr[after] = 0
-    bad = ~np.isfinite(actions).all(axis=-1)
+    bad = ~np.isfinite(per_step[1]).all(axis=-1)
     if bad.any():
         b, t = np.argwhere(bad)[0]
-        raise NonFiniteAction(f"non-finite action {actions[b, t]} in episode {b} at step {t}")
+        raise NonFiniteAction(f"non-finite action {per_step[1][b, t]} in episode {b} at step {t}")
     # discount**t as the running product 1, d, d*d, ...; returns summed in step order
     gamma = np.cumprod(np.r_[1.0, np.full(horizon - 1, env.spec.discount)])
-    returns = np.add.accumulate(rewards * gamma, axis=1)[:, -1]
-    return RolloutBatch(obs, actions, rewards, base, member, states, lengths, returns)
+    returns = np.add.accumulate(rewards * gamma[:, None], axis=0)[-1]
+    clock = [np.broadcast_to(c, (n, horizon + 1)) for c in (speeds, times)]
+    return RolloutBatch(
+        *per_step, lengths, returns, columns[0], columns[1], clock[0], columns[2], clock[1],
+        columns[3],
+    )
 
 
 def rollout_record(env, policy, reward_spec: RewardSpec, seed: int) -> RolloutRecord:
@@ -497,7 +591,7 @@ def serve(env, runs) -> list:
     RolloutBatch, and returns its result.  Every round, the pending requests
     of all live runs go into one rollout_batch call: their policies stacked
     row by row (theta and log_std), one reward spec per row, their tapes
-    concatenated.  Each run is sent a copy of its own rows.  An episode's
+    concatenated.  Each run is sent a view of its own rows.  An episode's
     bits depend only on its own row, so a run's results do not depend on
     which runs share its engine calls.  An exception in any run propagates.
     """
@@ -521,7 +615,9 @@ def serve(env, runs) -> list:
             req = requests[0]
             pieces = [rollout_batch(env, req.policy, req.reward_spec, req.noise)]
         else:
-            pieces = _split_rows(rollout_batch(env, *_merge_requests(requests)), requests)
+            batch = rollout_batch(env, *_merge_requests(requests))
+            bounds = np.cumsum([0] + [len(r.noise) for r in requests])
+            pieces = [batch.rows(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
         for i, piece in zip(ids, pieces):
             advance(i, piece)
     return results
@@ -547,13 +643,3 @@ def _merge_requests(requests: list[RolloutRequest]):
     specs = [r.reward_spec for r, n in zip(requests, rows) for _ in range(n)]
     noise = np.concatenate([r.noise for r in requests])
     return _rl.PolicyParams(arch, theta, log_std), specs, noise
-
-
-def _split_rows(batch: RolloutBatch, requests: list[RolloutRequest]) -> list[RolloutBatch]:
-    """Each request's rows of a merged batch, as arrays of their own."""
-    out, lo = [], 0
-    for r in requests:
-        rows = slice(lo, lo + len(r.noise))
-        out.append(RolloutBatch(*(getattr(batch, f.name)[rows].copy() for f in fields(batch))))
-        lo = rows.stop
-    return out

@@ -352,12 +352,20 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     return buf.getvalue()
 
 
+def order_by_t(group: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The order of rows by group, then by t; a NaN or repeated t within a
+    group is a ValueError."""
+    order = np.lexsort((t, group))
+    g, ts = group[order], t[order]
+    if np.isnan(t).any() or np.any((g[1:] == g[:-1]) & (ts[1:] == ts[:-1])):
+        raise ValueError("every row needs a t of its own that is a number")
+    return order
+
+
 def sorted_by_t(rows: list) -> list:
     """Rows (t, ...) in increasing t; a NaN or repeated t is a ValueError."""
-    ts = [row[0] for row in rows]
-    if any(math.isnan(t) for t in ts) or len(set(ts)) < len(ts):
-        raise ValueError("every row needs a t of its own that is a number")
-    return sorted(rows, key=lambda row: row[0])
+    t = np.array([row[0] for row in rows], dtype=float)
+    return [rows[i] for i in order_by_t(np.zeros(len(rows), dtype=int), t)]
 
 
 def trajectory_from_csv(text: str) -> Trajectory:

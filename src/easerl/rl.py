@@ -313,7 +313,14 @@ def training(
 ):
     """`train` as a request generator: it yields an `envs.RolloutRequest`
     for every engine call it needs, is sent the call's `RolloutBatch`, and
-    returns the TrainReport.  `envs.serve` runs many of these in lockstep."""
+    returns the TrainReport.  `envs.serve` runs many of these in lockstep.
+
+    An evaluation samples the same policy under the same reward spec as the
+    batch after it, so while the budget admits that batch, the evaluation's
+    episodes share one engine call with the batch's first piece.  If the
+    evaluation ends the run, those training episodes are dropped uncharged;
+    an episode's bits depend only on its own row, so sharing changes no bit.
+    """
     from . import envs as _envs
 
     policy = init.copy()
@@ -331,12 +338,29 @@ def training(
     best_mean = -math.inf
     best_params: PolicyParams | None = None
 
+    def piece_size(left: int) -> int:
+        """Episodes of the next piece: as many of `left` as the budget admits
+        while steps + horizon <= budget, whatever their lengths."""
+        return min(left, (cfg.max_interaction_steps - steps) // horizon)
+
+    def piece_noise(k: int) -> np.ndarray:
+        seeds = [derive_seed(cfg.seed, "train-ep", episode_idx + e) for e in range(k)]
+        return _envs.noise_tapes(env, seeds)
+
     def record_eval(at_steps: int):
+        """Evaluate the policy in one engine call with the first piece of
+        the next batch, which has no rows when the budget admits no batch;
+        returns that piece if the run goes on, else None."""
         nonlocal eval_idx, streak, converged, best_mean, best_params
-        detail = yield from evaluation(
+        request = evaluation_request(
             env, reward_spec, policy, cfg.eval_episodes, derive_seed(cfg.seed, "eval", eval_idx)
         )
-        mean = detail["mean"]
+        n_eval, k = len(request.noise), piece_size(cfg.batch_episodes)
+        both = yield _envs.RolloutRequest(
+            policy, reward_spec, np.concatenate([request.noise, piece_noise(k)])
+        )
+        piece = both.rows(n_eval, n_eval + k)  # no rows when the budget admits no batch
+        mean = score_evaluation(env, both.rows(0, n_eval))["mean"]
         eval_idx += 1
         curve.append((at_steps, mean))
         if cfg.keep_best and mean > best_mean:
@@ -349,22 +373,22 @@ def training(
                 converged = True
         else:
             streak = 0
+        return None if converged else piece
 
     # evaluate before spending any budget: a policy that already sits inside
     # the band must not be perturbed by further updates
-    yield from record_eval(0)
+    first = yield from record_eval(0)
 
     while not converged and steps + horizon <= cfg.max_interaction_steps:
-        # the budget admits an episode while steps + horizon <= budget; run,
-        # in lockstep, as many as it admits whatever their lengths
+        # run, in lockstep, as many episodes as the budget admits
         pieces = []
         left = cfg.batch_episodes
         while left and steps + horizon <= cfg.max_interaction_steps:
-            k = min(left, (cfg.max_interaction_steps - steps) // horizon)
-            seeds = [derive_seed(cfg.seed, "train-ep", episode_idx + e) for e in range(k)]
-            pieces.append(
-                (yield _envs.RolloutRequest(policy, reward_spec, _envs.noise_tapes(env, seeds)))
-            )
+            k = piece_size(left)
+            if first is None:
+                first = yield _envs.RolloutRequest(policy, reward_spec, piece_noise(k))
+            pieces.append(first)
+            first = None
             episode_idx += k
             left -= k
             steps += int(pieces[-1].lengths.sum())
@@ -393,12 +417,14 @@ def training(
             raise DivergedTraining(f"non-finite parameters after {steps} steps")
 
         if steps >= next_eval:
-            yield from record_eval(steps)
+            first = yield from record_eval(steps)
             next_eval = (steps // cfg.eval_every + 1) * cfg.eval_every
 
     if cfg.keep_best and not converged:
         if curve[-1][0] != steps:
-            yield from record_eval(steps)  # let the freshest parameters compete too
+            # let the freshest parameters compete too; the budget admits no
+            # batch now, so this evaluation's call has no training rows
+            yield from record_eval(steps)
         if not converged and best_params is not None:
             policy = best_params
 
@@ -419,13 +445,27 @@ def evaluate_detail(env, reward_spec, policy: PolicyParams, episodes: int, seed:
 
 
 def evaluation(env, reward_spec, policy: PolicyParams, episodes: int, seed: int):
-    """`evaluate_detail` as a request generator (see `training`)."""
+    """`evaluate_detail` as a request generator (see `training`): its
+    `evaluation_request`, scored by `score_evaluation`.  `training` makes
+    the same request and scoring with a training batch in the same call."""
+    batch = yield evaluation_request(env, reward_spec, policy, episodes, seed)
+    return score_evaluation(env, batch)
+
+
+def evaluation_request(env, reward_spec, policy: PolicyParams, episodes: int, seed: int):
+    """The engine call of an evaluation: `episodes` rollouts of the policy,
+    the tape of episode e keyed by derive_seed(seed, "eval-ep", e)."""
     from . import envs as _envs
-    from . import homotopy as _homotopy
 
     seeds = [derive_seed(seed, "eval-ep", e) for e in range(episodes)]
-    batch = yield _envs.RolloutRequest(policy, reward_spec, _envs.noise_tapes(env, seeds))
-    trajs = [batch.trajectory(env, e) for e in range(episodes)]
+    return _envs.RolloutRequest(policy, reward_spec, _envs.noise_tapes(env, seeds))
+
+
+def score_evaluation(env, batch) -> dict:
+    """The `evaluate_detail` dict of an evaluation's RolloutBatch."""
+    from . import homotopy as _homotopy
+
+    trajs = [batch.trajectory(env, e) for e in range(len(batch.lengths))]
     region = env.barrier
     a_start, a_goal = env.anchors()
     collided_full = [_homotopy.collides(traj, region) for traj in trajs]

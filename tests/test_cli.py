@@ -460,6 +460,18 @@ def test_winf_bad_row_is_usage_error_naming_the_file(tmp_path, capsys, row):
     assert str(bad) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows, named", [
+    (["0,0,bad_x,0.0", "0,bad_t,0.0,0.0"], "'bad_x'"),
+    (["0,0,0.0,bad_y", "0,1,0.0"], "'bad_y'"),
+    (["0,0,0.0", "0,bad_t,0.0,0.0"], "data row 1 has 3 fields"),
+])
+def test_trajectory_set_names_the_first_bad_field_in_file_order(tmp_path, rows, named):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("traj,t,x,y\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ConfigError, match=named):
+        load_trajectory_set(bad)
+
+
 # ------------------------------------------------------------ plot
 
 

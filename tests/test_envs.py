@@ -377,6 +377,27 @@ class TestSpecs:
         assert np.array_equal(part.reward, full.base - np.where(part.collided, env.barrier.penalty, 0.0))
 
 
+class TestLeadingAxes:
+    @pytest.mark.parametrize("make", [lambda: nav1_make(5, "left"), lambda: nav2_make("LR"),
+                                      lambda: landscape_make(5, "left")],
+                             ids=["nav1", "nav2", "landscape"])
+    def test_a_3x3_batch_steps_as_its_9_rows(self, make):
+        """`step` and `features` on a (3, 3, D) batch give the results of
+        the same states as a (9, D) batch, reshaped."""
+        env = make()
+        rng = np.random.default_rng(0)
+        states = np.array(probe_states(env, 3))
+        states[:, 2] = rng.uniform(0.0, 2.0 * math.pi, 9)
+        actions = rng.uniform(-1.0, 1.0, (9, 1))
+        flat = step(env, states, actions, full_reward(env))
+        grid = step(env, states.reshape(3, 3, -1), actions.reshape(3, 3, 1), full_reward(env))
+        for name in ("state", "reward", "terminal", "collided", "base"):
+            got, want = getattr(grid, name), getattr(flat, name)
+            assert np.array_equal(got, np.reshape(want, got.shape)), name
+        features = env.features(states.reshape(3, 3, -1))
+        assert np.array_equal(features.reshape(9, -1), env.features(states))
+
+
 class TestMeanRollout:
     def test_zero_policy_goes_straight(self):
         env = nav1_make(5, "left")

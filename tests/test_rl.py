@@ -1,10 +1,13 @@
+import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from easerl.envs import full_reward, nav1_make, relaxed_reward
+from easerl import envs
+from easerl.envs import full_reward, nav1_make, nav2_make, relaxed_reward, serve
 from easerl.errors import EaseRlError, NonFiniteState
 from easerl.rl import (
     LOG_STD_MAX,
@@ -27,6 +30,7 @@ from easerl.rl import (
     save_checkpoint,
     segment_profile,
     train,
+    training,
 )
 from easerl.seeding import derive_seed
 
@@ -223,6 +227,81 @@ class TestTrain:
         rep = train(env, full_reward(env), pol, cfg)
         # 64-episode evals would dwarf the budget if charged
         assert rep.interaction_steps <= 4000
+
+
+def report_bytes(rep) -> bytes:
+    """The bits of a TrainReport: parameters, curve, steps and verdict."""
+    curve = np.array(rep.return_curve, dtype=np.float64)
+    return b"".join([
+        np.ascontiguousarray(rep.params.theta, dtype=np.float64).tobytes(),
+        np.ascontiguousarray(rep.params.log_std, dtype=np.float64).tobytes(),
+        curve.tobytes(),
+        np.array([rep.interaction_steps, int(rep.converged)], dtype=np.int64).tobytes(),
+    ])
+
+
+def pinned_runs():
+    """(env, reward spec, init, config) of the two pinned training runs."""
+    src1, _ = load_checkpoint("assets/source-nav1-7.json")
+    src2, _ = load_checkpoint("assets/source-nav2-LL.json")
+    env1, env2 = nav1_make(7, "left"), nav2_make("RR")
+    # reaches the band mid-run with budget to spare, so the batch that the
+    # converging evaluation shares is dropped
+    cfg1 = TrainConfig(seed=3, max_interaction_steps=40000,
+                       convergence=ConvergenceBand(8.5, 0.75, 3), eval_every=2048)
+    # never converges and runs out of budget, so the last evaluation runs alone
+    cfg2 = TrainConfig(seed=5, max_interaction_steps=12000,
+                       convergence=ConvergenceBand(3200.0, 600.0, 5), eval_every=2500,
+                       keep_best=True)
+    return [(env1, relaxed_reward(env1), src1, cfg1), (env2, full_reward(env2), src2, cfg2)]
+
+
+PINNED_TRAINING_DIGEST = "7afac1b37aff3fe05f152ec91d3c007afa44ed6ea4d3956b3882a01be22d1010"
+
+
+class TestTrainingBits:
+    def test_train_reports_are_pinned(self):
+        """Two short training runs, pinned to the bit: nav1-7 under the
+        relaxed reward, converging mid-run, and nav2 under the full reward
+        with keep_best, ending on its budget.  Each run gives the same bits
+        alone and served in lockstep beside a run of another seed."""
+        runs = pinned_runs()
+        alone = [train(env, spec, init, cfg) for env, spec, init, cfg in runs]
+        assert alone[0].converged and alone[0].interaction_steps < runs[0][3].max_interaction_steps
+        assert not alone[1].converged
+        lockstep = [
+            serve(env, [training(env, spec, init, cfg),
+                        training(env, spec, init, replace(cfg, seed=cfg.seed + 1))])[0]
+            for env, spec, init, cfg in runs
+        ]
+        for reports in (alone, lockstep):
+            digest = hashlib.sha256(b"".join(report_bytes(r) for r in reports)).hexdigest()
+            assert digest == PINNED_TRAINING_DIGEST
+
+    def test_an_evaluation_shares_the_next_batch_call(self, monkeypatch):
+        """U updates, an evaluation due after each and the run ending on its
+        budget: U + 1 engine calls, each evaluation but the last sharing the
+        call of the batch after it."""
+        env = nav1_make(7, "left")
+        arch = Arch("mlp", env.spec.state_dim, env.spec.action_dim, hidden=4)
+        pol = init_policy(arch, 0)
+        pol.theta[-1] = 5.0  # a full turn every step: no episode reaches the goal
+        horizon, batch, updates = env.spec.horizon, 3, 4
+        cfg = TrainConfig(seed=2, max_interaction_steps=updates * batch * horizon,
+                          convergence=ConvergenceBand(1e9, 1.0, 1), eval_every=1,
+                          eval_episodes=2, batch_episodes=batch)
+        calls = []
+        inner = envs.rollout_batch
+
+        def counting(env_, policy, spec, noise):
+            calls.append(len(noise))
+            return inner(env_, policy, spec, noise)
+
+        monkeypatch.setattr(envs, "rollout_batch", counting)
+        rep = train(env, full_reward(env), pol, cfg)
+        assert rep.interaction_steps == cfg.max_interaction_steps
+        assert len(rep.return_curve) == updates + 1
+        assert calls == [2 + batch] * updates + [2]
 
 
 class TestEvaluate:
