@@ -21,12 +21,16 @@ term.  Returns are undiscounted so the documented >3000 success threshold is
 meaningful.
 
 Every transition, in `step` and in the lockstep engine `rollout_batch`, runs
-through one batched kernel on the state's columns, `CarEnv.transition`; it
-moves x and y as one (2, B) array and tests the goal and every penalized set
-in one broadcast over their edges.  The engine writes each step into
-time-major buffers and keeps the state columns it steps; speed and time are
-the same on every row and are computed once per call.  A batch assembles its
-state vectors only when they are read.
+through one batched kernel on the state's columns, in two halves:
+`CarEnv.move`, the dynamics, moves x and y as one (2, B) array, and
+`CarEnv.outcome` gives the reward, base reward, terminal flag and
+penalized-set membership, testing the goal and every penalized set in one
+broadcast over their edges.  The reward never feeds back, so the engine
+steps with `move` alone and runs `outcome` once per call over blocks of
+the steps run.  It writes each step into time-major buffers and keeps the
+state columns it steps; speed and time are the same on every row and are
+computed once per call.  A batch assembles its state vectors only when
+they are read.
 """
 
 from __future__ import annotations
@@ -138,8 +142,8 @@ class CarEnv:
     """Unicycle car in the 20x20 field with a rectangular barrier union.
 
     `features` takes one state vector or a batch with any leading axes and
-    works elementwise over the batch; `transition` works on the columns of
-    one state or of a batch (see CarColumns).
+    works elementwise over the batch; `move` and `outcome` work on the
+    columns of one state or of a batch (see CarColumns).
     """
 
     dt: ClassVar[float] = 0.1
@@ -207,12 +211,11 @@ class CarEnv:
             out[..., 4] = speed / self.v_set
             out[..., 6] = t / self.spec.horizon
 
-    def transition(self, s: CarColumns, action: np.ndarray, rows: "RowRewards"):
-        """The batched transition kernel: (next columns, direction, reward,
-        base reward, terminal flag, penalized-set membership) of every row,
-        with `rows` giving each row's penalty and the edge table.  The
+    def move(self, s: CarColumns, action: np.ndarray):
+        """The dynamics: (next columns, direction) of every row, where the
         direction (cos, sin) of the next heading, shaped like xy, is what
-        `_row_features` reads."""
+        `_row_features` reads.  Everything the next step reads comes from
+        here; the reward never feeds back."""
         omega = np.minimum(np.maximum(action[..., 0], -1.0), 1.0) * self.steer_max
         heading = s.heading + omega * self.dt
         speed, t = self._tick(s.speed, s.t)
@@ -220,36 +223,41 @@ class CarEnv:
         np.cos(heading, out=direction[0, ...])
         np.sin(heading, out=direction[1, ...])
         xy = s.xy + speed * direction * self.dt
-        y = xy[1]
         flags = s.flags
         if self.barrier_tops:
-            flags = np.where((flags == 0.0) & (y[..., None] >= self.barrier_tops), 1.0, flags)
-        nxt = CarColumns(xy, heading, speed, omega, t, flags)
-        goal, member = rows.membership(xy)
+            flags = np.where((flags == 0.0) & (xy[1][..., None] >= self.barrier_tops), 1.0, flags)
+        return CarColumns(xy, heading, speed, omega, t, flags), direction
 
-        t_norm = s.t / self.spec.horizon
+    def outcome(self, prev: CarColumns, nxt: CarColumns, rows: "RowRewards"):
+        """(reward, base reward, terminal flag, penalized-set membership) of
+        the transitions prev -> nxt, with `rows` giving each row's penalty
+        and the edge table.  Elementwise over any leading axes, so a
+        (steps, B) block of transitions gives (steps, B) results."""
+        goal, member = rows.membership(nxt.xy)
+        y = nxt.xy[1]
+        t_norm = prev.t / self.spec.horizon
         r = 0.0
         if self.c_side:
             side_sign = 1.0 if self.target_bits[0] == 1 else -1.0
-            r = r + self.c_side * (1.0 - t_norm) * side_sign * np.sin(heading - math.pi / 2.0)
+            r = r + self.c_side * (1.0 - t_norm) * side_sign * np.sin(nxt.heading - math.pi / 2.0)
         if self.c_goal:
             dist = np.maximum(0.0, self.goal_y - y)
             r = r + -self.c_goal * t_norm * dist / 16.0
         if self.c_pot:
-            d_prev = np.maximum(0.0, self.goal_y - s.xy[1])
+            d_prev = np.maximum(0.0, self.goal_y - prev.xy[1])
             d_next = np.maximum(0.0, self.goal_y - y)
             r = r + self.c_pot * (d_prev - d_next)
         if self.side_bonus:
-            passed_left = xy[0] < 0.0
+            passed_left = nxt.xy[0] < 0.0
             for i in range(len(self.barrier_tops)):
-                passed = (s.flags[..., i] == 0.0) & (flags[..., i] == 1.0)
+                passed = (prev.flags[..., i] == 0.0) & (nxt.flags[..., i] == 1.0)
                 on_target = passed_left == (self.target_bits[i] == 1)
                 r = r + np.where(passed & on_target, self.side_bonus, 0.0)
         if self.goal_bonus:
             r = r + np.where(goal, self.goal_bonus, 0.0)
         reward = r - np.where(member, rows.charge, 0.0)
-        terminal = goal | (t >= self.spec.horizon)
-        return nxt, direction, reward, r, terminal, member
+        terminal = goal | (nxt.t >= self.spec.horizon)
+        return reward, r, terminal, member
 
     def task_point(self, state: np.ndarray) -> tuple:
         return state[..., _IX], state[..., _IY]
@@ -361,7 +369,8 @@ class RowRewards:
 
     def membership(self, xy):
         """(goal membership, each row's penalized-set membership) of the
-        points xy: (2, B), one point (2,), or (2, ...) under one reward spec."""
+        points xy: (2, B), one point (2,), or (2, ..., B) with leading axes,
+        such as a time axis, before the row axis."""
         p, dx, dy = self.edges
         if xy.ndim != 2:
             p = p.reshape((2,) + (1,) * (xy.ndim - 1) + (-1,))
@@ -372,7 +381,7 @@ class RowRewards:
             hit = np.logical_or.reduceat(hit, self.first_part, axis=-1)
         if self.pick is None:
             return hit[..., 0], hit[..., 1]
-        return hit[..., 0], hit[self.pick]
+        return hit[..., 0], hit[(Ellipsis,) + self.pick]
 
 
 def step(env, state: np.ndarray, action, reward_spec: RewardSpec) -> StepResult:
@@ -381,9 +390,9 @@ def step(env, state: np.ndarray, action, reward_spec: RewardSpec) -> StepResult:
     a = np.asarray(action, dtype=float).reshape(np.shape(state)[:-1] + (-1,))
     if not np.isfinite(a).all():
         raise NonFiniteAction(f"non-finite action {a}")
-    nxt, _, reward, base, terminal, member = env.transition(
-        _columns(state), a, RowRewards.of(env, reward_spec)
-    )
+    s = _columns(state)
+    nxt, _ = env.move(s, a)
+    reward, base, terminal, member = env.outcome(s, nxt, RowRewards.of(env, reward_spec))
     out = np.empty(np.shape(state))
     _put_state(out, nxt)
     return StepResult(out, reward, terminal, member, base)
@@ -478,6 +487,26 @@ class RolloutBatch:
         return RolloutBatch(*(getattr(self, f.name)[lo:hi] for f in fields(self)))
 
 
+# (step, row) entries of a post-pass block: bounds the block's temporaries,
+# which grow with its steps, rows and edges
+_OUTCOME_ENTRIES = 1024
+# far above the rounding of a position, far below a step's length
+_REACH_MARGIN = 1e-6
+
+
+def _first_goal_step(env, speeds: np.ndarray) -> int:
+    """The first step t of an episode after which a car could be in the
+    goal, or horizon if none.  However it steers, a car covers at most
+    speeds[t + 1] * dt in step t, so it cannot be in the goal before that
+    distance, summed, reaches the gap from the start to the goal's bounding
+    box."""
+    x0, y0, x1, y1 = env.goal_poly.bbox()
+    sx, sy = env.start
+    gap = math.hypot(max(x0 - sx, 0.0, sx - x1), max(y0 - sy, 0.0, sy - y1))
+    covered = np.cumsum(speeds[1:] * env.dt)
+    return int(np.searchsorted(covered, gap - _REACH_MARGIN))
+
+
 def rollout_batch(env, policy, reward_spec, noise: np.ndarray) -> RolloutBatch:
     """Simulate one episode per noise tape, all in lockstep.
 
@@ -490,6 +519,14 @@ def rollout_batch(env, policy, reward_spec, noise: np.ndarray) -> RolloutBatch:
     batch-size-independent forward pass gives each episode the same bits at
     any B, so an episode's results depend only on its own row's parameters,
     its own reward spec and its own tape.
+
+    Each step runs only what feeds back: the policy's action, the dynamics
+    (`CarEnv.move`), the next features and the column writes.  The reward
+    never feeds back, so rewards, base rewards, penalized-set membership and
+    terminal flags are computed after the loop by `CarEnv.outcome`, over
+    blocks of the steps run; the terminal flags alone give the lengths.  The
+    loop tests the goal only to stop early, once every episode has reached
+    it, and only from the first step at which a car could be there.
 
     The buffers are time-major, (horizon, B, ...), so that each step writes
     one contiguous block and the policy reads a contiguous obs[t]; the batch
@@ -511,10 +548,6 @@ def rollout_batch(env, policy, reward_spec, noise: np.ndarray) -> RolloutBatch:
     obs[0] = env.features(start)
     env._clock_features(obs, speeds[:, None], times[:, None])
     actions = np.zeros((horizon, n, env.spec.action_dim))
-    rewards = np.zeros((horizon, n))
-    base = np.zeros((horizon, n))
-    member = np.zeros((horizon, n), dtype=bool)
-    ends = np.zeros((horizon, n), dtype=bool)
     # the initial state, one row that broadcasts against the batch
     s = _columns(start[None])._replace(speed=float(speeds[0]), t=float(times[0]))
     xy = np.zeros((horizon + 1, 2, n))
@@ -522,15 +555,35 @@ def rollout_batch(env, policy, reward_spec, noise: np.ndarray) -> RolloutBatch:
     ang_vel = np.zeros((horizon + 1, n))
     flags = np.zeros((horizon + 1, n, len(env.barrier_tops)))
     xy[0], heading[0], ang_vel[0], flags[0] = s.xy, s.heading, s.ang_vel, s.flags
+    first_goal = _first_goal_step(env, speeds)
     ended = np.zeros(n, dtype=bool)
+    steps = horizon
     for t in range(horizon):
-        if ended.all():
-            break
         np.add(mean(obs[t]), scaled_noise[t], out=actions[t])
-        s, direction, rewards[t], base[t], ends[t], member[t] = env.transition(s, actions[t], rows)
+        s, direction = env.move(s, actions[t])
         env._row_features(obs[t + 1], s, direction)
         xy[t + 1], heading[t + 1], ang_vel[t + 1], flags[t + 1] = s.xy, s.heading, s.ang_vel, s.flags
-        ended |= ends[t]
+        if t >= first_goal:
+            ended |= rows.membership(s.xy)[0]
+            if ended.all():
+                steps = t + 1
+                break
+
+    def block(lo: int, hi: int) -> CarColumns:
+        """The columns at steps lo..hi-1, shaped (hi - lo, B)."""
+        return CarColumns(xy[lo:hi].transpose(1, 0, 2), heading[lo:hi], speeds[lo:hi, None],
+                          ang_vel[lo:hi], times[lo:hi, None], flags[lo:hi])
+
+    rewards = np.zeros((horizon, n))
+    base = np.zeros((horizon, n))
+    member = np.zeros((horizon, n), dtype=bool)
+    ends = np.zeros((steps, n), dtype=bool)
+    block_steps = max(1, _OUTCOME_ENTRIES // max(n, 1))
+    for lo in range(0, steps, block_steps):
+        hi = min(lo + block_steps, steps)
+        rewards[lo:hi], base[lo:hi], ends[lo:hi], member[lo:hi] = env.outcome(
+            block(lo, hi), block(lo + 1, hi + 1), rows
+        )
     lengths = ends.argmax(axis=0) + 1
     per_step = (obs[:horizon].transpose(1, 0, 2), actions.transpose(1, 0, 2), rewards.T, base.T,
                 member.T)

@@ -360,7 +360,7 @@ def training(
             policy, reward_spec, np.concatenate([request.noise, piece_noise(k)])
         )
         piece = both.rows(n_eval, n_eval + k)  # no rows when the budget admits no batch
-        mean = score_evaluation(env, both.rows(0, n_eval))["mean"]
+        mean = float(np.mean(both.returns[:n_eval]))  # score_evaluation's mean
         eval_idx += 1
         curve.append((at_steps, mean))
         if cfg.keep_best and mean > best_mean:
@@ -447,7 +447,8 @@ def evaluate_detail(env, reward_spec, policy: PolicyParams, episodes: int, seed:
 def evaluation(env, reward_spec, policy: PolicyParams, episodes: int, seed: int):
     """`evaluate_detail` as a request generator (see `training`): its
     `evaluation_request`, scored by `score_evaluation`.  `training` makes
-    the same request and scoring with a training batch in the same call."""
+    the same request, with a training batch in the same call, and reads
+    only the mean of its returns."""
     batch = yield evaluation_request(env, reward_spec, policy, episodes, seed)
     return score_evaluation(env, batch)
 

@@ -281,6 +281,50 @@ class TestKernel:
                 assert res.terminal == (t + 1 == batch.lengths[b])
                 assert same_bits(env.features(batch.states[b, t]), batch.obs[b, t])
 
+    @pytest.mark.parametrize("env_name", ["nav1-7", "nav2"])
+    def test_outcome_of_a_block_equals_each_rows_step_outcome(self, env_name):
+        """`outcome` on a (3 steps, 6 rows) block under one spec per row
+        equals, bit for bit, `outcome` of each row's step alone under its
+        own spec: the per-row pick works with a leading time axis."""
+        env = ENVS[env_name]()
+        specs = [make_spec(env, mode, alpha)
+                 for alpha in (0.0, 0.37, 1.0) for mode in ("reward_weight", "barrier_set")]
+        # heading up at full speed, 0.2 a step: rows 0-2 cross nav2's barrier
+        # tops (y = -1.5, 5.5), row 3 enters the goal band, rows 4-5 a barrier
+        n_flags = len(env.barrier_tops)
+        flags = np.zeros((6, n_flags))
+        flags[2:4] = 1.0  # above the bottom barrier
+        s = envs.CarColumns(
+            np.array([[-4.0, 0.5, -2.0, 1.0, 3.0, -3.4], [-1.75, -1.62, 5.35, 7.75, 0.9, -1.1]]),
+            np.full(6, math.pi / 2) + np.linspace(-0.2, 0.2, 6), env.v_set, np.zeros(6), 40.0, flags,
+        )
+        steps = [s]
+        for action in np.random.default_rng(0).uniform(-1.0, 1.0, (3, 6, 1)):
+            steps.append(env.move(steps[-1], action)[0])
+
+        def block(cols):
+            return envs.CarColumns(
+                np.stack([c.xy for c in cols], axis=1), np.stack([c.heading for c in cols]),
+                np.array([c.speed for c in cols])[:, None], np.stack([c.ang_vel for c in cols]),
+                np.array([c.t for c in cols])[:, None], np.stack([c.flags for c in cols]),
+            )
+
+        prev, nxt = block(steps[:3]), block(steps[1:])
+        got = env.outcome(prev, nxt, envs.RowRewards.of(env, specs))
+        assert got[2].any() and got[3].any()  # a terminal and a penalized step
+        if n_flags:
+            assert (prev.flags != nxt.flags).any()
+
+        def row(c, k, b):
+            return envs.CarColumns(c.xy[:, k, b], c.heading[k, b], c.speed[k, 0], c.ang_vel[k, b],
+                                   c.t[k, 0], c.flags[k, b])
+
+        for k in range(3):
+            for b, spec in enumerate(specs):
+                want = env.outcome(row(prev, k, b), row(nxt, k, b), envs.RowRewards.of(env, spec))
+                for g, w in zip(got, want):
+                    assert same_bits(g[k, b], w), (k, b)
+
     def test_non_finite_row_raises(self):
         env = nav1_make(7, "left")
         pols = [make_policy(env, "mlp", seed, 0.5) for seed in range(6)]

@@ -1,15 +1,19 @@
 import hashlib
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from easerl import envs
 from easerl.envs import (
     MdpSpec,
     RewardSpec,
+    RolloutBatch,
     full_reward,
     landscape_make,
     mean_rollout,
+    nav1_barrier,
     nav1_make,
     nav2_make,
     noise_tapes,
@@ -21,7 +25,7 @@ from easerl.envs import (
 from easerl.errors import NonFiniteAction, UnsupportedSize
 from easerl.geometry import ConvexPolygon, RegionSet, bisect, contains
 from easerl.homotopy import ClassSignature
-from easerl.rl import Arch, PolicyParams, init_policy
+from easerl.rl import Arch, PolicyParams, init_policy, load_checkpoint
 
 
 def probe_states(env, n_side=20):
@@ -416,6 +420,13 @@ PINNED_TASKS = {
     "landscape-5": lambda: landscape_make(5, "left"),
 }
 
+
+def _pinned_batch(env, reward):
+    """One batch of 16 noisy MLP rollouts under reward(env)."""
+    pol = init_policy(Arch("mlp", env.spec.state_dim, env.spec.action_dim), 3, log_std_init=0.0)
+    return rollout_batch(env, pol, reward(env), noise_tapes(env, range(16)))
+
+
 PINNED_DIGEST = "2a7d960423b98471751b5a44a64545f8d2ae0d9d68f5008f2dbd01231ad41cf1"
 
 
@@ -425,12 +436,53 @@ def test_task_rollouts_are_pinned():
     reward, hashed over returns, states, rewards, base rewards and lengths."""
     h = hashlib.sha256()
     for name, make in PINNED_TASKS.items():
-        env = make()
-        arch = Arch("mlp", env.spec.state_dim, env.spec.action_dim)
-        pol = init_policy(arch, 3, log_std_init=0.0)
-        batch = rollout_batch(env, pol, full_reward(env), noise_tapes(env, range(16)))
+        batch = _pinned_batch(make(), full_reward)
         h.update(name.encode())
         for arr in (batch.returns, batch.states, batch.rewards, batch.base):
             h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
         h.update(np.asarray(batch.lengths, dtype=np.int64).tobytes())
     assert h.hexdigest() == PINNED_DIGEST
+
+
+def _ramp_batch(env):
+    """A barrier ramp's four stages, one spec per row, under the trained
+    nav1-7 source, whose episodes all end before the horizon."""
+    pol, _ = load_checkpoint("assets/source-nav1-7.json")
+    specs = [RewardSpec(nav1_barrier(w), 1.0) for w in (1, 3, 5, 7) for _ in range(4)]
+    batch = rollout_batch(env, pol, specs, noise_tapes(env, range(16)))
+    assert batch.lengths.max() < env.spec.horizon  # so the loop stops early
+    return batch
+
+
+EARLY_EXIT_CASES = {
+    **{name: (make, lambda env: _pinned_batch(env, full_reward))
+       for name, make in PINNED_TASKS.items()},
+    "nav1-7-barrier-ramp": (lambda: nav1_make(7, "left"), _ramp_batch),
+}
+
+
+class TestEarlyExit:
+    """The lockstep loop tests the goal only to stop stepping early."""
+
+    @pytest.mark.parametrize("name", list(EARLY_EXIT_CASES))
+    def test_where_the_goal_test_starts_changes_no_bit(self, name, monkeypatch):
+        make, run = EARLY_EXIT_CASES[name]
+        env = make()
+        want = run(env)
+        for first in (0, env.spec.horizon):
+            monkeypatch.setattr(envs, "_first_goal_step", lambda env_, speeds, first=first: first)
+            got = run(env)
+            for f in fields(RolloutBatch):
+                g, w = getattr(got, f.name), getattr(want, f.name)
+                assert g.dtype == w.dtype and g.shape == w.shape, (first, f.name)
+                assert g.tobytes() == w.tobytes(), (first, f.name)
+
+    @pytest.mark.parametrize("name", list(PINNED_TASKS))
+    def test_the_bound_is_at_most_one_step_before_a_straight_drive_arrives(self, name):
+        env = PINNED_TASKS[name]()
+        pol = init_policy(Arch("linear", env.spec.state_dim, env.spec.action_dim), 0)  # mean action 0
+        straight = rollout_batch(env, pol, full_reward(env), np.zeros((1, env.spec.horizon, 1)))
+        arrival = straight.lengths[0] - 1  # the step after which it is in the goal
+        assert env.goal_poly.contains_point(*straight.xy[0, arrival + 1])
+        bound = envs._first_goal_step(env, env.clock()[0])
+        assert arrival - 1 <= bound <= arrival
