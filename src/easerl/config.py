@@ -59,7 +59,6 @@ _BASE_DEFAULTS = {
         "relax_convergence": {"center": 0.0, "half_width": 2.0, "patience": 3},
         "stage_convergence": {"center": 0.0, "half_width": 2.0, "patience": 3},
         "schedule": {
-            "mode": "barrier_set",
             "alphas": [],
             "barrier_sizes": [],
             "auto_stages": 3,
@@ -201,10 +200,6 @@ def validate_config(cfg: dict) -> dict:
         _require(find[key] >= 0, f"transfer.find_sb1.{key} must be >= 0")
     _require(find["inflate_radius"] > 0, "transfer.find_sb1.inflate_radius must be positive")
     sched = xfer["schedule"]
-    _require(
-        sched["mode"] in ("reward_weight", "barrier_set"),
-        "schedule.mode must be reward_weight or barrier_set",
-    )
     _require_count(sched["auto_stages"], "transfer.schedule.auto_stages")
     for key in ("alphas", "barrier_sizes"):
         _require(_finite_numbers(sched[key]), f"transfer.schedule.{key} must be finite numbers")
@@ -242,19 +237,15 @@ def nav1_defaults(barrier_size: int, target_side: str = "left") -> dict:
     }
     cfg["transfer"]["stage_convergence"] = {"center": center, "half_width": 2.0, "patience": 3}
     if barrier_size == 7:
-        cfg["transfer"]["schedule"] = {
-            "mode": "barrier_set",
-            "alphas": [],
-            "barrier_sizes": [4, 7],
-            "auto_stages": 3,
-        }
+        cfg["transfer"]["schedule"]["barrier_sizes"] = [4, 7]
     return validate_config(cfg)
 
 
 def nav2_defaults(target_side: str = "RR") -> dict:
     cfg = default_config()
     cfg["environment"] = {"name": "nav2", "barrier_size": 7, "target_side": target_side}
-    cfg["transfer"]["methods"] = ["ease_reward", "naive"]  # the schedule is an alpha ramp
+    # the subset search needs a barrier of one part; nav2's has two
+    cfg["transfer"]["methods"] = ["ease_reward", "naive"]
     # measured plateau of a clean correct-class policy is ~3200; the band floor
     # (2600) still excludes wrong-class goal reachers (~2150)
     cfg["training"]["convergence"] = {"center": 3200.0, "half_width": 600.0, "patience": 5}
@@ -277,12 +268,7 @@ def nav2_defaults(target_side: str = "RR") -> dict:
     # normalized-advantage steps random-walk an already-adequate policy
     cfg["transfer"]["relax_convergence"] = {"center": 3150.0, "half_width": 350.0, "patience": 3}
     cfg["transfer"]["stage_convergence"] = {"center": 3150.0, "half_width": 350.0, "patience": 1}
-    cfg["transfer"]["schedule"] = {
-        "mode": "reward_weight",
-        "alphas": [0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0],
-        "barrier_sizes": [],
-        "auto_stages": 3,
-    }
+    cfg["transfer"]["schedule"]["alphas"] = [0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0]
     return validate_config(cfg)
 
 

@@ -48,6 +48,7 @@ from .rl import (  # noqa: F401
     TrainReport,
     evaluate_detail,
     evaluation,
+    evaluation_request,
     init_policy,
     train,
     training,
@@ -383,10 +384,10 @@ def relax_until_crossing(job: TransferJob, budget: int):
             break  # remaining budget is smaller than one batch
         policy = report.params
         steps += report.interaction_steps
-        detail = yield from evaluation(
+        batch = yield evaluation_request(
             job.env, spec, policy, cfg.eval_episodes, derive_seed(job.seed, "relax-eval", chunk)
         )
-        mean = detail["mean"]
+        mean = float(np.mean(batch.returns))  # score_evaluation's mean
         curve.append((steps, mean))
         chunk += 1
         if abs(mean - job.relax_band.center) <= job.relax_band.half_width:

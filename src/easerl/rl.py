@@ -630,10 +630,17 @@ def save_checkpoint(path, policy: PolicyParams, seed: int) -> None:
 
 
 def load_checkpoint(path) -> tuple[PolicyParams, int]:
+    """A checkpoint written by `save_checkpoint`; a file that is not one
+    raises ValueError."""
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
-    arch = Arch(**doc["arch"])
-    policy = PolicyParams(arch, np.array(doc["theta"]), np.array(doc["log_std"]))
-    return policy, int(doc["seed"])
+    try:
+        if doc["version"] != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {doc['version']}")
+        arch = Arch(**doc["arch"])
+        policy = PolicyParams(arch, np.array(doc["theta"]), np.array(doc["log_std"]))
+        return policy, int(doc["seed"])
+    except KeyError as exc:
+        raise ValueError(f"checkpoint has no key {exc}") from exc
+    except TypeError as exc:  # not a JSON object, or an arch that is not one
+        raise ValueError(f"malformed checkpoint: {exc}") from exc

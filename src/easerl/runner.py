@@ -71,43 +71,35 @@ def env_from_config(cfg: dict):
     return nav2_make(env["target_side"])
 
 
-def schedule_from_config(cfg: dict, env) -> tuple[RewardSpec, ...] | None:
-    """The grid's schedule, built and checked once before any training runs:
-    a schedule that does not suit the methods or breaks its defining
-    inequalities is a config error.  None: the subsets are found automatically."""
+def schedule_from_config(cfg: dict, env) -> dict[str, tuple[RewardSpec, ...] | None]:
+    """Each curriculum's schedule, built and checked once per grid before any
+    training runs: `ease_reward` ramps the weight on the full barrier through
+    `transfer.schedule.alphas`, `ease_barrier` grows the nav1 barrier through
+    `barrier_sizes` (None when empty: the subsets are found automatically).
+    A list that is given is checked whichever methods run; one that breaks
+    its defining inequalities, or a method whose list cannot serve it, is a
+    config error."""
     methods = cfg["transfer"]["methods"]
     sc = cfg["transfer"]["schedule"]
-    for method, mode in (("ease_reward", "reward_weight"), ("ease_barrier", "barrier_set")):
-        if method in methods and sc["mode"] != mode:
-            raise ConfigError(f"transfer.schedule.mode must be {mode} for method {method}")
-    if sc["mode"] == "reward_weight":
-        if not sc["alphas"]:
-            raise ConfigError("reward_weight schedule needs transfer.schedule.alphas")
-        alphas = tuple(float(a) for a in sc["alphas"])
-        if not all(0.0 <= a <= 1.0 for a in alphas):  # RewardSpec's range
-            raise ConfigError(
-                f"transfer.schedule: alphas must satisfy 0 < a_1 < ... < a_K = 1, got {alphas}"
-            )
-        schedule = tuple(RewardSpec(env.barrier, a) for a in alphas)
-    elif not sc["barrier_sizes"]:
-        if "ease_barrier" in methods and cfg["environment"]["name"] != "nav1":
-            raise ConfigError(
-                "ease_barrier without transfer.schedule.barrier_sizes searches the subsets "
-                "automatically, which needs environment.name: nav1"
-            )
-        return None
-    else:
-        if not env.name.startswith("nav1"):
-            raise ConfigError("schedule.barrier_sizes only applies to nav1 environments")
+    if "ease_reward" in methods and not sc["alphas"]:
+        raise ConfigError("ease_reward needs transfer.schedule.alphas")
+    # barrier_sizes are nav1 widths, and the automatic search needs one barrier part
+    if cfg["environment"]["name"] != "nav1" and ("ease_barrier" in methods or sc["barrier_sizes"]):
+        raise ConfigError(
+            "ease_barrier and transfer.schedule.barrier_sizes need environment.name: nav1")
+    schedules = {}
+    for method, key, stage in (
+        ("ease_reward", "alphas", lambda a: RewardSpec(env.barrier, float(a))),
+        ("ease_barrier", "barrier_sizes", lambda v: RewardSpec(nav1_barrier(v), 1.0)),
+    ):
         try:
-            schedule = tuple(RewardSpec(nav1_barrier(v), 1.0) for v in sc["barrier_sizes"])
-        except ValueError as exc:
-            raise ConfigError(f"transfer.schedule.barrier_sizes: {exc}") from exc
-    try:
-        validate_schedule(schedule, env.barrier)
-    except PreconditionViolated as exc:
-        raise ConfigError(f"transfer.schedule: {exc}") from exc
-    return schedule
+            schedule = tuple(stage(v) for v in sc[key])
+            if schedule:
+                validate_schedule(schedule, env.barrier)
+        except (ValueError, PreconditionViolated) as exc:
+            raise ConfigError(f"transfer.schedule.{key}: {exc}") from exc
+        schedules[method] = schedule or None
+    return schedules
 
 
 def _band(d: dict) -> ConvergenceBand:
@@ -130,7 +122,7 @@ def train_config(cfg: dict) -> TrainConfig:
 
 
 def job_from_config(cfg: dict, env, source, seed: int, schedule) -> TransferJob:
-    """One seed's transfer job; the jobs of a grid share one `schedule`."""
+    """One seed's transfer job under its method's `schedule` (None for a baseline)."""
     tr = cfg["training"]
     xf = cfg["transfer"]
     return TransferJob(
@@ -157,14 +149,15 @@ def _serve_tasks(env, tasks: list) -> list[TransferReport]:
     return serve(env, [transfer(job, method) for method, job in tasks])
 
 
-def run_grid(cfg: dict, source, schedule, workers: int = 1) -> list[TransferReport]:
-    """Run the (method x seed) grid in lockstep, every job sharing `schedule`;
-    `workers` processes each serve every workers-th task.  A run's bits, and
-    the report order, do not depend on the worker count."""
+def run_grid(cfg: dict, source, schedules: dict, workers: int = 1) -> list[TransferReport]:
+    """Run the (method x seed) grid in lockstep, each curriculum's jobs sharing
+    its entry of `schedules` and baselines getting None; `workers` processes
+    each serve every workers-th task.  A run's bits, and the report order, do
+    not depend on the worker count."""
     env = env_from_config(cfg)
     methods = sorted(cfg["transfer"]["methods"], key=method_rank)
     tasks = [
-        (m, job_from_config(cfg, env, source, int(s), schedule))
+        (m, job_from_config(cfg, env, source, int(s), schedules.get(m)))
         for m in methods
         for s in cfg["transfer"]["seeds"]
     ]
@@ -272,6 +265,14 @@ def build_table(rows: list[dict], budget: int) -> tuple[str, str]:
     return csv_text, "\n".join(lines) + "\n"
 
 
+def _write_curve(path, curve) -> None:
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["step", "mean_return"])
+        for s, v in curve:
+            w.writerow([s, repr(float(v))])
+
+
 def write_run_artifacts(out_dir, reports: list[TransferReport]) -> None:
     curves_dir = os.path.join(out_dir, "curves")
     trajs_dir = os.path.join(out_dir, "trajs")
@@ -279,11 +280,7 @@ def write_run_artifacts(out_dir, reports: list[TransferReport]) -> None:
     os.makedirs(trajs_dir, exist_ok=True)
     for r in reports:
         stem = f"{r.method}-{r.seed}"
-        with open(os.path.join(curves_dir, stem + ".csv"), "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["step", "mean_return"])
-            for s, v in r.curve:
-                w.writerow([s, repr(float(v))])
+        _write_curve(os.path.join(curves_dir, stem + ".csv"), r.curve)
         for label, traj in r.stage_trajectories:
             save_trajectory(os.path.join(trajs_dir, f"{stem}-{label}.csv"), traj)
 
@@ -376,15 +373,24 @@ def render_plots(out_dir) -> list[str]:
 
 
 def run_transfer_experiment(cfg: dict, out_dir, workers: int = 1) -> list[TransferReport]:
-    schedule = schedule_from_config(cfg, env_from_config(cfg))
+    env = env_from_config(cfg)
+    schedules = schedule_from_config(cfg, env)
+    # the source is checked against the task before any training
     ckpt = cfg["transfer"]["source_checkpoint"]
     if not ckpt:
         raise MissingCheckpoint("transfer.source_checkpoint is not set")
     if not os.path.exists(ckpt):
         raise MissingCheckpoint(f"source checkpoint not found: {ckpt}")
-    source, _ = load_checkpoint(ckpt)
+    try:
+        source, _ = load_checkpoint(ckpt)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"bad source checkpoint {ckpt}: {exc}") from exc
+    arch, spec = source.arch, env.spec
+    if (arch.obs_dim, arch.action_dim) != (spec.state_dim, spec.action_dim):
+        raise ConfigError(f"source checkpoint {ckpt} has obs_dim {arch.obs_dim}, action_dim "
+                          f"{arch.action_dim}; {env.name} needs {spec.state_dim}, {spec.action_dim}")
     os.makedirs(out_dir, exist_ok=True)
-    reports = run_grid(cfg, source, schedule, workers)
+    reports = run_grid(cfg, source, schedules, workers)
     _write_config_snapshot(out_dir, cfg)
     write_manifest(out_dir, cfg)
     write_runs_csv(os.path.join(out_dir, "runs.csv"), reports)
@@ -407,11 +413,7 @@ def run_train(cfg: dict, out_dir):
     _write_config_snapshot(out_dir, cfg)
     write_manifest(out_dir, cfg)
     save_checkpoint(os.path.join(out_dir, "checkpoint.json"), report.params, seed)
-    with open(os.path.join(out_dir, "curve.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["step", "mean_return"])
-        for s, v in report.return_curve:
-            w.writerow([s, repr(float(v))])
+    _write_curve(os.path.join(out_dir, "curve.csv"), report.return_curve)
     traj = mean_rollout(env, report.params, full_reward(env))
     save_trajectory(os.path.join(out_dir, "traj.csv"), traj)
     if cfg["output"]["plots"]:
@@ -454,7 +456,10 @@ def read_landscape_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 def run_landscape(cfg: dict, out_dir) -> dict:
     land = cfg["landscape"]
-    env = landscape_make(land["barrier_size"], cfg["environment"]["target_side"])
+    try:
+        env = landscape_make(land["barrier_size"], cfg["environment"]["target_side"])
+    except ValueError as exc:
+        raise ConfigError(f"environment.target_side: {exc}") from exc
     grid = GridSpec(land["lo"], land["hi"], land["bucket"])
     result = landscape_scan(
         env, grid, land["samples_per_cell"], int(cfg["seed"]), log_std=land["log_std"]

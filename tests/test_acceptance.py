@@ -243,7 +243,7 @@ def test_criterion_06_find_sb1_contract():
         source, _ = load_checkpoint(os.path.join(ASSETS, f"source-nav1-{size}.json"))
         xi_s = mean_rollout(env, source, relaxed_reward(env))
         a0, a1 = env.anchors()
-        schedule = schedule_from_config(cfg, env)
+        schedule = schedule_from_config(cfg, env)["ease_barrier"]
         for seed in range(5):
             job = job_from_config(cfg, env, source, seed, schedule)
             budgets = StageBudgets.split(job.budget, 2)
@@ -278,7 +278,7 @@ def test_criterion_07_reward_weight_monotone():
     good_seeds = 0
     notes = []
     # the five runs step in lockstep; each gets the bits it gets alone
-    schedule = schedule_from_config(cfg, env)
+    schedule = schedule_from_config(cfg, env)["ease_reward"]
     jobs = [job_from_config(cfg, env, source, seed, schedule) for seed in range(5)]
     reports = serve(env, [transfer(job, "ease_reward") for job in jobs])
     for seed, report in enumerate(reports):
@@ -319,8 +319,9 @@ def test_criterion_08_headline_transfer():
     outcomes = {"ease_barrier": [], "naive": []}
     # all ten runs step in lockstep; each gets the bits it gets alone
     tasks = [(method, seed) for method in outcomes for seed in range(5)]
-    schedule = schedule_from_config(cfg, env)
-    reports = serve(env, [transfer(job_from_config(cfg, env, source, seed, schedule), method)
+    schedules = schedule_from_config(cfg, env)
+    reports = serve(env, [transfer(job_from_config(cfg, env, source, seed, schedules.get(method)),
+                                   method)
                           for method, seed in tasks])
     for (method, _), report in zip(tasks, reports):
         outcomes[method].append(report)

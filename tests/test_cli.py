@@ -154,16 +154,16 @@ def test_bad_transfer_schedule_exits_usage_before_training(
     assert not (tmp_path / "o").exists()
 
 
-BARRIER_SET = {"mode": "barrier_set", "alphas": [], "barrier_sizes": [], "auto_stages": 3}
+NO_LISTS = {"alphas": [], "barrier_sizes": [], "auto_stages": 3}
 
 
 @pytest.mark.parametrize(
     "make, methods, schedule, key",
     [
-        (lambda: nav2_defaults("RR"), ["ease_barrier", "naive"], None, "transfer.schedule.mode"),
+        (lambda: nav2_defaults("RR"), ["ease_barrier", "naive"], None, "environment.name"),
         (lambda: nav1_defaults(7, "left"), ["naive", "ease_reward"], None,
-         "transfer.schedule.mode"),
-        (lambda: nav2_defaults("RR"), ["ease_barrier"], BARRIER_SET, "environment.name"),
+         "ease_reward needs transfer.schedule.alphas"),
+        (lambda: nav2_defaults("RR"), ["ease_barrier"], NO_LISTS, "environment.name"),
     ],
     ids=["ease-barrier-alpha-schedule", "ease-reward-subset-schedule", "auto-subsets-off-nav1"],
 )
@@ -188,17 +188,18 @@ def test_method_schedule_mismatch_exits_usage_before_training(
 
 
 @pytest.mark.parametrize(
-    "make, schedule",
+    "make, schedule, key",
     [
         (lambda: nav1_defaults(7, "left"),
-         {"mode": "barrier_set", "alphas": [], "barrier_sizes": [4, 4, 7], "auto_stages": 3}),
+         {"alphas": [], "barrier_sizes": [4, 4, 7], "auto_stages": 3}, "barrier_sizes"),
         (lambda: nav2_defaults("RR"),
-         {"mode": "reward_weight", "alphas": [0.5, 0.5, 1.0], "barrier_sizes": [],
-          "auto_stages": 3}),
+         {"alphas": [0.5, 0.5, 1.0], "barrier_sizes": [], "auto_stages": 3}, "alphas"),
     ],
     ids=["barrier-sizes", "alphas"],
 )
-def test_repeated_stage_exits_usage_before_training(make, schedule, tmp_path, capsys, monkeypatch):
+def test_repeated_stage_exits_usage_before_training(
+    make, schedule, key, tmp_path, capsys, monkeypatch
+):
     # a stage that charges what the stage before it charged is rejected by
     # the one schedule rule; barrier_sizes [4, 4, 7] was accepted before
     monkeypatch.setattr(envs, "rollout_batch", _no_training)
@@ -211,7 +212,96 @@ def test_repeated_stage_exits_usage_before_training(make, schedule, tmp_path, ca
     rc = main(["transfer", "--config", str(path), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == EXIT_USAGE
-    assert err == "error: transfer.schedule: stage 1 charges the same penalty as stage 0\n"
+    assert err == f"error: transfer.schedule.{key}: stage 1 charges the same penalty as stage 0\n"
+    assert not (tmp_path / "o").exists()
+
+
+def _transfer_exits_usage(cfg, tmp_path, capsys) -> str:
+    """Runs `easerl transfer` on `cfg` as written, asserts that it exits 2
+    with one error line and writes nothing, and returns that line."""
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    rc = main(["transfer", "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+    return err
+
+
+@pytest.mark.parametrize("mode", ["barrier_set", "reward_weight"])
+def test_schedule_mode_key_exits_usage(mode, tmp_path, capsys, monkeypatch):
+    # each curriculum reads its own list, so a config that still names the
+    # old mode is stale: it names an unknown key
+    monkeypatch.setattr(envs, "rollout_batch", _no_training)
+    cfg = {"transfer": {"schedule": {"mode": mode}, "source_checkpoint": SOURCE_NAV1_7}}
+    err = _transfer_exits_usage(cfg, tmp_path, capsys)
+    assert err == "error: unknown config key: transfer.schedule.mode\n"
+
+
+@pytest.mark.parametrize(
+    "alphas, named",
+    [([0.5, 0.3, 1.0], "alphas must satisfy"), ([0.5, 2.0], "weight must be in [0, 1], got 2.0"),
+     ([0.1, 0.5], "final alpha must equal 1")],
+    ids=["falling", "out-of-range", "not-ending-at-one"],
+)
+def test_bad_alphas_exit_usage_without_ease_reward(alphas, named, tmp_path, capsys, monkeypatch):
+    # a list that is given is checked whichever methods run
+    monkeypatch.setattr(envs, "rollout_batch", _no_training)
+    cfg = nav1_defaults(7, "left")
+    assert "ease_reward" not in cfg["transfer"]["methods"]
+    cfg["transfer"]["schedule"]["alphas"] = alphas
+    cfg["transfer"]["source_checkpoint"] = SOURCE_NAV1_7
+    err = _transfer_exits_usage(cfg, tmp_path, capsys)
+    assert "transfer.schedule.alphas" in err and named in err
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        (None, "has obs_dim 7, action_dim 1; nav2 needs 9, 1"),
+        ("not json\n", "Expecting value"),
+        ('{"version": 99}\n', "unsupported checkpoint version 99"),
+        ('{"version": 1, "arch": {"kind": "mlp", "obs_dim": 7, "action_dim": 1}}\n',
+         "checkpoint has no key 'theta'"),
+        ('[1, 2]\n', "malformed checkpoint"),
+    ],
+    ids=["nav1-source-on-nav2", "not-json", "other-version", "missing-keys", "not-an-object"],
+)
+def test_bad_source_checkpoint_exits_usage_naming_it(text, named, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(envs, "rollout_batch", _no_training)
+    ckpt = SOURCE_NAV1_7
+    if text is not None:
+        ckpt = str(tmp_path / "source.json")
+        Path(ckpt).write_text(text)
+    cfg = nav2_defaults("RR")
+    cfg["transfer"]["source_checkpoint"] = ckpt
+    err = _transfer_exits_usage(cfg, tmp_path, capsys)
+    assert ckpt in err and named in err
+
+
+def test_missing_source_checkpoint_exits_runtime(tmp_path, capsys):
+    cfg = nav2_defaults("RR")
+    cfg["transfer"]["source_checkpoint"] = str(tmp_path / "absent.json")
+    path = tmp_path / "c.yaml"
+    path.write_text(serialize_config(cfg))
+    rc = main(["transfer", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_RUNTIME
+    assert "source checkpoint not found" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_landscape_on_a_nav2_config_exits_usage(tmp_path, capsys):
+    # the landscape task is nav1's, so a nav2 target side (two letters) does
+    # not name one of its sides
+    path = tmp_path / "c.yaml"
+    path.write_text(serialize_config(nav2_defaults("RR")))
+    rc = main(["landscape", "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert err.startswith("error: environment.target_side") and "'RR'" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 

@@ -78,8 +78,10 @@ class TestValidation:
             validate_config({"transfer": {"seeds": []}})
 
     def test_bad_schedule_mode(self):
-        with pytest.raises(ConfigError):
-            validate_config({"transfer": {"schedule": {"mode": "ramp"}}})
+        # each curriculum reads its own list; the mode is no key of the schema
+        for mode in ("ramp", "barrier_set", "reward_weight"):
+            with pytest.raises(ConfigError, match="unknown config key: transfer.schedule.mode"):
+                validate_config({"transfer": {"schedule": {"mode": mode}}})
 
     def test_bad_landscape_grid(self):
         with pytest.raises(ConfigError):
@@ -214,8 +216,8 @@ class TestEnvDefaults:
 
     def test_nav1_7_ships_explicit_barrier_schedule(self):
         cfg = nav1_defaults(7)
-        assert cfg["transfer"]["schedule"]["mode"] == "barrier_set"
-        assert cfg["transfer"]["schedule"]["barrier_sizes"] == [4, 7]
+        assert cfg["transfer"]["schedule"] == {"alphas": [], "barrier_sizes": [4, 7],
+                                               "auto_stages": 3}
 
     def test_nav2_ships_alpha_ramp(self):
         cfg = nav2_defaults("LL")

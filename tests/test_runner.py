@@ -211,7 +211,7 @@ def test_read_landscape_csv_missing_raises(tmp_path):
 def test_schedule_reward_weight_from_config():
     cfg = nav2_defaults("LL")
     env = env_from_config(cfg)
-    sched = schedule_from_config(cfg, env)
+    sched = schedule_from_config(cfg, env)["ease_reward"]
     assert [spec.weight for spec in sched] == cfg["transfer"]["schedule"]["alphas"]
     assert all(spec.region == env.barrier for spec in sched)
     assert sched[-1].weight == 1.0
@@ -228,7 +228,7 @@ def test_schedule_reward_weight_requires_alphas():
 def test_schedule_barrier_sizes_builds_nested_rectangles():
     cfg = nav1_defaults(7)
     env = env_from_config(cfg)
-    sched = schedule_from_config(cfg, env)
+    sched = schedule_from_config(cfg, env)["ease_barrier"]
     assert len(sched) == 2
     assert sched[0].region.parts[0].bbox() == (-2.0, -1.0, 2.0, 1.0)
     assert sched[1].region.parts[0].bbox() == (-3.5, -1.0, 3.5, 1.0)
@@ -238,11 +238,9 @@ def test_schedule_barrier_sizes_builds_nested_rectangles():
 def test_schedule_barrier_sizes_rejected_off_nav1():
     cfg = nav2_defaults("LL")
     cfg["transfer"]["methods"] = ["naive"]
-    cfg["transfer"]["schedule"] = {
-        "mode": "barrier_set", "alphas": [], "barrier_sizes": [4, 7], "auto_stages": 3,
-    }
+    cfg["transfer"]["schedule"]["barrier_sizes"] = [4, 7]
     env = env_from_config(cfg)
-    with pytest.raises(ConfigError, match="only applies to nav1"):
+    with pytest.raises(ConfigError, match="barrier_sizes need environment.name: nav1"):
         schedule_from_config(cfg, env)
 
 
@@ -261,7 +259,7 @@ def test_shipped_defaults_suit_their_methods(make):
 def test_schedule_auto_mode_is_none():
     cfg = nav1_defaults(5)  # no explicit sizes for size-5
     env = env_from_config(cfg)
-    assert schedule_from_config(cfg, env) is None
+    assert schedule_from_config(cfg, env) == {"ease_reward": None, "ease_barrier": None}
 
 
 # ------------------------------------------------------------ job plumbing
@@ -275,7 +273,7 @@ def test_env_from_config_dispatch():
 def test_job_from_config_wiring():
     cfg = nav1_defaults(7)
     env = env_from_config(cfg)
-    schedule = schedule_from_config(cfg, env)
+    schedule = schedule_from_config(cfg, env)["ease_barrier"]
     job = job_from_config(cfg, env, source=None, seed=3, schedule=schedule)
     assert job.seed == 3
     assert job.schedule is schedule
@@ -287,11 +285,13 @@ def test_job_from_config_wiring():
 
 
 def test_grid_builds_its_schedule_once(tmp_path, monkeypatch):
-    """`easerl transfer` builds and checks the schedule once, before the
-    grid, and every (method, seed) job of the grid holds that one tuple."""
+    """`easerl transfer` builds and checks the schedules once, before the
+    grid; every job of a curriculum holds that curriculum's one tuple, and
+    every baseline job holds None."""
     cfg = nav1_defaults(7, "left")
-    cfg["transfer"].update(methods=["ease_barrier", "naive"], seeds=[0, 1, 2],
+    cfg["transfer"].update(methods=["ease_reward", "ease_barrier", "naive"], seeds=[0, 1, 2],
                            source_checkpoint=os.path.join(ASSETS, "source-nav1-7.json"))
+    cfg["transfer"]["schedule"]["alphas"] = [0.1, 0.3, 1.0]
     built, served = [], []
 
     def build(*args):
@@ -309,11 +309,12 @@ def test_grid_builds_its_schedule_once(tmp_path, monkeypatch):
     monkeypatch.setattr(runner, "_serve_tasks", serve_tasks)
     with pytest.raises(Served):
         run_transfer_experiment(validate_config(cfg), tmp_path / "o")
-    assert len(built) == 1 and len(built[0]) == 2
+    assert len(built) == 1
+    assert [len(built[0][m]) for m in ("ease_reward", "ease_barrier")] == [3, 2]
     assert sorted((m, job.seed) for m, job in served) == [
-        (m, s) for m in ("ease_barrier", "naive") for s in (0, 1, 2)
+        (m, s) for m in ("ease_barrier", "ease_reward", "naive") for s in (0, 1, 2)
     ]
-    assert all(job.schedule is built[0] for _, job in served)
+    assert all(job.schedule is built[0].get(m) for m, job in served)
 
 
 def test_package_exports_resolve():
@@ -449,9 +450,9 @@ def assert_same_report(got, want):
 def test_lockstep_grid_equals_each_run_alone(name):
     cfg, source = tiny_grid(name)
     env = env_from_config(cfg)
-    schedule = schedule_from_config(cfg, env)
+    schedules = schedule_from_config(cfg, env)
     with mock.patch.object(envs, "rollout_batch", wraps=envs.rollout_batch) as engine:
-        reports = run_grid(cfg, source, schedule)
+        reports = run_grid(cfg, source, schedules)
     grid_calls = engine.call_count
     methods = cfg["transfer"]["methods"]
     assert sorted((r.method, r.seed) for r in reports) == sorted(
@@ -459,12 +460,58 @@ def test_lockstep_grid_equals_each_run_alone(name):
     )
     with mock.patch.object(envs, "rollout_batch", wraps=envs.rollout_batch) as engine:
         alone = [
-            run_transfer(job_from_config(cfg, env, source, r.seed, schedule), r.method)
+            run_transfer(job_from_config(cfg, env, source, r.seed, schedules.get(r.method)),
+                         r.method)
             for r in reports
         ]
     # the runs shared engine calls, and each got the bits it gets alone
     assert grid_calls < engine.call_count
     for got, want in zip(reports, alone):
         assert_same_report(got, want)
-    for got, want in zip(run_grid(cfg, source, schedule, workers=2), reports):
+    for got, want in zip(run_grid(cfg, source, schedules, workers=2), reports):
         assert_same_report(got, want)
+
+
+def test_one_grid_runs_every_method_as_each_would_alone(tmp_path):
+    """Both curricula and a baseline share one nav1-7 grid, each curriculum
+    reading its own list: every run writes the runs.csv row, curve and stage
+    trajectories that it writes in a grid of its own, and the grid steps its
+    runs in lockstep."""
+    cfg = nav1_defaults(7, "left")
+    xf = cfg["transfer"]
+    xf.update(budget=9000, source_checkpoint=os.path.join(ASSETS, "source-nav1-7.json"))
+    xf["schedule"]["alphas"] = [0.1, 0.3, 1.0]
+    xf["relax_convergence"] = {"center": 0.0, "half_width": 1e9, "patience": 1}
+    cfg["training"]["eval_every"] = 2048
+    cfg["output"]["plots"] = False
+
+    def run(methods, seeds, out):
+        grid = copy.deepcopy(cfg)
+        grid["transfer"].update(methods=methods, seeds=seeds)
+        with mock.patch.object(envs, "rollout_batch", wraps=envs.rollout_batch) as engine:
+            run_transfer_experiment(validate_config(grid), out)
+        lines = (out / "runs.csv").read_text().splitlines()[1:]
+        files = {
+            p.relative_to(out).as_posix(): p.read_bytes()
+            for d in ("curves", "trajs") for p in sorted((out / d).iterdir())
+        }
+        return {tuple(line.split(",")[0:3:2]): line for line in lines}, files, engine.call_count
+
+    methods = ["ease_reward", "ease_barrier", "naive"]
+    rows, files, grid_calls = run(methods, [0, 1], tmp_path / "grid")
+    assert sorted(rows) == sorted((m, s) for m in methods for s in ("0", "1"))
+    # each curriculum ran the stages of its own list: three weights, two sizes
+    assert sorted(name for name in files if "-0-stage-" in name) == [
+        f"trajs/{m}-0-stage-{k}.csv"
+        for m, n in (("ease_barrier", 2), ("ease_reward", 3)) for k in range(n)
+    ]
+    alone_calls = 0
+    for m, s in sorted(rows):
+        alone_rows, alone_files, calls = run([m], [int(s)], tmp_path / f"{m}-{s}")
+        alone_calls += calls
+        assert alone_rows == {(m, s): rows[(m, s)]}
+        assert alone_files == {
+            name: data for name, data in files.items()
+            if name.split("/")[1].startswith(f"{m}-{s}")
+        }
+    assert grid_calls < alone_calls
