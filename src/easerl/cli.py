@@ -23,7 +23,6 @@ from .homotopy import (
     Trajectory,
     order_by_t,
     signature,
-    trajectory_from_csv,
     w_infinity_matching,
 )
 
@@ -204,18 +203,11 @@ def cmd_landscape(args) -> int:
     return EXIT_OK
 
 
-def _read_trajectory(path) -> Trajectory:
-    """A trajectory CSV; a missing or malformed file is a usage error naming it."""
-    text = read_file(path, "trajectory file")
-    try:
-        return trajectory_from_csv(text)
-    except (IndexError, ValueError) as exc:
-        raise ConfigError(f"bad trajectory file {path}: {exc}") from exc
-
-
 def cmd_homotopy(args) -> int:
+    from .runner import read_trajectory
+
     region, start, goal = load_region_yaml(args.region)
-    ta, tb = (_read_trajectory(p) for p in (args.traj_a, args.traj_b))
+    ta, tb = (read_trajectory(p) for p in (args.traj_a, args.traj_b))
     sa = signature(ta, region, start, goal)
     sb = signature(tb, region, start, goal)
     same = sa == sb

@@ -39,9 +39,6 @@ _BASE_DEFAULTS = {
         "target_side": "left",
     },
     "training": {
-        "arch": "mlp",
-        "hidden": 32,
-        "log_std_init": -0.7,
         "learning_rate": 1e-3,
         "batch_episodes": 10,
         "eval_every": 4096,
@@ -54,16 +51,12 @@ _BASE_DEFAULTS = {
         "seeds": [0, 1, 2, 3, 4],
         "budget": 200000,
         "source_checkpoint": "",
-        "l2sp_coeff": 0.01,
-        "final_eval_episodes": 32,
         "relax_convergence": {"center": 0.0, "half_width": 2.0, "patience": 3},
         "stage_convergence": {"center": 0.0, "half_width": 2.0, "patience": 3},
         "schedule": {
             "alphas": [],
             "barrier_sizes": [],
-            "auto_stages": 3,
         },
-        "find_sb1": {"max_halvings": 12, "max_inflations": 20, "inflate_radius": 0.25},
     },
     "landscape": {
         "barrier_size": 5,
@@ -177,7 +170,6 @@ def validate_config(cfg: dict) -> dict:
             "nav2 target_side must be two letters from {L, R}",
         )
     tr = merged["training"]
-    _require(tr["arch"] in ("linear", "mlp"), "training.arch must be linear or mlp")
     _require(tr["learning_rate"] > 0, "training.learning_rate must be positive")
     _require(tr["batch_episodes"] >= 1, "training.batch_episodes must be >= 1")
     _require(tr["max_steps"] >= 1, "training.max_steps must be >= 1")
@@ -185,22 +177,21 @@ def validate_config(cfg: dict) -> dict:
     _require_count(tr["eval_episodes"], "training.eval_episodes")
     _require_band(tr["convergence"], "training.convergence")
     xfer = merged["transfer"]
+    _require(xfer["methods"], "transfer.methods must be a non-empty list")
     for m in xfer["methods"]:
         _require(m in METHODS, f"unknown transfer method {m!r}")
     _require(
         xfer["seeds"] and all(_is_int(s) for s in xfer["seeds"]),
         "transfer.seeds must be a non-empty list of integers",
     )
+    # a repeated entry would run, and count in the tables, the same run twice
+    for key in ("methods", "seeds"):
+        _require(len(set(xfer[key])) == len(xfer[key]),
+                 f"transfer.{key} must not repeat an entry, got {xfer[key]}")
     _require(xfer["budget"] >= 1, "transfer.budget must be >= 1")
-    _require_count(xfer["final_eval_episodes"], "transfer.final_eval_episodes")
     for block in ("relax_convergence", "stage_convergence"):
         _require_band(xfer[block], f"transfer.{block}")
-    find = xfer["find_sb1"]
-    for key in ("max_halvings", "max_inflations"):
-        _require(find[key] >= 0, f"transfer.find_sb1.{key} must be >= 0")
-    _require(find["inflate_radius"] > 0, "transfer.find_sb1.inflate_radius must be positive")
     sched = xfer["schedule"]
-    _require_count(sched["auto_stages"], "transfer.schedule.auto_stages")
     for key in ("alphas", "barrier_sizes"):
         _require(_finite_numbers(sched[key]), f"transfer.schedule.{key} must be finite numbers")
     land = merged["landscape"]

@@ -14,7 +14,7 @@ inflating it until it touches the relaxed trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,6 +61,12 @@ PROBE_N = 200
 AUTO_PROBE_N = 64
 # training steps between the crossing checks of relax_until_crossing
 RELAX_CHUNK_STEPS = 8192
+# stages of an automatic ease_barrier schedule
+AUTO_STAGES = 3
+# episodes of the evaluation that scores a run's final policy
+FINAL_EVAL_EPISODES = 32
+# weight of the l2sp baseline's pull towards the source parameters
+L2SP_COEFF = 0.01
 
 CURRICULA = ("ease_reward", "ease_barrier")
 BASELINES = ("naive", "l2sp", "random")
@@ -223,7 +229,7 @@ def find_sb1(
 
 
 def auto_barrier_schedule(
-    sb1: RegionSet, barrier: RegionSet, stages: int = 3
+    sb1: RegionSet, barrier: RegionSet, stages: int = AUTO_STAGES
 ) -> tuple[RewardSpec, ...]:
     """Nested subsets from sb1 to the full barrier by dilate-and-clip."""
     if stages < 1:
@@ -283,11 +289,6 @@ class TransferJob:
     stage_band: ConvergenceBand
     final_band: ConvergenceBand
     training: TrainConfig
-    l2sp_coeff: float = 0.01
-    find_cfg: FindSb1Config = field(default_factory=FindSb1Config)
-    auto_stages: int = 3
-    final_eval_episodes: int = 32
-    log_std_init: float = -0.7
 
     def train_cfg(
         self, budget: int, band: ConvergenceBand, *labels, keep_best: bool = False
@@ -453,7 +454,7 @@ def _transfer_report(
         job.env,
         full_reward(job.env),
         policy,
-        job.final_eval_episodes,
+        FINAL_EVAL_EPISODES,
         derive_seed(job.seed, "final-eval"),
     )
     hist = detail["histogram"]
@@ -489,7 +490,7 @@ def ease_in_ease_out(job: TransferJob, method: str):
     if method == "ease_barrier" and len(job.env.barrier.parts) != 1:
         raise PreconditionViolated("barrier-set transfer needs a single connected barrier")
 
-    n_stages = len(schedule) if schedule is not None else job.auto_stages
+    n_stages = len(schedule) if schedule is not None else AUTO_STAGES
     budgets = StageBudgets.split(job.budget, n_stages)
 
     if schedule is None:
@@ -506,8 +507,8 @@ def ease_in_ease_out(job: TransferJob, method: str):
             xi_s = yield from mean_trajectory(job.env, job.source, relaxed_reward(job.env))
             xi_relax = yield from mean_trajectory(job.env, policy, relaxed_reward(job.env))
             a_start, a_goal = job.env.anchors()
-            sb1 = find_sb1(xi_s, xi_relax, job.env.barrier, job.find_cfg, a_start, a_goal)
-            schedule = auto_barrier_schedule(sb1.region, job.env.barrier, job.auto_stages)
+            sb1 = find_sb1(xi_s, xi_relax, job.env.barrier, FindSb1Config(), a_start, a_goal)
+            schedule = auto_barrier_schedule(sb1.region, job.env.barrier)
         stage_reports, policy = yield from run_curriculum(
             job, schedule, policy, budgets.stages,
             carry=budgets.relax - relax_report.interaction_steps,
@@ -525,12 +526,11 @@ def baseline_transfer(job: TransferJob, method: str):
     if job.source is None:  # random needs the source's arch
         raise PreconditionViolated(f"{method} needs a source policy")
     if method == "random":
-        init = init_policy(job.source.arch, derive_seed(job.seed, "random-init"),
-                           log_std_init=job.log_std_init)
+        init = init_policy(job.source.arch, derive_seed(job.seed, "random-init"))
         l2sp = None
     else:
         init = job.source
-        l2sp = (job.l2sp_coeff, job.source.flat()) if method == "l2sp" else None
+        l2sp = (L2SP_COEFF, job.source.flat()) if method == "l2sp" else None
     cfg = job.train_cfg(job.budget, job.final_band, method)
     report = yield from training(job.env, full_reward(job.env), init, cfg, l2sp=l2sp)
     return (yield from _transfer_report(job, method, [report], report.converged, report.params))

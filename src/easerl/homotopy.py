@@ -385,8 +385,3 @@ def trajectory_from_csv(text: str) -> Trajectory:
 def save_trajectory(path, traj: Trajectory) -> None:
     with open(path, "w") as f:
         f.write(trajectory_to_csv(traj))
-
-
-def load_trajectory(path) -> Trajectory:
-    with open(path) as f:
-        return trajectory_from_csv(f.read())

@@ -28,11 +28,10 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .config import config_hash, serialize_config
+from .config import config_hash, read_file, serialize_config
 from .curriculum import (
     CSV_HEADER,
     CURRICULA,
-    FindSb1Config,
     TransferJob,
     TransferReport,
     method_rank,
@@ -46,7 +45,7 @@ from .envs import (
     serve,
 )
 from .errors import ConfigError, MissingCheckpoint, MissingData, PreconditionViolated
-from .homotopy import load_trajectory, save_trajectory
+from .homotopy import Trajectory, save_trajectory, trajectory_from_csv
 from .plots import plot_curves, plot_landscape, plot_trajectories
 from .rl import (
     Arch,
@@ -135,11 +134,6 @@ def job_from_config(cfg: dict, env, source, seed: int, schedule) -> TransferJob:
         stage_band=_band(xf["stage_convergence"]),
         final_band=_band(tr["convergence"]),
         training=train_config(cfg),
-        l2sp_coeff=xf["l2sp_coeff"],
-        find_cfg=FindSb1Config(**xf["find_sb1"]),
-        auto_stages=xf["schedule"]["auto_stages"],
-        final_eval_episodes=xf["final_eval_episodes"],
-        log_std_init=tr["log_std_init"],
     )
 
 
@@ -199,26 +193,34 @@ def write_runs_csv(path, reports: list[TransferReport]) -> None:
             w.writerow(r.csv_row())
 
 
+def _read_csv(path, what: str, convert) -> list:
+    """`convert` of each row of a CSV file the run wrote; a row it cannot
+    convert is a ConfigError naming the file."""
+    with open(path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    try:
+        return [convert(row) for row in rows]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what} {path}: {exc}") from exc
+
+
+def _runs_row(row: dict) -> dict:
+    return {
+        "method": row["method"],
+        "env": row["env"],
+        "seed": int(row["seed"]),
+        "total_steps": int(row["total_steps"]),
+        "converged": bool(int(row["converged"])),
+        "stage_steps": tuple(int(s) for s in row["stage_steps"].split(";") if s),
+        "final_return": float(row["final_return"]),
+        "final_label": row["final_label"],
+    }
+
+
 def read_runs_csv(path) -> list[dict]:
     if not os.path.exists(path):
         raise MissingData(f"missing runs file: {path}")
-    with open(path, newline="") as f:
-        rows = list(csv.DictReader(f))
-    out = []
-    for row in rows:
-        out.append(
-            {
-                "method": row["method"],
-                "env": row["env"],
-                "seed": int(row["seed"]),
-                "total_steps": int(row["total_steps"]),
-                "converged": bool(int(row["converged"])),
-                "stage_steps": tuple(int(s) for s in row["stage_steps"].split(";") if s),
-                "final_return": float(row["final_return"]),
-                "final_label": row["final_label"],
-            }
-        )
-    return out
+    return _read_csv(path, "runs file", _runs_row)
 
 
 def build_table(rows: list[dict], budget: int) -> tuple[str, str]:
@@ -295,9 +297,16 @@ def rebuild_tables(out_dir, cfg: dict) -> None:
 
 
 def _read_curve(path) -> list[tuple[float, float]]:
-    with open(path, newline="") as f:
-        rows = list(csv.DictReader(f))
-    return [(float(r["step"]), float(r["mean_return"])) for r in rows]
+    return _read_csv(path, "curve file", lambda r: (float(r["step"]), float(r["mean_return"])))
+
+
+def read_trajectory(path) -> Trajectory:
+    """A trajectory CSV; a missing or malformed file is a ConfigError naming it."""
+    text = read_file(path, "trajectory file")
+    try:
+        return trajectory_from_csv(text)
+    except (IndexError, ValueError) as exc:
+        raise ConfigError(f"bad trajectory file {path}: {exc}") from exc
 
 
 def render_plots(out_dir) -> list[str]:
@@ -325,7 +334,7 @@ def render_plots(out_dir) -> list[str]:
         label = stage_labels(m, len(row["stage_steps"]))[-1]
         path = os.path.join(out_dir, "trajs", f"{m}-{seed}-{label}.csv")
         if os.path.exists(path):
-            finals.append(load_trajectory(path))
+            finals.append(read_trajectory(path))
             labels.append(m)
     if finals:
         p = os.path.join(plots_dir, "trajectories.svg")
@@ -359,7 +368,7 @@ def render_plots(out_dir) -> list[str]:
         for label in stage_labels(m, len(row["stage_steps"])):
             path = os.path.join(out_dir, "trajs", f"{m}-{seed}-{label}.csv")
             if os.path.exists(path):
-                stage_trajs.append(load_trajectory(path))
+                stage_trajs.append(read_trajectory(path))
                 slabels.append(label)
         if stage_trajs:
             p = os.path.join(plots_dir, f"stages-{m}-seed{seed}.svg")
@@ -404,10 +413,9 @@ def run_transfer_experiment(cfg: dict, out_dir, workers: int = 1) -> list[Transf
 def run_train(cfg: dict, out_dir):
     """Train a policy from scratch on the configured task and save it."""
     env = env_from_config(cfg)
-    tr = cfg["training"]
-    arch = Arch(tr["arch"], env.spec.state_dim, env.spec.action_dim, tr["hidden"])
+    arch = Arch("mlp", env.spec.state_dim, env.spec.action_dim)
     seed = int(cfg["seed"])
-    init = init_policy(arch, derive_seed(seed, "source"), log_std_init=tr["log_std_init"])
+    init = init_policy(arch, derive_seed(seed, "source"))
     report = train(env, full_reward(env), init, train_config(cfg))
     os.makedirs(out_dir, exist_ok=True)
     _write_config_snapshot(out_dir, cfg)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from easerl.config import default_config, nav1_defaults, nav2_defaults, serialize_config, validate_config
-from easerl.curriculum import StageBudgets, find_sb1, relax_until_crossing
+from easerl.curriculum import FindSb1Config, StageBudgets, find_sb1, relax_until_crossing
 from easerl.envs import (
     RewardSpec,
     drive,
@@ -169,33 +169,27 @@ def test_criterion_03_homotopy_oracle_soundness():
 def test_criterion_04_reward_contracts():
     t0 = time.time()
     env = nav1_make(5, "left")
-    action = np.zeros(1)
+    # one batched step per reward spec over the whole grid; test_engine checks
+    # single-state steps against the engine
+    states = np.array(probe_states(env, n_side=200))
+    action = np.zeros((len(states), 1))
     alphas = (0.0, 0.25, 0.5, 0.75, 1.0)
     inner = RegionSet((ConvexPolygon.rectangle(0.0, 0.0, 3.0, 2.0),), env.barrier.penalty)
     chain = (inner, env.barrier)
-    hit = 0
-    ok = True
-    for s in probe_states(env, n_side=200):
-        relaxed = step(env, s, action, relaxed_reward(env))
-        member = contains(env.barrier, relaxed.state[:2])
-        base = relaxed.base
-        rewards = [step(env, s, action, RewardSpec(env.barrier, a)).reward
-                   for a in alphas]
-        if member:
-            hit += 1
-            ok &= all(r == base - a * env.barrier.penalty
-                      for a, r in zip(alphas, rewards))
-        else:
-            ok &= all(r == base for r in rewards)
-        # endpoints: alpha=0 is the relaxed reward, alpha=1 the target reward
-        ok &= rewards[0] == relaxed.reward
-        ok &= rewards[-1] == step(env, s, action, full_reward(env)).reward
-        # nested subsets never increase the reward
-        sub = [step(env, s, action, RewardSpec(c, 1.0)).reward
-               for c in chain]
-        ok &= rewards[0] >= sub[0] >= sub[1]
-        if not ok:
-            break
+    relaxed = step(env, states, action, relaxed_reward(env))
+    member = contains(env.barrier, relaxed.state[:, :2])
+    base = relaxed.base
+    hit = int(member.sum())
+    rewards = [step(env, states, action, RewardSpec(env.barrier, a)).reward
+               for a in alphas]
+    ok = all(np.array_equal(r, np.where(member, base - a * env.barrier.penalty, base))
+             for a, r in zip(alphas, rewards))
+    # endpoints: alpha=0 is the relaxed reward, alpha=1 the target reward
+    ok &= np.array_equal(rewards[0], relaxed.reward)
+    ok &= np.array_equal(rewards[-1], step(env, states, action, full_reward(env)).reward)
+    # nested subsets never increase the reward
+    sub = [step(env, states, action, RewardSpec(c, 1.0)).reward for c in chain]
+    ok &= bool(np.all((rewards[0] >= sub[0]) & (sub[0] >= sub[1])))
     elapsed = time.time() - t0
     verdict(4, "reward-contracts", ok and hit > 100,
             f"200x200 grid, {hit} barrier states exercised, exact, {elapsed:.1f}s")
@@ -252,7 +246,7 @@ def test_criterion_06_find_sb1_contract():
                 details.append(f"{size}/{seed}:no-crossing")
                 continue
             xi_r = mean_rollout(env, relax.params, relaxed_reward(env))
-            res = find_sb1(xi_s, xi_r, env.barrier, job.find_cfg, a0, a1)
+            res = find_sb1(xi_s, xi_r, env.barrier, FindSb1Config(), a0, a1)
             f2 = divides(xi_s, xi_r, res.region, a0, a1)
             f1 = collides(xi_r, res.region)
             if f1 and f2 and res.halvings <= 12 and res.inflations <= 20:

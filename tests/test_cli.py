@@ -29,6 +29,8 @@ from easerl.config import (
 from easerl.errors import ConfigError
 from easerl.homotopy import Trajectory, save_trajectory
 
+from test_runner import make_fake_run_dir
+
 
 # ------------------------------------------------------------ fixtures
 
@@ -154,7 +156,7 @@ def test_bad_transfer_schedule_exits_usage_before_training(
     assert not (tmp_path / "o").exists()
 
 
-NO_LISTS = {"alphas": [], "barrier_sizes": [], "auto_stages": 3}
+NO_LISTS = {"alphas": [], "barrier_sizes": []}
 
 
 @pytest.mark.parametrize(
@@ -191,9 +193,9 @@ def test_method_schedule_mismatch_exits_usage_before_training(
     "make, schedule, key",
     [
         (lambda: nav1_defaults(7, "left"),
-         {"alphas": [], "barrier_sizes": [4, 4, 7], "auto_stages": 3}, "barrier_sizes"),
+         {"alphas": [], "barrier_sizes": [4, 4, 7]}, "barrier_sizes"),
         (lambda: nav2_defaults("RR"),
-         {"alphas": [0.5, 0.5, 1.0], "barrier_sizes": [], "auto_stages": 3}, "alphas"),
+         {"alphas": [0.5, 0.5, 1.0], "barrier_sizes": []}, "alphas"),
     ],
     ids=["barrier-sizes", "alphas"],
 )
@@ -568,6 +570,25 @@ def test_trajectory_set_names_the_first_bad_field_in_file_order(tmp_path, rows, 
 def test_plot_missing_run_is_runtime_error(tmp_path, capsys):
     assert main(["plot", "--run", str(tmp_path)]) == EXIT_RUNTIME
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, edit",
+    [
+        ("runs.csv", lambda text: text.replace("\nnaive,nav1-7,0,", "\nnaive,nav1-7,x,")),
+        ("curves/ease_barrier-0.csv", lambda text: text.replace(",2.0", ",abc")),
+        ("trajs/naive-0-final.csv", lambda text: "".join(text.splitlines(True)[:2])),
+    ],
+    ids=["non-integer-seed", "non-number-curve-value", "one-row-trajectory"],
+)
+def test_plot_malformed_run_file_exits_usage_naming_it(name, edit, tmp_path, capsys):
+    make_fake_run_dir(tmp_path)
+    path = tmp_path / name
+    path.write_text(edit(path.read_text()))
+    assert main(["plot", "--run", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad ") and f" {path}: " in err
+    assert "Traceback" not in err
 
 
 # ------------------------------------------------------------ train smoke

@@ -83,6 +83,38 @@ class TestValidation:
             with pytest.raises(ConfigError, match="unknown config key: transfer.schedule.mode"):
                 validate_config({"transfer": {"schedule": {"mode": mode}}})
 
+    @pytest.mark.parametrize(
+        "command, override, path",
+        [
+            ("train", {"training": {"arch": "mlp"}}, "training.arch"),
+            ("train", {"training": {"hidden": 32}}, "training.hidden"),
+            ("train", {"training": {"log_std_init": -0.7}}, "training.log_std_init"),
+            ("transfer", {"transfer": {"l2sp_coeff": 0.01}}, "transfer.l2sp_coeff"),
+            ("transfer", {"transfer": {"final_eval_episodes": 32}},
+             "transfer.final_eval_episodes"),
+            ("transfer", {"transfer": {"schedule": {"auto_stages": 3}}},
+             "transfer.schedule.auto_stages"),
+            # the whole block is gone, so any of its keys names the block
+            ("transfer", {"transfer": {"find_sb1": {"max_halvings": 12}}}, "transfer.find_sb1"),
+            ("transfer", {"transfer": {"find_sb1": {"max_inflations": 20}}},
+             "transfer.find_sb1"),
+            ("transfer", {"transfer": {"find_sb1": {"inflate_radius": 0.25}}},
+             "transfer.find_sb1"),
+        ],
+        ids=["arch", "hidden", "log_std_init", "l2sp_coeff", "final_eval_episodes",
+             "auto_stages", "max_halvings", "max_inflations", "inflate_radius"],
+    )
+    def test_deleted_key_exits_usage(self, command, override, path, tmp_path, capsys):
+        """A config that still names a constant that left the schema (at its
+        old default) exits 2 naming it; the line must be deleted."""
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(yaml.safe_dump(override))
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err == f"error: unknown config key: {path}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_bad_landscape_grid(self):
         with pytest.raises(ConfigError):
             validate_config({"landscape": {"lo": 2.0, "hi": 1.0}})
@@ -102,25 +134,20 @@ class TestValidation:
              "transfer.stage_convergence.patience"),
             ("train", {"training": {"eval_episodes": 0}}, "training.eval_episodes"),
             ("train", {"training": {"eval_every": 0}}, "training.eval_every"),
-            ("transfer", {"transfer": {"final_eval_episodes": 0}},
-             "transfer.final_eval_episodes"),
+            ("transfer", {"transfer": {"methods": []}}, "transfer.methods"),
             # a leaf keeps its default's type: YAML reads 1.0e9 and 1e-3 as strings
             ("train", {"training": {"convergence": {"center": "1.0e9"}}},
              "training.convergence.center"),
             ("train", {"training": {"learning_rate": "1e-3"}}, "training.learning_rate"),
             ("train", {"training": {"learning_rate": True}}, "training.learning_rate"),
             ("train", {"training": {"batch_episodes": 2.5}}, "training.batch_episodes"),
-            ("transfer", {"transfer": {"l2sp_coeff": "x"}}, "transfer.l2sp_coeff"),
+            ("transfer", {"transfer": {"methods": ["naive", "naive"]}}, "transfer.methods"),
             ("transfer", {"transfer": {"seeds": ["a"]}}, "transfer.seeds"),
             ("transfer", {"transfer": {"seeds": 3}}, "transfer.seeds"),
-            ("transfer", {"transfer": {"find_sb1": {"max_halvings": -1}}},
-             "transfer.find_sb1.max_halvings"),
-            ("transfer", {"transfer": {"find_sb1": {"max_inflations": 1.5}}},
-             "transfer.find_sb1.max_inflations"),
-            ("transfer", {"transfer": {"find_sb1": {"inflate_radius": 0.0}}},
-             "transfer.find_sb1.inflate_radius"),
-            ("transfer", {"transfer": {"schedule": {"auto_stages": 0}}},
-             "transfer.schedule.auto_stages"),
+            ("transfer", {"transfer": {"seeds": [0, 0]}}, "transfer.seeds"),
+            ("transfer", {"transfer": {"seeds": []}}, "transfer.seeds"),
+            ("transfer", {"transfer": {"budget": 0}}, "transfer.budget"),
+            ("transfer", {"transfer": {"methods": "naive"}}, "transfer.methods"),
             ("transfer", {"transfer": {"schedule": {"alphas": ["a"]}}},
              "transfer.schedule.alphas"),
             ("transfer", {"transfer": {"schedule": {"barrier_sizes": 3}}},
@@ -216,8 +243,7 @@ class TestEnvDefaults:
 
     def test_nav1_7_ships_explicit_barrier_schedule(self):
         cfg = nav1_defaults(7)
-        assert cfg["transfer"]["schedule"] == {"alphas": [], "barrier_sizes": [4, 7],
-                                               "auto_stages": 3}
+        assert cfg["transfer"]["schedule"] == {"alphas": [], "barrier_sizes": [4, 7]}
 
     def test_nav2_ships_alpha_ramp(self):
         cfg = nav2_defaults("LL")

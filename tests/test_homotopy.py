@@ -13,7 +13,6 @@ from easerl.homotopy import (
     bottleneck_matching,
     collides,
     divides,
-    load_trajectory,
     parity_bits,
     resample,
     same_class,
@@ -24,6 +23,7 @@ from easerl.homotopy import (
     _sup_distances,
     w_infinity_matching,
 )
+from easerl.runner import read_trajectory
 
 BARRIER = RegionSet((ConvexPolygon.rectangle(0.0, 0.0, 5.0, 2.0),), 1000.0)
 START = Point2(0.0, -8.0)
@@ -626,7 +626,7 @@ class TestCsv:
         from easerl.homotopy import save_trajectory
 
         save_trajectory(path, LEFT)
-        back = load_trajectory(path)
+        back = read_trajectory(path)
         assert np.array_equal(back.states, LEFT.states)
 
     def test_bad_header_rejected(self):

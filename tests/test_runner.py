@@ -280,8 +280,7 @@ def test_job_from_config_wiring():
     assert job.budget == cfg["transfer"]["budget"]
     assert job.final_band.center == cfg["training"]["convergence"]["center"]
     assert job.relax_band.center == cfg["transfer"]["relax_convergence"]["center"]
-    assert job.find_cfg.max_halvings == 12
-    assert job.find_cfg.max_inflations == 20
+    assert job.stage_band.center == cfg["transfer"]["stage_convergence"]["center"]
 
 
 def test_grid_builds_its_schedule_once(tmp_path, monkeypatch):
