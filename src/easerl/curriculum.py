@@ -13,6 +13,7 @@ inflating it until it touches the relaxed trajectory.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -96,7 +97,16 @@ def _region_probe_points(barrier: RegionSet, n: int) -> np.ndarray:
 
 
 def validate_schedule(schedule: tuple[RewardSpec, ...], barrier: RegionSet) -> None:
-    """Check the schedule's defining inequalities before any training runs.
+    """Check the schedule's defining inequalities before any training runs
+    (`_check_schedule`).  A schedule passes once per barrier: a grid checks
+    it when it builds it, and each run again finds it checked.  A failing
+    schedule raises every time."""
+    _check_schedule(tuple(schedule), barrier)
+
+
+@functools.lru_cache(maxsize=64)
+def _check_schedule(schedule: tuple[RewardSpec, ...], barrier: RegionSet) -> None:
+    """Check the schedule's defining inequalities.
 
     Stage k charges the penalty field w_k * M * [p in S_k].  Every weight must
     be in (0, 1]; each stage's field must be pointwise >= its predecessor's and

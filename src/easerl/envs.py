@@ -27,9 +27,10 @@ through one batched kernel on the state's columns, in two halves:
 penalized-set membership, testing the goal and every penalized set in one
 broadcast over their edges.  The reward never feeds back, so the engine
 steps with `move` alone and runs `outcome` once per call over blocks of
-the steps run.  It writes each step into time-major buffers and keeps the
-state columns it steps; speed and time are the same on every row and are
-computed once per call.  A batch assembles its state vectors only when
+the steps run.  `move` writes each step's columns straight into the
+engine's time-major buffers, which the batch keeps, with the policy's
+hidden layer for the update; speed and time are the same on every row and
+are computed once per task.  A batch assembles its state vectors only when
 they are read.
 """
 
@@ -175,13 +176,9 @@ class CarEnv:
 
     def clock(self) -> tuple[np.ndarray, np.ndarray]:
         """(speed, time) at every step 0..horizon of an episode: the same on
-        every row, since the speed controller ignores the action."""
-        s = _columns(self.initial_state())
-        ticks = [(float(s.speed), float(s.t))]
-        for _ in range(self.spec.horizon):
-            ticks.append(self._tick(*ticks[-1]))
-        speed, t = np.array(ticks).T
-        return speed, t
+        every row, since the speed controller ignores the action.  Computed
+        once per task; the arrays are shared and read-only."""
+        return _clock(self)
 
     def _tick(self, speed, t):
         """(speed, time) one step on."""
@@ -211,21 +208,33 @@ class CarEnv:
             out[..., 4] = speed / self.v_set
             out[..., 6] = t / self.spec.horizon
 
-    def move(self, s: CarColumns, action: np.ndarray):
+    def move(self, s: CarColumns, action: np.ndarray, out=None):
         """The dynamics: (next columns, direction) of every row, where the
         direction (cos, sin) of the next heading, shaped like xy, is what
         `_row_features` reads.  Everything the next step reads comes from
-        here; the reward never feeds back."""
-        omega = np.minimum(np.maximum(action[..., 0], -1.0), 1.0) * self.steer_max
-        heading = s.heading + omega * self.dt
+        here; the reward never feeds back.  `out` is a (columns, direction)
+        pair of buffers that receives the next xy, heading, angular velocity,
+        flags and direction (its speed and t are unused); without it they
+        are allocated."""
+        clipped = np.minimum(np.maximum(action[..., 0], -1.0), 1.0)
+        if out is None:
+            shape = np.broadcast_shapes(np.shape(s.heading), clipped.shape)
+            out = (CarColumns(np.empty((2,) + shape), np.empty(shape), None, np.empty(shape), None,
+                              np.empty(shape + np.shape(s.flags)[-1:])), np.empty((2,) + shape))
+        nxt, direction = out
+        omega = np.multiply(clipped, self.steer_max, out=nxt.ang_vel)
+        heading = np.add(s.heading, omega * self.dt, out=nxt.heading)
         speed, t = self._tick(s.speed, s.t)
-        direction = np.empty((2,) + heading.shape)
         np.cos(heading, out=direction[0, ...])
         np.sin(heading, out=direction[1, ...])
-        xy = s.xy + speed * direction * self.dt
+        xy = np.multiply(direction, speed, out=nxt.xy)
+        xy *= self.dt
+        xy += s.xy
         flags = s.flags
         if self.barrier_tops:
-            flags = np.where((flags == 0.0) & (xy[1][..., None] >= self.barrier_tops), 1.0, flags)
+            flags = nxt.flags
+            np.copyto(flags, s.flags)
+            np.copyto(flags, 1.0, where=(s.flags == 0.0) & (xy[1][..., None] >= self.barrier_tops))
         return CarColumns(xy, heading, speed, omega, t, flags), direction
 
     def outcome(self, prev: CarColumns, nxt: CarColumns, rows: "RowRewards"):
@@ -265,6 +274,19 @@ class CarEnv:
     def anchors(self) -> tuple[Point2, Point2]:
         gx0, gy0, gx1, gy1 = self.goal_poly.bbox()
         return Point2(*self.start), Point2(0.5 * (gx0 + gx1), 0.5 * (gy0 + gy1))
+
+
+@functools.lru_cache(maxsize=64)
+def _clock(env: CarEnv) -> tuple[np.ndarray, np.ndarray]:
+    """`CarEnv.clock`, stepped once per task."""
+    s = _columns(env.initial_state())
+    ticks = [(float(s.speed), float(s.t))]
+    for _ in range(env.spec.horizon):
+        ticks.append(env._tick(*ticks[-1]))
+    table = np.array(ticks)
+    table.flags.writeable = False
+    speed, t = table.T
+    return speed, t
 
 
 def _side_to_bit(side: str) -> int:
@@ -334,14 +356,15 @@ _NO_PART = (np.array([np.inf]), np.zeros(1), np.zeros(1), np.full(1, -1.0))
 @functools.lru_cache(maxsize=64)
 def _edge_table(goal: ConvexPolygon, regions: tuple[RegionSet, ...]):
     """Edges (start points (2, 1, E), dx, dy) of the goal and every part of
-    every region, the first edge of each polygon, and the first polygon of
-    each set (or None)."""
+    every region, the first edge of each polygon, the first polygon of each
+    set (or None), and the goal's edges alone, which come first."""
     sets = [[goal._edges]] + [[p._edges for p in r.parts] or [_NO_PART] for r in regions]
     polys = [e for polygons in sets for e in polygons]
     px, py, dx, dy = (np.concatenate(c) for c in zip(*polys))
     first_edge = np.cumsum([0] + [len(e[0]) for e in polys[:-1]])
     first_part = np.cumsum([0] + [len(p) for p in sets[:-1]]) if len(polys) > len(sets) else None
-    return (np.stack([px, py])[:, None], dx, dy), first_edge, first_part
+    edges = (np.stack([px, py])[:, None], dx, dy)
+    return edges, first_edge, first_part, tuple(e[..., : len(goal._edges[0])] for e in edges)
 
 
 @dataclass(frozen=True)
@@ -355,6 +378,7 @@ class RowRewards:
     edges: tuple[np.ndarray, ...]  # start points, dx, dy: the goal's edges, then every part's
     first_edge: np.ndarray  # of the goal and of each part
     first_part: np.ndarray | None  # of the goal and of each region; None if all parts are single
+    goal_edges: tuple[np.ndarray, ...]  # the goal's slice of `edges`
 
     @staticmethod
     def of(env, specs) -> "RowRewards":
@@ -371,17 +395,26 @@ class RowRewards:
         """(goal membership, each row's penalized-set membership) of the
         points xy: (2, B), one point (2,), or (2, ..., B) with leading axes,
         such as a time axis, before the row axis."""
-        p, dx, dy = self.edges
-        if xy.ndim != 2:
-            p = p.reshape((2,) + (1,) * (xy.ndim - 1) + (-1,))
-        d = xy[..., None] - p
-        inside = dx * d[1] - dy * d[0] >= -EPS
-        hit = np.logical_and.reduceat(inside, self.first_edge, axis=-1)
+        hit = np.logical_and.reduceat(_inside(xy, *self.edges), self.first_edge, axis=-1)
         if self.first_part is not None:
             hit = np.logical_or.reduceat(hit, self.first_part, axis=-1)
         if self.pick is None:
             return hit[..., 0], hit[..., 1]
         return hit[..., 0], hit[(Ellipsis,) + self.pick]
+
+    def in_goal(self, xy):
+        """The goal membership of `membership`, from the goal's edges alone."""
+        return _inside(xy, *self.goal_edges).all(axis=-1)
+
+
+def _inside(xy, p, dx, dy):
+    """Whether each point of xy (see `RowRewards.membership`) is on the
+    inner side of each edge, given by start points p (2, 1, E), dx and dy:
+    (..., E) booleans."""
+    if xy.ndim != 2:
+        p = p.reshape((2,) + (1,) * (xy.ndim - 1) + (-1,))
+    d = xy[..., None] - p
+    return dx * d[1] - dy * d[0] >= -EPS
 
 
 def step(env, state: np.ndarray, action, reward_spec: RewardSpec) -> StepResult:
@@ -432,6 +465,7 @@ class RolloutBatch:
     """
 
     obs: np.ndarray  # (B, horizon, obs_dim)
+    hidden: np.ndarray  # (B, horizon, arch.hidden_width()): the policy's hidden layer
     actions: np.ndarray  # (B, horizon, action_dim)
     rewards: np.ndarray  # (B, horizon)
     base: np.ndarray  # (B, horizon) rewards before the barrier penalty
@@ -547,6 +581,7 @@ def rollout_batch(env, policy, reward_spec, noise: np.ndarray) -> RolloutBatch:
     obs = np.zeros((horizon + 1, n, env.spec.state_dim))
     obs[0] = env.features(start)
     env._clock_features(obs, speeds[:, None], times[:, None])
+    hidden = np.zeros((horizon, n, policy.arch.hidden_width()))
     actions = np.zeros((horizon, n, env.spec.action_dim))
     # the initial state, one row that broadcasts against the batch
     s = _columns(start[None])._replace(speed=float(speeds[0]), t=float(times[0]))
@@ -555,16 +590,17 @@ def rollout_batch(env, policy, reward_spec, noise: np.ndarray) -> RolloutBatch:
     ang_vel = np.zeros((horizon + 1, n))
     flags = np.zeros((horizon + 1, n, len(env.barrier_tops)))
     xy[0], heading[0], ang_vel[0], flags[0] = s.xy, s.heading, s.ang_vel, s.flags
+    direction = np.empty((2, n))
     first_goal = _first_goal_step(env, speeds)
     ended = np.zeros(n, dtype=bool)
     steps = horizon
     for t in range(horizon):
-        np.add(mean(obs[t]), scaled_noise[t], out=actions[t])
-        s, direction = env.move(s, actions[t])
+        np.add(mean(obs[t], hidden[t]), scaled_noise[t], out=actions[t])
+        out = CarColumns(xy[t + 1], heading[t + 1], None, ang_vel[t + 1], None, flags[t + 1])
+        s, _ = env.move(s, actions[t], (out, direction))
         env._row_features(obs[t + 1], s, direction)
-        xy[t + 1], heading[t + 1], ang_vel[t + 1], flags[t + 1] = s.xy, s.heading, s.ang_vel, s.flags
         if t >= first_goal:
-            ended |= rows.membership(s.xy)[0]
+            ended |= rows.in_goal(s.xy)
             if ended.all():
                 steps = t + 1
                 break
@@ -585,16 +621,17 @@ def rollout_batch(env, policy, reward_spec, noise: np.ndarray) -> RolloutBatch:
             block(lo, hi), block(lo + 1, hi + 1), rows
         )
     lengths = ends.argmax(axis=0) + 1
-    per_step = (obs[:horizon].transpose(1, 0, 2), actions.transpose(1, 0, 2), rewards.T, base.T,
-                member.T)
+    per_step = tuple(
+        a.swapaxes(0, 1) for a in (obs[:horizon], hidden, actions, rewards, base, member)
+    )
     columns = (xy.transpose(2, 0, 1), heading.T, ang_vel.T, flags.transpose(1, 0, 2))
     after = np.arange(horizon) >= lengths[:, None]
     for arr in per_step + tuple(c[:, 1:] for c in columns):
         arr[after] = 0
-    bad = ~np.isfinite(per_step[1]).all(axis=-1)
+    bad = ~np.isfinite(actions).all(axis=-1).T
     if bad.any():
         b, t = np.argwhere(bad)[0]
-        raise NonFiniteAction(f"non-finite action {per_step[1][b, t]} in episode {b} at step {t}")
+        raise NonFiniteAction(f"non-finite action {actions[t, b]} in episode {b} at step {t}")
     # discount**t as the running product 1, d, d*d, ...; returns summed in step order
     gamma = np.cumprod(np.r_[1.0, np.full(horizon - 1, env.spec.discount)])
     returns = np.add.accumulate(rewards * gamma[:, None], axis=0)[-1]

@@ -48,6 +48,10 @@ class Arch:
             + self.action_dim
         )
 
+    def hidden_width(self) -> int:
+        """Width of the hidden layer: none for a linear policy."""
+        return self.hidden if self.kind == "mlp" else 0
+
 
 @dataclass
 class PolicyParams:
@@ -142,7 +146,9 @@ def _affine_rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 def mean_net(policy: PolicyParams, extra_axes: int = 0):
     """The mean network as a function of observations, its weights unpacked
     once.  With a stacked policy, the function gives obs[b] (shape
-    (B, <extra_axes axes>, obs_dim)) the weights theta[b]."""
+    (B, <extra_axes axes>, obs_dim)) the weights theta[b].  The function
+    takes an optional buffer `hidden`, shaped (..., arch.hidden_width()), and
+    writes the MLP's hidden layer tanh(w1 obs + b1) into it."""
     arch = policy.arch
     theta = policy.theta
     affine = _affine
@@ -152,9 +158,9 @@ def mean_net(policy: PolicyParams, extra_axes: int = 0):
         affine = _affine_rows
     if arch.kind == "linear":
         w = theta.reshape(theta.shape[:-1] + (arch.action_dim, arch.obs_dim))
-        return lambda obs: affine(obs, w)
+        return lambda obs, hidden=None: affine(obs, w)
     w1, b1, w2, b2 = _unpack_mlp(arch, theta)
-    return lambda obs: affine(np.tanh(affine(obs, w1) + b1), w2) + b2
+    return lambda obs, hidden=None: affine(np.tanh(affine(obs, w1) + b1, out=hidden), w2) + b2
 
 
 def mean_batch(policy: PolicyParams, obs: np.ndarray) -> np.ndarray:
@@ -197,11 +203,17 @@ def log_prob_batch(policy: PolicyParams, obs: np.ndarray, actions: np.ndarray) -
 
 
 def episode_grad(
-    policy: PolicyParams, obs: np.ndarray, actions: np.ndarray, weights: np.ndarray
+    policy: PolicyParams,
+    obs: np.ndarray,
+    actions: np.ndarray,
+    weights: np.ndarray,
+    hidden: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sum over timesteps of weights[t] * d log pi(a_t|s_t) / d params.
 
     Returns the gradient over the full trainable vector (theta then log_std).
+    An MLP's hidden layer tanh(w1 obs + b1) is computed here unless `hidden`
+    gives it, as a rollout's `RolloutBatch.hidden` does with the same bits.
     """
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
@@ -215,7 +227,8 @@ def episode_grad(
         d_theta = d_w.ravel()
     else:
         w1, b1, w2, b2 = _unpack_mlp(policy.arch, policy.theta)
-        hidden = np.tanh(_affine(obs, w1) + b1)
+        if hidden is None:
+            hidden = np.tanh(_affine(obs, w1) + b1)
         mean = _affine(hidden, w2) + b2
         delta = (actions - mean) / (std * std)
         wd = delta * weights[:, None]
@@ -404,7 +417,8 @@ def training(
         scale = float(np.std(adv)) + 1e-8
         obs = np.concatenate([p.obs[:, :max_t] for p in pieces])[valid]
         actions = np.concatenate([p.actions[:, :max_t] for p in pieces])[valid]
-        grad = episode_grad(policy, obs, actions, adv / scale) / len(lengths)
+        hidden = np.concatenate([p.hidden[:, :max_t] for p in pieces])[valid]
+        grad = episode_grad(policy, obs, actions, adv / scale, hidden) / len(lengths)
         if l2sp is not None:
             coeff, ref = l2sp
             grad -= 2.0 * coeff * (policy.flat() - ref)
@@ -553,10 +567,17 @@ def landscape_scan(
         policy = PolicyParams(arch, thetas[lo:hi], np.array([log_std]))
         batch = _envs.rollout_batch(env, policy, spec, _envs.noise_tapes(env, seeds[lo:hi]))
         lp = log_prob_batch(policy, batch.obs, batch.actions)
+        # adjacent episodes of one length (often a cell's samples) are scored
+        # by one row sum over a view, which gives each the bits of summing
+        # it alone; grouping them by length instead would copy rows
+        lengths = batch.lengths
+        firsts = np.flatnonzero(np.r_[True, lengths[1:] != lengths[:-1]])
+        runs = list(zip(lengths[firsts], firsts, np.r_[firsts[1:], len(lengths)]))
         for key, rewards in (("barrier", batch.rewards), ("free", batch.base)):
-            g = reward_to_go(rewards, env.spec.discount)
-            for e, t_len in enumerate(batch.lengths):
-                totals[key][lo + e] = np.sum(g[e, :t_len] * lp[e, :t_len])
+            terms = reward_to_go(rewards, env.spec.discount)
+            terms *= lp
+            for t_len, a, b in runs:
+                totals[key][lo + a : lo + b] = terms[a:b, :t_len].sum(axis=1)
     out = {}
     for key, per_episode in totals.items():
         # a running sum in sample order gives each cell the bits of adding

@@ -56,6 +56,14 @@ class TestScheduleType:
         with pytest.raises(PreconditionViolated):
             validate_schedule((), BARRIER)
 
+    def test_a_failing_schedule_raises_every_time(self):
+        # the check is cached for schedules that pass, never for one that fails
+        for _ in range(2):
+            with pytest.raises(PreconditionViolated, match="final alpha"):
+                validate_schedule(weight_ramp(0.5, 0.9), BARRIER)
+        validate_schedule(weight_ramp(0.5, 1.0), BARRIER)
+        validate_schedule(list(weight_ramp(0.5, 1.0)), BARRIER)  # a list is checked as a tuple
+
     def test_stages_and_specs(self):
         sched = weight_ramp(0.1, 0.5, 1.0)
         assert len(sched) == 3

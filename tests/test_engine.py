@@ -3,6 +3,7 @@ policies, agreement with a plain per-step loop, and the landscape scan's
 simulate-once contract and bits."""
 
 import math
+import os
 from dataclasses import fields
 from unittest import mock
 
@@ -34,10 +35,13 @@ from easerl.rl import (
     PolicyParams,
     init_policy,
     landscape_scan,
+    load_checkpoint,
     log_prob_batch,
     reward_to_go,
 )
 from easerl.seeding import derive_seed, rng_for
+
+ASSETS = os.path.join(os.path.dirname(__file__), os.pardir, "assets")
 
 ENVS = {
     "nav1-7": lambda: nav1_make(7, "left"),
@@ -257,6 +261,66 @@ class TestMergedRequests:
 
 def same_bits(a, b) -> bool:
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+class TestHiddenLayer:
+    """A batch keeps the MLP's hidden layer from its forward pass, and the
+    update reads it there with the bits of recomputing it."""
+
+    @staticmethod
+    def mlp(seed):
+        """The shipped nav1-7 source policy, its weights moved by seed:
+        its episodes reach the goal at different steps."""
+        pol = load_checkpoint(os.path.join(ASSETS, "source-nav1-7.json"))[0]
+        pol.theta = pol.theta + np.random.default_rng(seed).normal(scale=0.05, size=pol.theta.shape)
+        return pol
+
+    @staticmethod
+    def assert_hidden_of(batch, pol):
+        w1, b1, _, _ = rl._unpack_mlp(pol.arch, pol.theta)
+        assert batch.hidden.shape == batch.obs.shape[:2] + (pol.arch.hidden,)
+        for b, t_len in enumerate(batch.lengths):
+            want = np.tanh(rl._affine(batch.obs[b, :t_len], w1) + b1)
+            assert same_bits(batch.hidden[b, :t_len], want), b
+            assert not np.any(batch.hidden[b, t_len:]), b
+
+    def test_one_policy(self):
+        env = nav1_make(7, "left")
+        pol = self.mlp(2)
+        batch = rollout_batch(env, pol, full_reward(env), noise_tapes(env, range(8)))
+        assert len(set(batch.lengths.tolist())) > 1
+        self.assert_hidden_of(batch, pol)
+
+    def test_merged_two_run_call(self):
+        env = nav1_make(7, "left")
+        pols = [self.mlp(0), self.mlp(1)]
+        reqs = [
+            RolloutRequest(pols[0], full_reward(env), noise_tapes(env, range(6))),
+            RolloutRequest(pols[1], make_spec(env, "barrier_set", 0.37), noise_tapes(env, [9, 10])),
+        ]
+        with mock.patch.object(envs, "rollout_batch", wraps=envs.rollout_batch) as engine:
+            merged = serve(env, [_one_call(r) for r in reqs])
+        assert engine.call_count == 1
+        assert len(set(np.concatenate([m.lengths for m in merged]).tolist())) > 1
+        for pol, got in zip(pols, merged):
+            self.assert_hidden_of(got, pol)
+
+    def test_a_linear_policy_has_none(self):
+        env = nav1_make(7, "left")
+        batch = rollout_batch(env, make_policy(env, "linear", 0, 0.1), full_reward(env),
+                              noise_tapes(env, range(3)))
+        assert batch.hidden.shape == (3, env.spec.horizon, 0)
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_episode_grad_reads_it_with_the_same_bits(self, kind):
+        env = nav1_make(7, "left")
+        pol = self.mlp(3) if kind == "mlp" else make_policy(env, "linear", 3, 0.3)
+        batch = rollout_batch(env, pol, full_reward(env), noise_tapes(env, range(10)))
+        valid = np.arange(env.spec.horizon) < batch.lengths[:, None]
+        obs, actions = batch.obs[valid], batch.actions[valid]
+        weights = np.random.default_rng(0).normal(size=len(obs))
+        got = rl.episode_grad(pol, obs, actions, weights, batch.hidden[valid])
+        assert same_bits(got, rl.episode_grad(pol, obs, actions, weights))
 
 
 class TestKernel:
@@ -517,7 +581,15 @@ def test_landscape_scan_equals_per_cell_reference(monkeypatch, cap):
     n = len(grid.values())
     # at least one engine call ends inside a cell
     assert n * n * samples > batch_size and batch_size % samples != 0
+    calls = []
+    monkeypatch.setattr(envs, "rollout_batch", lambda *args: calls.append(rollout_batch(*args))
+                        or calls[-1])
     res = landscape_scan(env, grid, samples, seed=3, log_std=-0.4)
+    monkeypatch.undo()
+    # some call holds episodes of different lengths, and some adjacent
+    # episodes share a length, so they are scored together
+    assert any(len(set(b.lengths.tolist())) > 1 for b in calls)
+    assert any((b.lengths[1:] == b.lengths[:-1]).any() for b in calls)
     ref = _scan_reference(env, grid, samples, seed=3, log_std=-0.4)
     assert np.array_equal(res.loss_barrier, ref["barrier"])
     assert np.array_equal(res.loss_free, ref["free"])

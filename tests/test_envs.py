@@ -28,6 +28,18 @@ from easerl.homotopy import ClassSignature
 from easerl.rl import Arch, PolicyParams, init_policy, load_checkpoint
 
 
+def test_clock_is_stepped_once_per_task_and_read_only():
+    env = nav1_make(7, "left")
+    speed, t = env.clock()
+    again = env.clock()
+    assert again[0] is speed and again[1] is t
+    assert nav1_make(7, "left").clock()[0] is speed  # an equal task shares it
+    assert speed.shape == t.shape == (env.spec.horizon + 1,)
+    for arr in (speed, t):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+
 def probe_states(env, n_side=20):
     """Grid of car states spread over the field, heading up, mid-episode."""
     out = []

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from easerl import envs, runner
+from easerl import curriculum, envs, runner
 from easerl.config import (
     default_config, nav1_defaults, nav2_defaults, validate_config,
 )
@@ -469,6 +469,21 @@ def test_lockstep_grid_equals_each_run_alone(name):
         assert_same_report(got, want)
     for got, want in zip(run_grid(cfg, source, schedules, workers=2), reports):
         assert_same_report(got, want)
+
+
+def test_a_grid_checks_its_schedule_once():
+    """A 3-seed `ease_barrier` grid checks its schedule when it builds it;
+    each run's curriculum then finds it checked."""
+    cfg, source = tiny_grid("nav1-7")
+    cfg["transfer"].update(methods=["ease_barrier"], seeds=[0, 1, 2])
+    env = env_from_config(cfg)
+    curriculum._check_schedule.cache_clear()
+    schedules = schedule_from_config(cfg, env)
+    with mock.patch.object(curriculum, "run_curriculum", wraps=curriculum.run_curriculum) as runs:
+        run_grid(cfg, source, schedules)
+    assert runs.call_count == 3
+    info = curriculum._check_schedule.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
 
 
 def test_one_grid_runs_every_method_as_each_would_alone(tmp_path):
