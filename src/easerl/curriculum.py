@@ -323,35 +323,11 @@ class TransferReport:
     stage_steps: tuple[int, ...]
     final_return: float
     final_label: str
-    # plotting/analysis artifacts, not part of the CSV row
+    # plotting/analysis artifacts; the fields above summarize the run
     curve: tuple = ()  # ((cumulative step, mean eval return), ...)
     stage_trajectories: tuple = ()  # ((stage label, Trajectory), ...)
     stage_policies: tuple = ()  # ((stage label, PolicyParams), ...)
     final_policy: PolicyParams | None = None
-
-    def csv_row(self) -> list:
-        return [
-            self.method,
-            self.env_name,
-            self.seed,
-            self.total_steps,
-            int(self.converged),
-            ";".join(str(s) for s in self.stage_steps),
-            repr(self.final_return),
-            self.final_label,
-        ]
-
-
-CSV_HEADER = [
-    "method",
-    "env",
-    "seed",
-    "total_steps",
-    "converged",
-    "stage_steps",
-    "final_return",
-    "final_label",
-]
 
 
 # The transfer steps below are request generators (see `rl.training`): they

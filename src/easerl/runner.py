@@ -6,7 +6,8 @@ Output layout for a transfer experiment:
     out/
       config.yaml     validated config snapshot (the round-trip source)
       manifest.yaml   config hash, base seed, tool version; no timestamps
-      runs.csv        one row per (method, seed), sorted
+      runs.csv        one row per (method, seed): methods in report order,
+                      each method's seeds in the order transfer.seeds lists them
       table.csv       aggregate per method
       table.txt       the same table, fixed-width text
       curves/         per-run (step, mean eval return) series
@@ -30,7 +31,6 @@ import yaml
 from . import __version__
 from .config import config_hash, read_file, serialize_config
 from .curriculum import (
-    CSV_HEADER,
     CURRICULA,
     TransferJob,
     TransferReport,
@@ -168,6 +168,14 @@ def run_grid(cfg: dict, source, schedules: dict, workers: int = 1) -> list[Trans
     return reports
 
 
+def open_run_dir(out_dir, cfg: dict) -> None:
+    """Create the run directory and write its config snapshot and manifest."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "config.yaml"), "w") as f:
+        f.write(serialize_config(cfg))
+    write_manifest(out_dir, cfg)
+
+
 def write_manifest(out_dir, cfg: dict) -> None:
     doc = {
         "config_hash": config_hash(cfg),
@@ -180,17 +188,27 @@ def write_manifest(out_dir, cfg: dict) -> None:
         f.write(yaml.safe_dump(doc, sort_keys=True))
 
 
-def _write_config_snapshot(out_dir, cfg: dict) -> None:
-    with open(os.path.join(out_dir, "config.yaml"), "w") as f:
-        f.write(serialize_config(cfg))
+# The runs.csv format, one entry per column in file order:
+# (column, TransferReport field, value -> text, text -> value).
+RUNS_COLUMNS = (
+    ("method", "method", str, str),
+    ("env", "env_name", str, str),
+    ("seed", "seed", str, int),
+    ("total_steps", "total_steps", str, int),
+    ("converged", "converged", lambda v: str(int(v)), lambda s: bool(int(s))),
+    ("stage_steps", "stage_steps", lambda v: ";".join(map(str, v)),
+     lambda s: tuple(int(x) for x in s.split(";") if x)),
+    ("final_return", "final_return", repr, float),  # repr reads back exactly
+    ("final_label", "final_label", str, str),  # empty: no collision-free final episode
+)
 
 
 def write_runs_csv(path, reports: list[TransferReport]) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(CSV_HEADER)
+        w.writerow([name for name, *_ in RUNS_COLUMNS])
         for r in reports:
-            w.writerow(r.csv_row())
+            w.writerow([text(getattr(r, field)) for _, field, text, _ in RUNS_COLUMNS])
 
 
 def _read_csv(path, what: str, convert) -> list:
@@ -199,28 +217,19 @@ def _read_csv(path, what: str, convert) -> list:
     with open(path, newline="") as f:
         rows = list(csv.DictReader(f))
     try:
+        if any(None in row.values() for row in rows):
+            raise ValueError("a row has fewer fields than the header")
         return [convert(row) for row in rows]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad {what} {path}: {exc}") from exc
 
 
-def _runs_row(row: dict) -> dict:
-    return {
-        "method": row["method"],
-        "env": row["env"],
-        "seed": int(row["seed"]),
-        "total_steps": int(row["total_steps"]),
-        "converged": bool(int(row["converged"])),
-        "stage_steps": tuple(int(s) for s in row["stage_steps"].split(";") if s),
-        "final_return": float(row["final_return"]),
-        "final_label": row["final_label"],
-    }
-
-
 def read_runs_csv(path) -> list[dict]:
+    """runs.csv's rows, each a dict from column name to value."""
     if not os.path.exists(path):
         raise MissingData(f"missing runs file: {path}")
-    return _read_csv(path, "runs file", _runs_row)
+    return _read_csv(path, "runs file", lambda row: {
+        name: value(row[name]) for name, _, _, value in RUNS_COLUMNS})
 
 
 def build_table(rows: list[dict], budget: int) -> tuple[str, str]:
@@ -309,6 +318,14 @@ def read_trajectory(path) -> Trajectory:
         raise ConfigError(f"bad trajectory file {path}: {exc}") from exc
 
 
+def _plot_field(env, trajs, labels, path, title) -> str:
+    """Trajectories drawn over the task's barrier and goal anchor; returns `path`."""
+    goal = env.anchors()[1]
+    plot_trajectories(trajs, labels, env.barrier, path, title=title,
+                      goal_xy=(float(goal.x), float(goal.y)))
+    return path
+
+
 def render_plots(out_dir) -> list[str]:
     """Regenerate every SVG from the files already in the run directory."""
     cfg_path = os.path.join(out_dir, "config.yaml")
@@ -324,26 +341,23 @@ def render_plots(out_dir) -> list[str]:
     written = []
 
     methods = sorted({r["method"] for r in rows})
-    goal = env.anchors()[1]
+    # each method's run of its lowest seed, drawn on the shared field and by stage
+    first = {m: min((r for r in rows if r["method"] == m), key=lambda r: r["seed"])
+             for m in methods}
+
+    def traj_path(m, label):
+        return os.path.join(out_dir, "trajs", f"{m}-{first[m]['seed']}-{label}.csv")
 
     # final trajectory of each method, first seed, on one field
     finals, labels = [], []
-    for m in methods:
-        seed = min(r["seed"] for r in rows if r["method"] == m)
-        row = next(r for r in rows if r["method"] == m and r["seed"] == seed)
-        label = stage_labels(m, len(row["stage_steps"]))[-1]
-        path = os.path.join(out_dir, "trajs", f"{m}-{seed}-{label}.csv")
+    for m, row in first.items():
+        path = traj_path(m, stage_labels(m, len(row["stage_steps"]))[-1])
         if os.path.exists(path):
             finals.append(read_trajectory(path))
             labels.append(m)
     if finals:
-        p = os.path.join(plots_dir, "trajectories.svg")
-        plot_trajectories(
-            finals, labels, env.barrier, p,
-            title=f"{env.name}: final mean trajectories",
-            goal_xy=(float(goal.x), float(goal.y)),
-        )
-        written.append(p)
+        written.append(_plot_field(env, finals, labels, os.path.join(plots_dir, "trajectories.svg"),
+                                   f"{env.name}: final mean trajectories"))
 
     # learning curves, one figure per method, one line per seed
     for m in methods:
@@ -359,25 +373,20 @@ def render_plots(out_dir) -> list[str]:
             written.append(p)
 
     # per-stage snapshots for curriculum methods, first seed
-    for m in methods:
+    for m, row in first.items():
         if m not in CURRICULA:
             continue
-        seed = min(r["seed"] for r in rows if r["method"] == m)
-        row = next(r for r in rows if r["method"] == m and r["seed"] == seed)
         stage_trajs, slabels = [], []
         for label in stage_labels(m, len(row["stage_steps"])):
-            path = os.path.join(out_dir, "trajs", f"{m}-{seed}-{label}.csv")
+            path = traj_path(m, label)
             if os.path.exists(path):
                 stage_trajs.append(read_trajectory(path))
                 slabels.append(label)
         if stage_trajs:
-            p = os.path.join(plots_dir, f"stages-{m}-seed{seed}.svg")
-            plot_trajectories(
-                stage_trajs, slabels, env.barrier, p,
-                title=f"{env.name}: {m} stages (seed {seed})",
-                goal_xy=(float(goal.x), float(goal.y)),
-            )
-            written.append(p)
+            seed = row["seed"]
+            written.append(_plot_field(env, stage_trajs, slabels,
+                                       os.path.join(plots_dir, f"stages-{m}-seed{seed}.svg"),
+                                       f"{env.name}: {m} stages (seed {seed})"))
     return written
 
 
@@ -398,10 +407,8 @@ def run_transfer_experiment(cfg: dict, out_dir, workers: int = 1) -> list[Transf
     if (arch.obs_dim, arch.action_dim) != (spec.state_dim, spec.action_dim):
         raise ConfigError(f"source checkpoint {ckpt} has obs_dim {arch.obs_dim}, action_dim "
                           f"{arch.action_dim}; {env.name} needs {spec.state_dim}, {spec.action_dim}")
-    os.makedirs(out_dir, exist_ok=True)
+    open_run_dir(out_dir, cfg)
     reports = run_grid(cfg, source, schedules, workers)
-    _write_config_snapshot(out_dir, cfg)
-    write_manifest(out_dir, cfg)
     write_runs_csv(os.path.join(out_dir, "runs.csv"), reports)
     write_run_artifacts(out_dir, reports)
     rebuild_tables(out_dir, cfg)
@@ -417,9 +424,7 @@ def run_train(cfg: dict, out_dir):
     seed = int(cfg["seed"])
     init = init_policy(arch, derive_seed(seed, "source"))
     report = train(env, full_reward(env), init, train_config(cfg))
-    os.makedirs(out_dir, exist_ok=True)
-    _write_config_snapshot(out_dir, cfg)
-    write_manifest(out_dir, cfg)
+    open_run_dir(out_dir, cfg)
     save_checkpoint(os.path.join(out_dir, "checkpoint.json"), report.params, seed)
     _write_curve(os.path.join(out_dir, "curve.csv"), report.return_curve)
     traj = mean_rollout(env, report.params, full_reward(env))
@@ -427,13 +432,8 @@ def run_train(cfg: dict, out_dir):
     if cfg["output"]["plots"]:
         plots_dir = os.path.join(out_dir, "plots")
         os.makedirs(plots_dir, exist_ok=True)
-        goal = env.anchors()[1]
-        plot_trajectories(
-            [traj], ["mean policy"], env.barrier,
-            os.path.join(plots_dir, "traj.svg"),
-            title=f"{env.name}: trained mean trajectory",
-            goal_xy=(float(goal.x), float(goal.y)),
-        )
+        _plot_field(env, [traj], ["mean policy"], os.path.join(plots_dir, "traj.svg"),
+                    f"{env.name}: trained mean trajectory")
         plot_curves([[(s, v) for s, v in report.return_curve]], ["train"],
                     os.path.join(plots_dir, "curve.svg"), title=f"{env.name}: training")
     return report
@@ -472,9 +472,7 @@ def run_landscape(cfg: dict, out_dir) -> dict:
     result = landscape_scan(
         env, grid, land["samples_per_cell"], int(cfg["seed"]), log_std=land["log_std"]
     )
-    os.makedirs(out_dir, exist_ok=True)
-    _write_config_snapshot(out_dir, cfg)
-    write_manifest(out_dir, cfg)
+    open_run_dir(out_dir, cfg)
     _write_landscape_csv(os.path.join(out_dir, "landscape_barrier.csv"), result.thetas, result.loss_barrier)
     _write_landscape_csv(os.path.join(out_dir, "landscape_free.csv"), result.thetas, result.loss_free)
     p_src = tuple(float(v) for v in land["theta_source"])

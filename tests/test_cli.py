@@ -576,10 +576,11 @@ def test_plot_missing_run_is_runtime_error(tmp_path, capsys):
     "name, edit",
     [
         ("runs.csv", lambda text: text.replace("\nnaive,nav1-7,0,", "\nnaive,nav1-7,x,")),
+        ("runs.csv", lambda text: text.replace(",9.0,L\n", ",9.0\n")),
         ("curves/ease_barrier-0.csv", lambda text: text.replace(",2.0", ",abc")),
         ("trajs/naive-0-final.csv", lambda text: "".join(text.splitlines(True)[:2])),
     ],
-    ids=["non-integer-seed", "non-number-curve-value", "one-row-trajectory"],
+    ids=["non-integer-seed", "short-row", "non-number-curve-value", "one-row-trajectory"],
 )
 def test_plot_malformed_run_file_exits_usage_naming_it(name, edit, tmp_path, capsys):
     make_fake_run_dir(tmp_path)

@@ -22,6 +22,7 @@ from easerl.errors import BudgetExhausted, PreconditionViolated
 from easerl.geometry import ConvexPolygon, Point2, RegionSet
 from easerl.homotopy import Trajectory, collides, divides
 from easerl.rl import Arch, ConvergenceBand, TrainConfig, init_policy
+from easerl.runner import read_runs_csv, write_runs_csv
 from easerl.seeding import derive_seed
 
 BARRIER = RegionSet((ConvexPolygon.rectangle(0.0, 0.0, 5.0, 2.0),), 1000.0)
@@ -435,11 +436,12 @@ class TestTransferPlumbing:
         assert chunk.seed == derive_seed(job.seed, "relax", 3)
         assert (chunk.batch_episodes, chunk.eval_episodes) == (2, 2)
 
-    def test_csv_row_shape(self, nav1_env, nav1_source):
+    def test_csv_row_shape(self, nav1_env, nav1_source, tmp_path):
         job = tiny_job(nav1_env, nav1_source, budget=1500)
         rep = drive(job.env, baseline_transfer(job, "naive"))
-        row = rep.csv_row()
+        write_runs_csv(tmp_path / "runs.csv", [rep])
+        [row] = read_runs_csv(tmp_path / "runs.csv")
         assert len(row) == 8
-        assert row[0] == "naive"
-        assert row[1] == nav1_env.name
-        assert float(row[6]) == pytest.approx(rep.final_return)
+        assert row["method"] == "naive"
+        assert row["env"] == nav1_env.name
+        assert row["final_return"] == pytest.approx(rep.final_return)

@@ -13,12 +13,13 @@ from easerl import curriculum, envs, runner
 from easerl.config import (
     default_config, nav1_defaults, nav2_defaults, validate_config,
 )
-from easerl.curriculum import CSV_HEADER, TransferReport, run_transfer
+from easerl.curriculum import TransferReport, run_transfer
 from easerl.errors import ConfigError, MissingCheckpoint, MissingData
 from easerl.geometry import RegionSet
 from easerl.homotopy import Trajectory, save_trajectory
 from easerl.rl import load_checkpoint
 from easerl.runner import (
+    RUNS_COLUMNS,
     build_table,
     env_from_config,
     job_from_config,
@@ -150,7 +151,33 @@ def test_runs_csv_header_matches_module_schema(tmp_path):
     path = tmp_path / "runs.csv"
     write_runs_csv(path, [report()])
     with open(path, newline="") as f:
-        assert next(csv.reader(f)) == CSV_HEADER
+        assert next(csv.reader(f)) == [name for name, *_ in RUNS_COLUMNS]
+
+
+def test_runs_csv_round_trips_every_column_at_its_edge_values(tmp_path):
+    # an empty final label (no collision-free final episode), a stage that
+    # spent nothing, a return whose repr needs 17 digits, a seed >= 2**63
+    reports = [
+        report(method="naive", env="nav1-7", seed=0, converged=False,
+               stage_steps=(199940,), steps=199940, ret=-6466.08517750765, label=""),
+        report(method="ease_barrier", seed=2**70, stage_steps=(500, 0, 1200),
+               steps=1700, ret=0.1 + 0.2, label="L"),
+    ]
+    path = tmp_path / "runs.csv"
+    write_runs_csv(path, reports)
+    with open(path, newline="") as f:
+        lines = list(csv.reader(f))
+    assert lines[0] == [name for name, *_ in RUNS_COLUMNS]
+    assert len(RUNS_COLUMNS) == 8
+    assert lines[1][-2:] == ["-6466.08517750765", ""]
+    assert "0.30000000000000004" in lines[2] and "500;0;1200" in lines[2]
+    rows = read_runs_csv(path)
+    assert len(rows) == len(reports)
+    for rep, got in zip(reports, rows):
+        assert list(got) == [name for name, *_ in RUNS_COLUMNS]
+        for name, field, _, _ in RUNS_COLUMNS:
+            want = getattr(rep, field)
+            assert got[name] == want and type(got[name]) is type(want), name
 
 
 def test_read_runs_csv_missing_raises(tmp_path):
@@ -375,11 +402,12 @@ def make_fake_run_dir(tmp_path):
 def test_render_plots_writes_expected_svgs(tmp_path):
     make_fake_run_dir(tmp_path)
     written = render_plots(tmp_path)
-    names = {os.path.basename(p) for p in written}
-    assert "trajectories.svg" in names
-    assert "curves-ease_barrier.svg" in names
-    assert "curves-naive.svg" in names
-    assert "stages-ease_barrier-seed0.svg" in names
+    # the order `easerl plot` prints: the shared field, each method's curves,
+    # then each curriculum's stages
+    assert [os.path.basename(p) for p in written] == [
+        "trajectories.svg", "curves-ease_barrier.svg", "curves-naive.svg",
+        "stages-ease_barrier-seed0.svg",
+    ]
     for p in written:
         assert os.path.exists(p)
         with open(p) as f:
@@ -430,8 +458,13 @@ def policy_bytes(policy):
     return policy.theta.tobytes() + policy.log_std.tobytes()
 
 
+def runs_row(rep):
+    """The report's runs.csv row, as text."""
+    return [text(getattr(rep, field)) for _, field, text, _ in RUNS_COLUMNS]
+
+
 def assert_same_report(got, want):
-    assert got.csv_row() == want.csv_row()
+    assert runs_row(got) == runs_row(want)
     assert got.curve == want.curve
     assert [label for label, _ in got.stage_trajectories] == [
         label for label, _ in want.stage_trajectories
