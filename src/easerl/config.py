@@ -12,6 +12,7 @@ import copy
 import hashlib
 import math
 
+import numpy as np
 import yaml
 
 from .curriculum import METHODS
@@ -89,10 +90,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _finite_numbers(values) -> bool:
     return all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-        for v in values
+        isinstance(v, (int, float)) and not isinstance(v, bool) and _finite(v) for v in values
     )
 
 
@@ -196,8 +203,19 @@ def validate_config(cfg: dict) -> dict:
         _require(_finite_numbers(sched[key]), f"transfer.schedule.{key} must be finite numbers")
     land = merged["landscape"]
     _require(land["barrier_size"] in NAV_SIZES, f"landscape.barrier_size must be one of {NAV_SIZES}")
+    for key in ("lo", "hi", "bucket"):
+        _require(_finite(land[key]), f"landscape.{key} must be finite, got {land[key]!r}")
     _require(land["bucket"] > 0, "landscape.bucket must be positive")
     _require(land["hi"] > land["lo"], "landscape.hi must exceed landscape.lo")
+    # the grid's points per axis, as GridSpec.values counts them, must be an
+    # array length NumPy can index
+    gaps = (float(land["hi"]) - float(land["lo"])) / land["bucket"]
+    most = np.iinfo(np.intp).max
+    _require(
+        math.isfinite(gaps) and round(gaps) + 1 <= most,
+        f"landscape.bucket is too small for landscape.lo and hi: (hi - lo) / bucket = "
+        f"{gaps!r} steps per axis, and an array holds at most {most} points",
+    )
     _require(land["samples_per_cell"] >= 1, "landscape.samples_per_cell must be >= 1")
     for key in ("theta_source", "theta_target"):
         theta = land[key]

@@ -64,6 +64,11 @@ AUTO_PROBE_N = 64
 RELAX_CHUNK_STEPS = 8192
 # stages of an automatic ease_barrier schedule
 AUTO_STAGES = 3
+# find_sb1's budgets: halvings of the barrier, then inflations of the chosen
+# half by INFLATE_RADIUS, clipped to the barrier
+MAX_HALVINGS = 12
+MAX_INFLATIONS = 20
+INFLATE_RADIUS = 0.25
 # episodes of the evaluation that scores a run's final policy
 FINAL_EVAL_EPISODES = 32
 # weight of the l2sp baseline's pull towards the source parameters
@@ -146,13 +151,6 @@ def _check_schedule(schedule: tuple[RewardSpec, ...], barrier: RegionSet) -> Non
 
 
 @dataclass(frozen=True)
-class FindSb1Config:
-    max_halvings: int = 12
-    max_inflations: int = 20
-    inflate_radius: float = 0.25
-
-
-@dataclass(frozen=True)
 class FindSb1Result:
     region: RegionSet
     halvings: int
@@ -163,17 +161,17 @@ def find_sb1(
     xi_s: Trajectory,
     xi_relax: Trajectory,
     barrier: RegionSet,
-    cfg: FindSb1Config,
     anchor_start: Point2,
     anchor_goal: Point2,
 ) -> FindSb1Result:
     """Find a starting barrier subset that separates the two trajectories.
 
-    Halve the barrier, at each cut preferring a half whose crossing parities
-    already divide xi_s from xi_relax (whether or not xi_relax touches it),
-    otherwise descending into a half xi_relax passes through.  Afterwards
-    inflate the chosen subset inside the barrier until it touches xi_relax.
-    Postconditions (divides and touches) are asserted on every return.
+    Halve the barrier up to MAX_HALVINGS times, at each cut preferring a half
+    whose crossing parities already divide xi_s from xi_relax (whether or not
+    xi_relax touches it), otherwise descending into a half xi_relax passes
+    through.  Afterwards inflate the chosen subset inside the barrier, up to
+    MAX_INFLATIONS times, until it touches xi_relax.  Postconditions (divides
+    and touches) are asserted on every return.
     """
     if len(barrier.parts) != 1:
         raise PreconditionViolated("subset search needs a single connected barrier part")
@@ -195,7 +193,7 @@ def find_sb1(
     cur = part
     halvings = 0
     found = False
-    while halvings < cfg.max_halvings:
+    while halvings < MAX_HALVINGS:
         h1, h2 = bisect(cur)
         halvings += 1
         # try the divide test on both halves before descending: a dividing
@@ -219,16 +217,16 @@ def find_sb1(
             "neither half touches the relaxed trajectory nor divides the pair"
         )
     if not found:
-        raise BudgetExhausted(f"no dividing subset within {cfg.max_halvings} halvings")
+        raise BudgetExhausted(f"no dividing subset within {MAX_HALVINGS} halvings")
 
     inflations = 0
     while not f1(as_region(cur)):
-        if inflations >= cfg.max_inflations:
+        if inflations >= MAX_INFLATIONS:
             raise BudgetExhausted(
                 f"subset still does not touch the relaxed trajectory after "
-                f"{cfg.max_inflations} inflations"
+                f"{MAX_INFLATIONS} inflations"
             )
-        grown = intersect_clip(dilate(as_region(cur), cfg.inflate_radius), part)
+        grown = intersect_clip(dilate(as_region(cur), INFLATE_RADIUS), part)
         cur = grown.parts[0]
         inflations += 1
 
@@ -238,12 +236,8 @@ def find_sb1(
     return FindSb1Result(result, halvings, inflations)
 
 
-def auto_barrier_schedule(
-    sb1: RegionSet, barrier: RegionSet, stages: int = AUTO_STAGES
-) -> tuple[RewardSpec, ...]:
-    """Nested subsets from sb1 to the full barrier by dilate-and-clip."""
-    if stages < 1:
-        raise ValueError("need at least one stage")
+def auto_barrier_schedule(sb1: RegionSet, barrier: RegionSet) -> tuple[RewardSpec, ...]:
+    """AUTO_STAGES nested subsets from sb1 to the full barrier by dilate-and-clip."""
     part = barrier.parts[0]
     pts = _region_probe_points(barrier, AUTO_PROBE_N)
     inner = sb1.parts[0]
@@ -251,8 +245,8 @@ def auto_barrier_schedule(
     for x, y in pts[part.contains_point(pts[:, 0], pts[:, 1])].tolist():
         reach = max(reach, inner.distance_to_point(x, y))
     subsets: list[RegionSet] = []
-    for k in range(1, stages):
-        r = reach * k / stages
+    for k in range(1, AUTO_STAGES):
+        r = reach * k / AUTO_STAGES
         subsets.append(intersect_clip(dilate(sb1, r), part) if r > 0 else sb1)
     subsets.append(barrier)
     return tuple(RewardSpec(s, 1.0) for s in subsets)
@@ -493,7 +487,7 @@ def ease_in_ease_out(job: TransferJob, method: str):
             xi_s = yield from mean_trajectory(job.env, job.source, relaxed_reward(job.env))
             xi_relax = yield from mean_trajectory(job.env, policy, relaxed_reward(job.env))
             a_start, a_goal = job.env.anchors()
-            sb1 = find_sb1(xi_s, xi_relax, job.env.barrier, FindSb1Config(), a_start, a_goal)
+            sb1 = find_sb1(xi_s, xi_relax, job.env.barrier, a_start, a_goal)
             schedule = auto_barrier_schedule(sb1.region, job.env.barrier)
         stage_reports, policy = yield from run_curriculum(
             job, schedule, policy, budgets.stages,

@@ -111,14 +111,6 @@ class ConvexPolygon:
     def __hash__(self) -> int:
         return self._hash
 
-    def area(self) -> float:
-        v = self.vertices
-        s = 0.0
-        for i in range(len(v)):
-            a, b = v[i], v[(i + 1) % len(v)]
-            s += a.x * b.y - b.x * a.y
-        return 0.5 * s
-
     def centroid(self) -> Point2:
         v = self.vertices
         a2 = 0.0
@@ -184,8 +176,8 @@ class RegionSet:
     penalty: float
 
     def __post_init__(self):
-        if self.penalty <= 0.0:
-            raise ValueError("penalty must be positive")
+        if not self.penalty > 0.0:  # NaN is not positive either
+            raise ValueError(f"penalty must be positive, got {self.penalty!r}")
 
     _hash = functools.cached_property(lambda self: hash((self.parts, self.penalty)))
 

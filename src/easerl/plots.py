@@ -137,26 +137,14 @@ class SvgCanvas:
             f.write(self.render())
 
 
-def _draw_region(canvas: SvgCanvas, region: RegionSet | None) -> None:
-    if region is None:
-        return
-    for part in region.parts:
-        canvas.polygon_data(part.vertices, fill="#c44", opacity=0.45)
-
-
-def plot_trajectories(
-    trajectories,
-    labels,
-    region: RegionSet | None,
-    path,
-    title: str = "",
-    goal_xy=None,
-) -> None:
-    """Overlay x-y trajectories on the field with the barrier region shaded."""
+def plot_trajectories(trajectories, labels, region: RegionSet, path, title: str, goal_xy) -> None:
+    """Overlay x-y trajectories on the field with the barrier region shaded
+    and the goal marked."""
     canvas = SvgCanvas(560, 560)
     canvas.set_view(-FIELD_HALF, FIELD_HALF, -FIELD_HALF, FIELD_HALF)
     canvas.rect_data(-FIELD_HALF, -FIELD_HALF, FIELD_HALF, FIELD_HALF, "#f7f7f7")
-    _draw_region(canvas, region)
+    for part in region.parts:
+        canvas.polygon_data(part.vertices, fill="#c44", opacity=0.45)
     entries = []
     for i, (traj, label) in enumerate(zip(trajectories, labels)):
         color = _COLORS[i % len(_COLORS)]
@@ -165,16 +153,14 @@ def plot_trajectories(
         canvas.polyline_data(xs, ys, color, width=2.0)
         canvas.circle_data(xs[0], ys[0], 4, color)
         entries.append((label, color))
-    if goal_xy is not None:
-        canvas.circle_data(goal_xy[0], goal_xy[1], 5, "#2c2")
+    canvas.circle_data(goal_xy[0], goal_xy[1], 5, "#2c2")
     canvas.axes(xlabel="x", ylabel="y")
     canvas.legend(entries)
-    if title:
-        canvas.title(title)
+    canvas.title(title)
     canvas.save(path)
 
 
-def plot_curves(curves, labels, path, title: str = "") -> None:
+def plot_curves(curves, labels, path, title: str) -> None:
     """Learning curves: each curve is a sequence of (step, value) pairs."""
     canvas = SvgCanvas(640, 420)
     xs_all = [s for curve in curves for s, _ in curve]
@@ -193,8 +179,7 @@ def plot_curves(curves, labels, path, title: str = "") -> None:
         entries.append((label, color))
     canvas.axes(xlabel="steps", ylabel="return")
     canvas.legend(entries, x_px=canvas.width - 170)
-    if title:
-        canvas.title(title)
+    canvas.title(title)
     canvas.save(path)
 
 
@@ -214,14 +199,14 @@ def plot_landscape(
     thetas: np.ndarray,
     loss: np.ndarray,
     path,
-    title: str = "",
-    theta_source=None,
-    theta_target=None,
-    vmin: float | None = None,
-    vmax: float | None = None,
+    title: str,
+    theta_source,
+    theta_target,
+    vmin: float,
+    vmax: float,
 ) -> None:
-    """Heatmap of loss over the 2-D parameter grid, with an optional
-    source-to-target segment overlaid."""
+    """Heatmap of loss over the 2-D parameter grid, its colour scale running
+    from vmin to vmax, with the source-to-target segment overlaid."""
     thetas = np.asarray(thetas, dtype=float)
     loss = np.asarray(loss, dtype=float)
     n = thetas.shape[0]
@@ -230,14 +215,11 @@ def plot_landscape(
     hi = float(thetas[-1]) + step / 2
     canvas = SvgCanvas(560, 560)
     canvas.set_view(lo, hi, lo, hi, margin=50)
-    finite = loss[np.isfinite(loss)]
-    v0 = vmin if vmin is not None else (float(finite.min()) if finite.size else 0.0)
-    v1 = vmax if vmax is not None else (float(finite.max()) if finite.size else 1.0)
-    span = v1 - v0 if v1 > v0 else 1.0
+    span = vmax - vmin if vmax > vmin else 1.0
     for i in range(n):
         for j in range(n):
             v = loss[i, j]
-            t = (float(v) - v0) / span if np.isfinite(v) else 1.0
+            t = (float(v) - vmin) / span if np.isfinite(v) else 1.0
             canvas.rect_data(
                 thetas[i] - step / 2,
                 thetas[j] - step / 2,
@@ -245,19 +227,17 @@ def plot_landscape(
                 thetas[j] + step / 2,
                 _heat_color(t),
             )
-    if theta_source is not None and theta_target is not None:
-        canvas.polyline_data(
-            [theta_source[0], theta_target[0]],
-            [theta_source[1], theta_target[1]],
-            "#000",
-            width=2.0,
-            dash="5,3",
-        )
-        canvas.circle_data(theta_source[0], theta_source[1], 5, "#000")
-        canvas.circle_data(theta_target[0], theta_target[1], 5, "#060")
+    canvas.polyline_data(
+        [theta_source[0], theta_target[0]],
+        [theta_source[1], theta_target[1]],
+        "#000",
+        width=2.0,
+        dash="5,3",
+    )
+    canvas.circle_data(theta_source[0], theta_source[1], 5, "#000")
+    canvas.circle_data(theta_target[0], theta_target[1], 5, "#060")
     canvas.axes(xlabel="theta 1", ylabel="theta 2")
-    canvas.text_px(canvas.width - 10, 20, f"min {v0:.1f}", size=10, anchor="end")
-    canvas.text_px(canvas.width - 10, 34, f"max {v1:.1f}", size=10, anchor="end")
-    if title:
-        canvas.title(title)
+    canvas.text_px(canvas.width - 10, 20, f"min {vmin:.1f}", size=10, anchor="end")
+    canvas.text_px(canvas.width - 10, 34, f"max {vmax:.1f}", size=10, anchor="end")
+    canvas.title(title)
     canvas.save(path)

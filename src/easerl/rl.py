@@ -265,7 +265,7 @@ class ConvergenceBand:
 
     center: float
     half_width: float
-    patience: int = 3
+    patience: int
 
 
 @dataclass(frozen=True)
@@ -446,8 +446,9 @@ def training(
 
 
 def evaluate_detail(env, reward_spec, policy: PolicyParams, episodes: int, seed: int) -> dict:
-    """Deterministic evaluation: mean and std of the returns, class histogram,
-    and the per-episode returns, labels, flags and trajectories.
+    """Deterministic evaluation: mean and std of the returns, the class
+    histogram, and which episodes collide with the full barrier
+    (`collided_full`).
 
     The histogram maps class labels to counts over evaluation rollouts that do
     not collide with the environment's full barrier; colliding rollouts carry
@@ -480,37 +481,30 @@ def score_evaluation(env, batch) -> dict:
     """The `evaluate_detail` dict of an evaluation's RolloutBatch."""
     from . import homotopy as _homotopy
 
-    trajs = [batch.trajectory(env, e) for e in range(len(batch.lengths))]
     region = env.barrier
     a_start, a_goal = env.anchors()
-    collided_full = [_homotopy.collides(traj, region) for traj in trajs]
-    labels = [
-        None if coll
-        else _homotopy.ClassSignature(_homotopy.parity_bits(traj, region, a_start, a_goal)).label()
-        for traj, coll in zip(trajs, collided_full)
-    ]
     hist: dict[str, int] = {}
-    for lab in labels:
-        if lab is not None:
-            hist[lab] = hist.get(lab, 0) + 1
-    returns_arr = batch.returns
+    collided_full = []
+    for e in range(len(batch.lengths)):
+        traj = batch.trajectory(env, e)
+        collided_full.append(_homotopy.collides(traj, region))
+        if not collided_full[-1]:
+            bits = _homotopy.parity_bits(traj, region, a_start, a_goal)
+            label = _homotopy.ClassSignature(bits).label()
+            hist[label] = hist.get(label, 0) + 1
     return {
-        "mean": float(np.mean(returns_arr)),
-        "std": float(np.std(returns_arr)),
+        "mean": float(np.mean(batch.returns)),
+        "std": float(np.std(batch.returns)),
         "histogram": dict(sorted(hist.items())),
-        "returns": returns_arr,
-        "labels": labels,
         "collided_full": collided_full,
-        "collided_active": [bool(c) for c in batch.collided],
-        "trajectories": trajs,
     }
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    lo: float = -1.0
-    hi: float = 1.3
-    bucket: float = 0.1
+    lo: float
+    hi: float
+    bucket: float
 
     def values(self) -> np.ndarray:
         n = int(round((self.hi - self.lo) / self.bucket)) + 1

@@ -448,20 +448,6 @@ def _write_landscape_csv(path, thetas, loss) -> None:
                 w.writerow([repr(float(t1)), repr(float(t2)), repr(float(loss[i, j]))])
 
 
-def read_landscape_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    if not os.path.exists(path):
-        raise MissingData(f"missing landscape file: {path}")
-    with open(path, newline="") as f:
-        rows = list(csv.DictReader(f))
-    t1 = sorted({float(r["theta1"]) for r in rows})
-    index = {v: i for i, v in enumerate(t1)}
-    n = len(t1)
-    loss = np.full((n, n), np.nan)
-    for r in rows:
-        loss[index[float(r["theta1"])], index[float(r["theta2"])]] = float(r["mean_loss"])
-    return np.array(t1), loss
-
-
 def run_landscape(cfg: dict, out_dir) -> dict:
     land = cfg["landscape"]
     try:

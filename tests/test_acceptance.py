@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from easerl.config import default_config, nav1_defaults, nav2_defaults, serialize_config, validate_config
-from easerl.curriculum import FindSb1Config, StageBudgets, find_sb1, relax_until_crossing
+from easerl.curriculum import StageBudgets, find_sb1, relax_until_crossing
 from easerl.envs import (
     RewardSpec,
     drive,
@@ -246,7 +246,7 @@ def test_criterion_06_find_sb1_contract():
                 details.append(f"{size}/{seed}:no-crossing")
                 continue
             xi_r = mean_rollout(env, relax.params, relaxed_reward(env))
-            res = find_sb1(xi_s, xi_r, env.barrier, FindSb1Config(), a0, a1)
+            res = find_sb1(xi_s, xi_r, env.barrier, a0, a1)
             f2 = divides(xi_s, xi_r, res.region, a0, a1)
             f1 = collides(xi_r, res.region)
             if f1 and f2 and res.halvings <= 12 and res.inflations <= 20:

@@ -245,8 +245,8 @@ def test_schedule_mode_key_exits_usage(mode, tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "alphas, named",
     [([0.5, 0.3, 1.0], "alphas must satisfy"), ([0.5, 2.0], "weight must be in [0, 1], got 2.0"),
-     ([0.1, 0.5], "final alpha must equal 1")],
-    ids=["falling", "out-of-range", "not-ending-at-one"],
+     ([0.1, 0.5], "final alpha must equal 1"), ([10**400], "must be finite numbers")],
+    ids=["falling", "out-of-range", "not-ending-at-one", "int-beyond-float"],
 )
 def test_bad_alphas_exit_usage_without_ease_reward(alphas, named, tmp_path, capsys, monkeypatch):
     # a list that is given is checked whichever methods run
@@ -303,6 +303,23 @@ def test_landscape_on_a_nav2_config_exits_usage(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == EXIT_USAGE
     assert err.startswith("error: environment.target_side") and "'RR'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("grid, named", [
+    ({"lo": -1.0e+308, "hi": 1.0e+308}, "landscape.bucket"),  # hi - lo overflows
+    ({"hi": math.inf}, "landscape.hi"),
+    ({"bucket": 1.0e-300}, "landscape.bucket"),  # more points than an index holds
+    ({"lo": -10**400}, "landscape.lo"),  # an int beyond the float range
+], ids=["span-overflows", "infinite-hi", "tiny-bucket", "int-beyond-float"])
+def test_landscape_grid_that_overflows_exits_usage(grid, named, tmp_path, capsys):
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump({"landscape": grid}))
+    rc = main(["landscape", "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert err.startswith(f"error: {named}")
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
@@ -433,6 +450,15 @@ def test_region_yaml_unknown_key_rejected(tmp_path):
     doc = dict(REGION_DOC, extra=1)
     with pytest.raises(ConfigError):
         load_region_yaml(write_region(tmp_path, doc))
+
+
+def test_region_yaml_nan_penalty_exits_usage_naming_it(tmp_path, capsys):
+    region = write_region(tmp_path, dict(REGION_DOC, penalty=math.nan))
+    a = write_traj(tmp_path, "a.csv", side_traj(-5.0))
+    b = write_traj(tmp_path, "b.csv", side_traj(5.0))
+    assert main(["homotopy", "--traj-a", a, "--traj-b", b, "--region", region]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert region in err and "penalty must be positive, got nan" in err
 
 
 def test_region_yaml_missing_anchors_rejected(tmp_path):

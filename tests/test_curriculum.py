@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from easerl import curriculum
 from easerl.curriculum import (
-    FindSb1Config,
     StageBudgets,
     TransferJob,
     auto_barrier_schedule,
@@ -194,7 +194,7 @@ class TestStageBudgets:
 class TestFindSb1:
     def test_through_left_of_center(self):
         relax = vertical(-1.0)
-        res = find_sb1(RIGHT_AROUND, relax, BARRIER, FindSb1Config(), START, GOAL)
+        res = find_sb1(RIGHT_AROUND, relax, BARRIER, START, GOAL)
         assert divides(RIGHT_AROUND, relax, res.region, START, GOAL)
         assert collides(relax, res.region)
         assert res.halvings <= 12 and res.inflations <= 20
@@ -207,7 +207,7 @@ class TestFindSb1:
     def test_first_halving_discards_far_half(self):
         """A crossing far to one side separates after a single halving."""
         relax = vertical(-2.0)
-        res = find_sb1(RIGHT_AROUND, relax, BARRIER, FindSb1Config(), START, GOAL)
+        res = find_sb1(RIGHT_AROUND, relax, BARRIER, START, GOAL)
         assert res.halvings == 1
         assert res.inflations == 0
         assert res.region.bbox()[2] <= 0.0 + 1e-9  # kept the left half only
@@ -216,19 +216,19 @@ class TestFindSb1:
         # the dividing half sits between the paths here, so the search must
         # inflate it into contact with the relaxed trajectory
         relax = vertical(-1.0)
-        res = find_sb1(RIGHT_AROUND, relax, BARRIER, FindSb1Config(), START, GOAL)
+        res = find_sb1(RIGHT_AROUND, relax, BARRIER, START, GOAL)
         assert res.inflations >= 1
         assert collides(relax, res.region)
 
     def test_source_collision_rejected(self):
         through = vertical(0.0)
         with pytest.raises(PreconditionViolated):
-            find_sb1(through, vertical(-1.0), BARRIER, FindSb1Config(), START, GOAL)
+            find_sb1(through, vertical(-1.0), BARRIER, START, GOAL)
 
     def test_relax_must_collide(self):
         left_around = path((0, -8), (-5, -4), (-5, 4), (0, 9))
         with pytest.raises(PreconditionViolated):
-            find_sb1(RIGHT_AROUND, left_around, BARRIER, FindSb1Config(), START, GOAL)
+            find_sb1(RIGHT_AROUND, left_around, BARRIER, START, GOAL)
 
     def test_multipart_barrier_rejected(self):
         two = RegionSet(
@@ -239,21 +239,20 @@ class TestFindSb1:
             1000.0,
         )
         with pytest.raises(PreconditionViolated):
-            find_sb1(RIGHT_AROUND, vertical(-2.0), two, FindSb1Config(), START, GOAL)
+            find_sb1(RIGHT_AROUND, vertical(-2.0), two, START, GOAL)
 
-    def test_halving_budget_exhaustion(self):
+    def test_halving_budget_exhaustion(self, monkeypatch):
         # a same-side crossing leaves both first-cut halves with matching
         # parities, so one halving is not enough and the search must give up
         relax = vertical(1.5)
+        monkeypatch.setattr(curriculum, "MAX_HALVINGS", 1)
         with pytest.raises(BudgetExhausted):
-            find_sb1(
-                RIGHT_AROUND, relax, BARRIER, FindSb1Config(max_halvings=1), START, GOAL
-            )
+            find_sb1(RIGHT_AROUND, relax, BARRIER, START, GOAL)
 
     def test_works_for_right_side_crossing(self):
         left_around = path((0, -8), (-5, -4), (-5, 4), (0, 9))
         relax = vertical(1.5)
-        res = find_sb1(left_around, relax, BARRIER, FindSb1Config(), START, GOAL)
+        res = find_sb1(left_around, relax, BARRIER, START, GOAL)
         assert divides(left_around, relax, res.region, START, GOAL)
         assert collides(relax, res.region)
 
@@ -261,22 +260,11 @@ class TestFindSb1:
 class TestAutoSchedule:
     def test_nested_and_ends_at_barrier(self):
         relax = vertical(-1.0)
-        sb1 = find_sb1(RIGHT_AROUND, relax, BARRIER, FindSb1Config(), START, GOAL)
-        sched = auto_barrier_schedule(sb1.region, BARRIER, stages=3)
-        assert len(sched) == 3
+        sb1 = find_sb1(RIGHT_AROUND, relax, BARRIER, START, GOAL)
+        sched = auto_barrier_schedule(sb1.region, BARRIER)
+        assert len(sched) == curriculum.AUTO_STAGES == 3
         validate_schedule(sched, BARRIER)
         assert sched[-1].region is BARRIER and sched[-1].weight == 1.0
-
-    def test_single_stage_is_full_barrier(self):
-        sb1 = RegionSet((ConvexPolygon.rectangle(-1, 0, 1, 2),), 1000.0)
-        sched = auto_barrier_schedule(sb1, BARRIER, stages=1)
-        assert len(sched) == 1
-        assert sched[0].region is BARRIER
-
-    def test_rejects_zero_stages(self):
-        sb1 = RegionSet((ConvexPolygon.rectangle(-1, 0, 1, 2),), 1000.0)
-        with pytest.raises(ValueError):
-            auto_barrier_schedule(sb1, BARRIER, stages=0)
 
 
 def tiny_job(env, source, budget=4000, schedule=None, center=0.0, half=1e9):

@@ -23,7 +23,6 @@ from easerl.runner import (
     build_table,
     env_from_config,
     job_from_config,
-    read_landscape_csv,
     read_runs_csv,
     rebuild_tables,
     render_plots,
@@ -216,6 +215,18 @@ def test_manifest_fields_and_no_timestamps(tmp_path):
 # ------------------------------------------------------------ landscape CSV
 
 
+def read_landscape_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """A landscape CSV's grid values and (n, n) loss, parsed cell by cell."""
+    with open(path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    t1 = sorted({float(r["theta1"]) for r in rows})
+    index = {v: i for i, v in enumerate(t1)}
+    loss = np.full((len(t1), len(t1)), np.nan)
+    for r in rows:
+        loss[index[float(r["theta1"])], index[float(r["theta2"])]] = float(r["mean_loss"])
+    return np.array(t1), loss
+
+
 def test_landscape_csv_round_trip_exact(tmp_path):
     thetas = np.array([-1.0, -0.9, 1.3])
     rng = np.random.default_rng(3)
@@ -225,11 +236,6 @@ def test_landscape_csv_round_trip_exact(tmp_path):
     t2, l2 = read_landscape_csv(path)
     assert np.array_equal(t2, thetas)
     assert np.array_equal(l2, loss)  # repr round-trip is exact
-
-
-def test_read_landscape_csv_missing_raises(tmp_path):
-    with pytest.raises(MissingData):
-        read_landscape_csv(tmp_path / "absent.csv")
 
 
 # ------------------------------------------------------------ schedules
