@@ -201,6 +201,9 @@ def validate_config(cfg: dict) -> dict:
     sched = xfer["schedule"]
     for key in ("alphas", "barrier_sizes"):
         _require(_finite_numbers(sched[key]), f"transfer.schedule.{key} must be finite numbers")
+    sizes = sched["barrier_sizes"]
+    _require(all(v > 0 for v in sizes),
+             f"transfer.schedule.barrier_sizes must be positive widths, got {sizes}")
     land = merged["landscape"]
     _require(land["barrier_size"] in NAV_SIZES, f"landscape.barrier_size must be one of {NAV_SIZES}")
     for key in ("lo", "hi", "bucket"):

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 from typing import ClassVar
@@ -49,7 +50,7 @@ from .errors import NonFiniteAction, UnsupportedSize
 from .geometry import EPS, ConvexPolygon, Point2, RegionSet
 from .geometry import contains  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .homotopy import Trajectory
-from .seeding import rng_for
+from .seeding import derive_seed, pcg64_states
 
 FIELD_HALF = 10.0
 NAV_SIZES = (1, 3, 5, 7)
@@ -431,16 +432,36 @@ def step(env, state: np.ndarray, action, reward_spec: RewardSpec) -> StepResult:
     return StepResult(out, reward, terminal, member, base)
 
 
+@functools.cache
+def _tape_generator() -> np.random.Generator:
+    """The one generator that draws every tape, re-seeded before each:
+    making a generator costs as much as seeding several tapes.  Made on
+    first use, so importing the package does not import `numpy.random`."""
+    return np.random.Generator(np.random.PCG64(0))
+
+
+# keeps each call's seeding and drawing together when threads share the generator
+_TAPE_LOCK = threading.Lock()
+
+
 def noise_tapes(env, seeds) -> np.ndarray:
     """(B, horizon, action_dim) Gaussian tapes, one per episode seed.
 
     A tape is keyed by its seed alone, so identical seeds give identical
     noise regardless of policy parameters or of the batch around them.
+    Tape b is `rng_for(seeds[b], "noise").standard_normal(...)` bit for bit,
+    but the call seeds every tape's stream in one pass (`pcg64_states`).
     """
     shape = (env.spec.horizon, env.spec.action_dim)
     tapes = np.empty((len(seeds),) + shape)
-    for b, seed in enumerate(seeds):
-        tapes[b] = rng_for(seed, "noise").standard_normal(shape)
+    states = pcg64_states([derive_seed(s, "noise") for s in seeds])
+    gen = _tape_generator()
+    with _TAPE_LOCK:
+        for tape, (state, inc) in zip(tapes, states):
+            gen.bit_generator.state = {"bit_generator": "PCG64",
+                                       "state": {"state": state, "inc": inc},
+                                       "has_uint32": 0, "uinteger": 0}
+            gen.standard_normal(out=tape)
     return tapes
 
 

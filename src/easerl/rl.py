@@ -518,9 +518,10 @@ class LandscapeResult:
     loss_free: np.ndarray
 
 
-# episodes per engine call in `landscape_scan`: the per-call arrays grow with
-# the batch, so peak memory, not speed, sets the bound
-LANDSCAPE_BATCH = 128
+# episodes per engine call in `landscape_scan`: the scan holds one call's
+# arrays at a time, and they grow with the batch, so peak memory, not speed,
+# sets the bound
+LANDSCAPE_BATCH = 256
 
 
 def landscape_scan(
@@ -540,38 +541,24 @@ def landscape_scan(
     exactly the relaxed reward.  The grid's episodes run in (i, j, sample)
     order, LANDSCAPE_BATCH at a time, as one stacked policy whose row b
     carries its own cell's weights; an episode's bits depend only on its
-    row, so the split into engine calls does not change the surface.
+    row, so the split into engine calls does not change the surface.  Each
+    call's arrays are freed before the next call runs, so the scan holds
+    one call's arrays at a time.
     """
-    from . import envs as _envs
-
     values = grid.values()
     n = len(values)
     s = samples_per_cell
-    arch = Arch("linear", 2, 1)
     cells = np.stack(np.meshgrid(values, values, indexing="ij"), axis=-1).reshape(n * n, 2)
     thetas = np.repeat(cells, s, axis=0)
     seeds = [
         derive_seed(seed, "cell", i, j, "ep", e)
         for i in range(n) for j in range(n) for e in range(s)
     ]
-    spec = _envs.full_reward(env)
     totals = {"barrier": np.zeros(len(seeds)), "free": np.zeros(len(seeds))}
     for lo in range(0, len(seeds), LANDSCAPE_BATCH):
         hi = min(lo + LANDSCAPE_BATCH, len(seeds))
-        policy = PolicyParams(arch, thetas[lo:hi], np.array([log_std]))
-        batch = _envs.rollout_batch(env, policy, spec, _envs.noise_tapes(env, seeds[lo:hi]))
-        lp = log_prob_batch(policy, batch.obs, batch.actions)
-        # adjacent episodes of one length (often a cell's samples) are scored
-        # by one row sum over a view, which gives each the bits of summing
-        # it alone; grouping them by length instead would copy rows
-        lengths = batch.lengths
-        firsts = np.flatnonzero(np.r_[True, lengths[1:] != lengths[:-1]])
-        runs = list(zip(lengths[firsts], firsts, np.r_[firsts[1:], len(lengths)]))
-        for key, rewards in (("barrier", batch.rewards), ("free", batch.base)):
-            terms = reward_to_go(rewards, env.spec.discount)
-            terms *= lp
-            for t_len, a, b in runs:
-                totals[key][lo + a : lo + b] = terms[a:b, :t_len].sum(axis=1)
+        policy = PolicyParams(Arch("linear", 2, 1), thetas[lo:hi], np.array([log_std]))
+        totals["barrier"][lo:hi], totals["free"][lo:hi] = _scan_call(env, policy, seeds[lo:hi])
     out = {}
     for key, per_episode in totals.items():
         # a running sum in sample order gives each cell the bits of adding
@@ -581,6 +568,31 @@ def landscape_scan(
             acc = acc + column
         out[key] = (acc / s).reshape(n, n)
     return LandscapeResult(values, out["barrier"], out["free"])
+
+
+def _scan_call(env, policy: PolicyParams, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """One engine call of `landscape_scan`: each episode's
+    sum_t G_t * log pi_theta(a_t|s_t) under the full reward and under its
+    base reward.  The call's arrays are local, so they die on return."""
+    from . import envs as _envs
+
+    batch = _envs.rollout_batch(env, policy, _envs.full_reward(env), _envs.noise_tapes(env, seeds))
+    lp = log_prob_batch(policy, batch.obs, batch.actions)
+    # adjacent episodes of one length (often a cell's samples) are scored
+    # by one row sum over a view, which gives each the bits of summing
+    # it alone; grouping them by length instead would copy rows
+    lengths = batch.lengths
+    firsts = np.flatnonzero(np.r_[True, lengths[1:] != lengths[:-1]])
+    runs = list(zip(lengths[firsts], firsts, np.r_[firsts[1:], len(lengths)]))
+    scores = []
+    for rewards in (batch.rewards, batch.base):
+        terms = reward_to_go(rewards, env.spec.discount)
+        terms *= lp
+        per_episode = np.empty(len(lengths))
+        for t_len, a, b in runs:
+            per_episode[a:b] = terms[a:b, :t_len].sum(axis=1)
+        scores.append(per_episode)
+    return scores[0], scores[1]
 
 
 def segment_profile(

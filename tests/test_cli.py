@@ -130,12 +130,13 @@ def _no_training(*args, **kwargs):
     "section, override, key",
     [
         ("schedule", {"barrier_sizes": [-1, 7]}, "transfer.schedule.barrier_sizes"),
+        ("schedule", {"barrier_sizes": [0, 7]}, "transfer.schedule.barrier_sizes"),
         ("schedule", {"barrier_sizes": [7, 4]}, "not contained in subset 1"),
         ("environment", {"name": "angle", "target_side": "up"}, "unknown environment.name"),
         ("schedule", {"intervals": [[0.6, 0.9]]},
          "unknown config key: transfer.schedule.intervals"),
     ],
-    ids=["negative-size", "not-nested", "angle-environment", "interval-schedule"],
+    ids=["negative-size", "zero-size", "not-nested", "angle-environment", "interval-schedule"],
 )
 def test_bad_transfer_schedule_exits_usage_before_training(
     section, override, key, tmp_path, capsys, monkeypatch

@@ -162,6 +162,8 @@ class TestValidation:
              "landscape.samples_per_cell"),
             ("landscape", {"landscape": {"lo": "x"}}, "landscape.lo"),
             ("landscape", {"landscape": {"barrier_size": 2}}, "landscape.barrier_size"),
+            ("transfer", {"transfer": {"schedule": {"barrier_sizes": [0, 7]}}},
+             "transfer.schedule.barrier_sizes must be positive"),
         ],
     )
     def test_range_rule_rejected_and_cli_exits_usage(

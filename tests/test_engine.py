@@ -4,6 +4,9 @@ simulate-once contract and bits."""
 
 import math
 import os
+import sys
+import threading
+import weakref
 from dataclasses import fields
 from unittest import mock
 
@@ -39,7 +42,7 @@ from easerl.rl import (
     log_prob_batch,
     reward_to_go,
 )
-from easerl.seeding import derive_seed, rng_for
+from easerl.seeding import derive_seed, pcg64_states, rng_for
 
 ASSETS = os.path.join(os.path.dirname(__file__), os.pardir, "assets")
 
@@ -573,7 +576,7 @@ def test_landscape_scan_simulates_each_trajectory_once(monkeypatch):
 @pytest.mark.parametrize("cap", [None, 5], ids=["default-cap", "cap-5"])
 def test_landscape_scan_equals_per_cell_reference(monkeypatch, cap):
     env = landscape_make(5, "left")
-    grid = GridSpec(lo=-1.0, hi=1.1, bucket=0.35)  # 7 x 7 cells
+    grid = GridSpec(lo=-1.0, hi=1.1, bucket=0.21)  # 11 x 11 cells
     samples = 3
     if cap is not None:
         monkeypatch.setattr(rl, "LANDSCAPE_BATCH", cap)
@@ -593,3 +596,90 @@ def test_landscape_scan_equals_per_cell_reference(monkeypatch, cap):
     ref = _scan_reference(env, grid, samples, seed=3, log_std=-0.4)
     assert np.array_equal(res.loss_barrier, ref["barrier"])
     assert np.array_equal(res.loss_free, ref["free"])
+
+
+@pytest.mark.parametrize("cap", [None, 5], ids=["default-cap", "cap-5"])
+def test_landscape_scan_holds_one_engine_call_at_a_time(monkeypatch, cap):
+    """Each engine call's batch is freed before the next call starts, so the
+    scan's peak memory is one call's arrays."""
+    env = landscape_make(5, "left")
+    grid = GridSpec(lo=-1.0, hi=1.1, bucket=0.21 if cap is None else 0.7)
+    samples = 3
+    if cap is not None:
+        monkeypatch.setattr(rl, "LANDSCAPE_BATCH", cap)
+    episodes = len(grid.values()) ** 2 * samples
+    batches = []
+    inner = envs.rollout_batch
+
+    def tracking(*args):
+        alive = [k for k, ref in enumerate(batches) if ref() is not None]
+        assert alive == [], f"batches of calls {alive} are alive when call {len(batches)} starts"
+        batch = inner(*args)
+        batches.append(weakref.ref(batch))
+        return batch
+
+    monkeypatch.setattr(envs, "rollout_batch", tracking)
+    landscape_scan(env, grid, samples, seed=5)
+    assert len(batches) == -(-episodes // rl.LANDSCAPE_BATCH) > 1
+
+
+# --------------------------------------------------------------------------
+# noise tapes
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**62, 2**63 - 1]
+RANDOM_SEEDS = np.random.default_rng(2024).integers(0, 2**63, 2000, dtype=np.int64).tolist()
+
+
+@pytest.mark.parametrize("env_name, horizon", [("landscape", 100), ("nav1-7", 128)])
+def test_noise_tapes_are_the_reference_streams(env_name, horizon):
+    """Tape b is rng_for(seeds[b], "noise").standard_normal(...) bit for
+    bit, however the call seeds its streams."""
+    env = ENVS[env_name]()
+    shape = (env.spec.horizon, env.spec.action_dim)
+    assert env.spec.horizon == horizon
+
+    def reference(seeds):
+        return np.stack([rng_for(s, "noise").standard_normal(shape) for s in seeds])
+
+    for seeds in (EDGE_SEEDS + RANDOM_SEEDS, range(40, 57)):
+        tapes = noise_tapes(env, seeds)
+        want = reference(seeds)
+        assert tapes.dtype == want.dtype and tapes.shape == want.shape
+        assert tapes.tobytes() == want.tobytes()
+    assert noise_tapes(env, []).shape == (0,) + shape
+
+
+def test_noise_tapes_from_threads_are_the_reference_streams():
+    """Threads share the one tape generator; each call's tapes stay its own."""
+    env = ENVS["landscape"]()
+    shape = (env.spec.horizon, env.spec.action_dim)
+    jobs = [range(100 * k, 100 * k + 16) for k in range(6)]
+    want = [np.stack([rng_for(s, "noise").standard_normal(shape) for s in seeds]).tobytes()
+            for seeds in jobs]
+    bad = []
+
+    def work(k):
+        for _ in range(200):
+            if noise_tapes(env, jobs[k]).tobytes() != want[k]:
+                bad.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(jobs))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert bad == []
+
+
+def test_pcg64_states_are_numpys_seeding():
+    seeds = EDGE_SEEDS + [2**64 - 1] + RANDOM_SEEDS
+    want = [np.random.PCG64(s).state["state"] for s in seeds]
+    assert pcg64_states(seeds) == [(w["state"], w["inc"]) for w in want]
+    assert pcg64_states(range(3)) == pcg64_states([0, 1, 2])
+    assert pcg64_states([]) == []
