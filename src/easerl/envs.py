@@ -25,9 +25,10 @@ through one batched kernel on the state's columns, in two halves:
 `CarEnv.move`, the dynamics, moves x and y as one (2, B) array, and
 `CarEnv.outcome` gives the reward, base reward, terminal flag and
 penalized-set membership, testing the goal and every penalized set in one
-broadcast over their edges.  The reward never feeds back, so the engine
-steps with `move` alone and runs `outcome` once per call over blocks of
-the steps run.  `move` writes each step's columns straight into the
+pass over their edges (`geometry.EdgeTable`, the one statement of the
+closed-set rule).  The reward never feeds back, so the engine steps with
+`move` alone and runs `outcome` once per call over blocks of the steps
+run.  `move` writes each step's columns straight into the
 engine's time-major buffers, which the batch keeps, with the policy's
 hidden layer for the update; speed and time are the same on every row and
 are computed once per task.  A batch assembles its state vectors only when
@@ -47,7 +48,7 @@ import numpy as np
 
 from . import rl as _rl
 from .errors import NonFiniteAction, UnsupportedSize
-from .geometry import EPS, ConvexPolygon, Point2, RegionSet
+from .geometry import ConvexPolygon, EdgeTable, Point2, RegionSet, edge_table
 from .geometry import contains  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .homotopy import Trajectory
 from .seeding import derive_seed, pcg64_states
@@ -350,36 +351,16 @@ def landscape_make(barrier_size: int = 5, target_side: str = "left") -> CarEnv:
     )
 
 
-# the one edge of an empty region: its inner side x <= -inf holds no point
-_NO_PART = (np.array([np.inf]), np.zeros(1), np.zeros(1), np.full(1, -1.0))
-
-
-@functools.lru_cache(maxsize=64)
-def _edge_table(goal: ConvexPolygon, regions: tuple[RegionSet, ...]):
-    """Edges (start points (2, 1, E), dx, dy) of the goal and every part of
-    every region, the first edge of each polygon, the first polygon of each
-    set (or None), and the goal's edges alone, which come first."""
-    sets = [[goal._edges]] + [[p._edges for p in r.parts] or [_NO_PART] for r in regions]
-    polys = [e for polygons in sets for e in polygons]
-    px, py, dx, dy = (np.concatenate(c) for c in zip(*polys))
-    first_edge = np.cumsum([0] + [len(e[0]) for e in polys[:-1]])
-    first_part = np.cumsum([0] + [len(p) for p in sets[:-1]]) if len(polys) > len(sets) else None
-    edges = (np.stack([px, py])[:, None], dx, dy)
-    return edges, first_edge, first_part, tuple(e[..., : len(goal._edges[0])] for e in edges)
-
-
 @dataclass(frozen=True)
 class RowRewards:
     """The reward spec of each row of a lockstep batch, with the edge table
-    that tests the goal and every distinct penalized set in one broadcast;
-    row b is charged charge[b] inside its own penalized set."""
+    that tests the goal and every distinct penalized set in one pass; row b
+    is charged charge[b] inside its own penalized set."""
 
     pick: tuple | None  # (row, set) index of each row's own set; None with one set
     charge: float | np.ndarray
-    edges: tuple[np.ndarray, ...]  # start points, dx, dy: the goal's edges, then every part's
-    first_edge: np.ndarray  # of the goal and of each part
-    first_part: np.ndarray | None  # of the goal and of each region; None if all parts are single
-    goal_edges: tuple[np.ndarray, ...]  # the goal's slice of `edges`
+    edges: EdgeTable  # sets: the goal, then each distinct penalized region
+    goal: EdgeTable  # the goal alone
 
     @staticmethod
     def of(env, specs) -> "RowRewards":
@@ -390,32 +371,22 @@ class RowRewards:
         m = env.barrier.penalty
         charge = specs.weight * m if one else np.array([s.weight * m for s in specs])
         pick = (np.arange(len(group)), 1 + np.array(group)) if len(index) > 1 else None
-        return RowRewards(pick, charge, *_edge_table(env.goal_poly, tuple(index)))
+        goal = (env.goal_poly,)
+        return RowRewards(pick, charge, edge_table((goal,) + tuple(r.parts for r in index)),
+                          edge_table((goal,)))
 
     def membership(self, xy):
         """(goal membership, each row's penalized-set membership) of the
         points xy: (2, B), one point (2,), or (2, ..., B) with leading axes,
         such as a time axis, before the row axis."""
-        hit = np.logical_and.reduceat(_inside(xy, *self.edges), self.first_edge, axis=-1)
-        if self.first_part is not None:
-            hit = np.logical_or.reduceat(hit, self.first_part, axis=-1)
+        hit = self.edges.membership(xy)  # (set, ..., B)
         if self.pick is None:
-            return hit[..., 0], hit[..., 1]
-        return hit[..., 0], hit[(Ellipsis,) + self.pick]
+            return hit[0], hit[1]
+        return hit[0], np.moveaxis(hit, 0, -1)[(Ellipsis,) + self.pick]
 
     def in_goal(self, xy):
         """The goal membership of `membership`, from the goal's edges alone."""
-        return _inside(xy, *self.goal_edges).all(axis=-1)
-
-
-def _inside(xy, p, dx, dy):
-    """Whether each point of xy (see `RowRewards.membership`) is on the
-    inner side of each edge, given by start points p (2, 1, E), dx and dy:
-    (..., E) booleans."""
-    if xy.ndim != 2:
-        p = p.reshape((2,) + (1,) * (xy.ndim - 1) + (-1,))
-    d = xy[..., None] - p
-    return dx * d[1] - dy * d[0] >= -EPS
+        return self.goal.membership(xy)[0]
 
 
 def step(env, state: np.ndarray, action, reward_spec: RewardSpec) -> StepResult:

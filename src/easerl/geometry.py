@@ -3,7 +3,9 @@
 Convex polygons with counter-clockwise vertex order model barrier parts; a
 RegionSet is a union of parts carrying a penalty magnitude.  All containment
 and crossing predicates treat regions as closed sets with an absolute
-tolerance of EPS, so boundary contact counts as contact.
+tolerance of EPS, so boundary contact counts as contact.  EdgeTable is the
+one statement of that rule; every containment and crossing test, in this
+module and in the reward and the homotopy classifier, reads an edge table.
 """
 
 from __future__ import annotations
@@ -128,24 +130,9 @@ class ConvexPolygon:
         ys = [p.y for p in self.vertices]
         return min(xs), min(ys), max(xs), max(ys)
 
-    @functools.cached_property
-    def _edges(self) -> tuple[np.ndarray, ...]:
-        """(px, py, qx - px, qy - py) over the edges p -> q."""
-        p = np.array([(a.x, a.y) for a in self.vertices])
-        d = np.roll(p, -1, axis=0) - p
-        return p[:, 0], p[:, 1], d[:, 0], d[:, 1]
-
-    def _edge_cross(self, x, y) -> np.ndarray:
-        """_cross(p, q, (x, y)) for every edge p -> q, along a new last axis;
-        >= 0 on the inner side of the edge."""
-        px, py, dx, dy = self._edges
-        x = np.asarray(x, dtype=float)[..., None]
-        y = np.asarray(y, dtype=float)[..., None]
-        return dx * (y - py) - dy * (x - px)
-
     def contains_point(self, x, y):
         """Closed-set membership within EPS; elementwise when x and y are arrays."""
-        return (self._edge_cross(x, y) >= -EPS).all(axis=-1)
+        return edge_table(((self,),)).membership(np.array((x, y), dtype=float))[0]
 
     def distance_to_point(self, x: float, y: float) -> float:
         if self.contains_point(x, y):
@@ -196,23 +183,67 @@ class RegionSet:
         )
 
     @functools.cached_property
-    def _edges(self) -> tuple[np.ndarray, ...]:
-        """Every part's ConvexPolygon._edges, concatenated in part order as
-        (E, 1) columns, and the index of each part's first edge."""
-        px, py, dx, dy = (np.concatenate(c)[:, None] for c in zip(*(p._edges for p in self.parts)))
-        first = np.cumsum([0] + [len(p.vertices) for p in self.parts[:-1]])
-        return px, py, dx, dy, first
+    def edges(self) -> "EdgeTable":
+        """The edge table of the region's parts, as one set."""
+        return edge_table((self.parts,))
 
     @functools.cached_property
-    def _centroids(self) -> tuple[tuple[float, float], ...]:
-        """(x, y) of every part's centroid, in part order."""
-        return tuple(tuple(p.centroid()) for p in self.parts)
+    def centroids(self) -> np.ndarray:
+        """(parts, 2) centroids of the parts, in part order; read-only."""
+        c = np.array([tuple(p.centroid()) for p in self.parts]).reshape(-1, 2)
+        c.flags.writeable = False
+        return c
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeTable:
+    """Every edge p -> q of a tuple of polygon sets, in set, polygon and
+    vertex order.  A point is inside an edge when its cross value is at
+    least -EPS, inside a polygon when inside all its edges, and in a set
+    when inside any of its polygons.  Results put the edge or set axis
+    first, before the axes of the points."""
+
+    start: np.ndarray  # (2, E, 1): x and y of each edge's start point p
+    dx: np.ndarray  # (E, 1): q - p
+    dy: np.ndarray
+    first_edge: np.ndarray  # each polygon's first edge
+    first_poly: np.ndarray  # each set's first polygon
+
+    def cross(self, xy) -> np.ndarray:
+        """(E, ...) cross value of every edge and every point of xy, the
+        (2, ...) coordinates of one point or of an array of them."""
+        xy = np.asarray(xy, dtype=float)
+        d = xy.reshape(2, 1, -1) - self.start
+        return (self.dx * d[1] - self.dy * d[0]).reshape((len(self.dx),) + xy.shape[1:])
+
+    def inside(self, xy) -> np.ndarray:
+        """(E, ...) whether each point is on the inner side of each edge."""
+        return self.cross(xy) >= -EPS
+
+    def membership(self, xy) -> np.ndarray:
+        """(sets, ...) closed-set membership of each point in each set."""
+        hit = np.logical_and.reduceat(self.inside(xy), self.first_edge, axis=0)
+        if len(self.first_poly) == len(self.first_edge):  # one polygon a set
+            return hit
+        return np.logical_or.reduceat(hit, self.first_poly, axis=0)
+
+
+@functools.lru_cache(maxsize=64)
+def edge_table(sets: tuple[tuple[ConvexPolygon, ...], ...]) -> EdgeTable:
+    """The EdgeTable of a tuple of polygon sets, built once per tuple.  An
+    empty set gets one edge whose inner side, x <= -inf, holds no point."""
+    rings = [[poly.vertices for poly in polygons] or [()] for polygons in sets]
+    polys = [[(p.x, p.y, q.x - p.x, q.y - p.y) for p, q in zip(v, v[1:] + v[:1])]
+             or [(math.inf, 0.0, 0.0, -1.0)] for ring in rings for v in ring]
+    px, py, dx, dy = np.array([e for poly in polys for e in poly]).T[..., None]
+    first_edge, first_poly = (np.cumsum([0] + [len(x) for x in xs[:-1]]) for xs in (polys, rings))
+    return EdgeTable(np.stack([px, py]), dx, dy, first_edge, first_poly)
 
 
 def _xy(p):
-    """Coordinates of a Point2, or the coordinate arrays of an (..., 2) array."""
+    """(2, ...) coordinates of a Point2 or of an (..., 2) array of points."""
     p = np.asarray((p.x, p.y) if isinstance(p, Point2) else p, dtype=float)
-    return p[..., 0], p[..., 1]
+    return p.T if p.ndim <= 2 else np.moveaxis(p, -1, 0)  # the transpose is far cheaper
 
 
 def contains(region: RegionSet, p):
@@ -220,43 +251,30 @@ def contains(region: RegionSet, p):
 
     `p` is a Point2 (one flag) or an (..., 2) array of points (a mask).
     """
-    x, y = _xy(p)
-    inside = np.zeros(np.shape(x), dtype=bool)
-    for part in region.parts:
-        inside = inside | part.contains_point(x, y)
-    return inside
+    return region.edges.membership(_xy(p))[0]
 
 
 def segment_intersects(region: RegionSet, a, b):
     """True when the closed segment a-b touches any part of the region.
 
     `a` and `b` are Point2s (one flag) or (..., 2) arrays of endpoints (one
-    flag per segment).  Each convex part is tested by clipping the segment's
-    parameter interval against the part's half-planes, so grazing contact
-    with an edge or a vertex counts as intersection (within EPS).
+    flag per segment).  All parts are clipped in one pass: a segment misses
+    a part when both its endpoints are outside one edge, or when clipping
+    its parameter interval against every edge leaves it empty (Liang-Barsky),
+    so grazing contact counts as intersection (within EPS).
     """
-    ax, ay = _xy(a)
-    bx, by = _xy(b)
-    hit = np.zeros(np.shape(ax), dtype=bool)
-    for part in region.parts:
-        hit = hit | _segment_hits_polygon(part, ax, ay, bx, by)
-    return hit
-
-
-def _segment_hits_polygon(poly: ConvexPolygon, ax, ay, bx, by):
-    """Liang-Barsky clip of segments a-b, elementwise: a segment misses when
-    both its endpoints are outside one edge, or when clipping against every
-    edge leaves an empty parameter interval [lo, hi]."""
+    table = region.edges
     # signed distance (scaled) of segment endpoints from edge lines, >= 0 inside
-    da = poly._edge_cross(ax, ay) + EPS
-    db = poly._edge_cross(bx, by) + EPS
+    da = table.cross(_xy(a)) + EPS
+    db = table.cross(_xy(b)) + EPS
     enter = da < 0.0
     leave = ~enter & (db < 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = da / (da - db)
-    lo = np.where(enter, t, 0.0).max(axis=-1)
-    hi = np.where(leave, t, 1.0).min(axis=-1)
-    return ~(enter & (db < 0.0)).any(axis=-1) & (lo <= hi)
+    lo = np.maximum.reduceat(np.where(enter, t, 0.0), table.first_edge, axis=0)
+    hi = np.minimum.reduceat(np.where(leave, t, 1.0), table.first_edge, axis=0)
+    missed = np.logical_or.reduceat(enter & (db < 0.0), table.first_edge, axis=0)
+    return (~missed & (lo <= hi)).any(axis=0)
 
 
 def _clip_halfplane(

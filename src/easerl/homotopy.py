@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollidingTrajectory, LengthMismatch, UnequalSupport
-from .geometry import EPS, Point2, RegionSet, segment_intersects
+from .geometry import Point2, RegionSet, segment_intersects
 
 
 @dataclass(frozen=True)
@@ -59,39 +59,21 @@ class ClassSignature:
 def collides(traj: Trajectory, region: RegionSet) -> bool:
     """True when any inter-state segment of the trajectory touches the region.
 
-    One pass over the region's edges rules out most segments first: a segment
-    misses a part when both its endpoints lie outside one edge of that part.
-    That is the first clause of the clip in segment_intersects, evaluated with
-    its exact expression, so only the segments left with a part they may
-    touch are clipped, and the flag is the one segment_intersects gives.
+    One pass over the region's edge table rules out most segments first: a
+    segment misses a part when both its endpoints lie outside one edge of
+    that part.  That is the first clause of the clip in segment_intersects,
+    from the same inside test, so only the segments left with a part they
+    may touch are clipped, and the flag is the one segment_intersects gives.
     """
-    if not region.parts:
-        return False
-    px, py, dx, dy, first = region._edges
+    table = region.edges
     st = traj.states
-    x, y = st.T
-    outside = dx * (y - py) - dy * (x - px) + EPS < 0.0  # (edge, point)
-    miss = np.logical_or.reduceat(outside[:, :-1] & outside[:, 1:], first)  # (part, segment)
-    if miss.all():
+    inside = table.inside(st.T)  # (edge, point)
+    # (part, segment): no edge of the part has both endpoints outside it
+    maybe = np.logical_and.reduceat(inside[:, :-1] | inside[:, 1:], table.first_edge)
+    near = maybe.any(axis=0)
+    if not near.any():
         return False
-    near = ~miss.all(axis=0)
     return bool(np.any(segment_intersects(region, st[:-1][near], st[1:][near])))
-
-
-def _ray_parity(
-    xs: np.ndarray, ys: np.ndarray, cx: float, cy: float
-) -> int:
-    """Crossing parity of polyline (xs, ys) with the downward ray from (cx, cy).
-
-    A segment contributes one crossing when exactly one endpoint lies strictly
-    left of the ray's vertical line and the intersection with that line falls
-    below the ray origin.
-    """
-    left = xs < cx
-    i = np.nonzero(left[:-1] != left[1:])[0]
-    t = (cx - xs[i]) / (xs[i + 1] - xs[i])
-    y_hit = ys[i] + t * (ys[i + 1] - ys[i])
-    return int(np.count_nonzero(y_hit < cy)) & 1
 
 
 def _extended_polyline(
@@ -106,9 +88,21 @@ def _extended_polyline(
 def parity_bits(
     traj: Trajectory, barriers: RegionSet, anchor_start: Point2, anchor_goal: Point2
 ) -> tuple[int, ...]:
-    """Per-part crossing parities, defined for colliding trajectories too."""
+    """Per-part crossing parities, defined for colliding trajectories too.
+
+    Each part's ray runs straight down from its centroid (cx, cy).  A segment
+    of the extended polyline crosses it when exactly one endpoint lies
+    strictly left of the ray's vertical line and the intersection with that
+    line falls below the ray origin.  Every part's ray is cast in one pass.
+    """
     xs, ys = _extended_polyline(traj, anchor_start, anchor_goal)
-    return tuple(_ray_parity(xs, ys, cx, cy) for cx, cy in barriers._centroids)
+    cx, cy = barriers.centroids.T
+    left = xs < cx[:, None]  # (part, point)
+    k, i = np.nonzero(left[:, :-1] != left[:, 1:])
+    t = (cx[k] - xs[i]) / (xs[i + 1] - xs[i])
+    y_hit = ys[i] + t * (ys[i + 1] - ys[i])
+    crossings = np.bincount(k[y_hit < cy[k]], minlength=len(cx))
+    return tuple((crossings & 1).tolist())
 
 
 def signature(

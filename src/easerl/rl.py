@@ -20,6 +20,7 @@ from .seeding import derive_seed
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 1.0
+LOG_STD_INIT = -0.7  # every policy's initial log-stddev
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
@@ -95,8 +96,9 @@ class PolicyParams:
         return np.concatenate([self.theta, self.log_std])
 
 
-def init_policy(arch: Arch, seed: int, log_std_init: float = -0.7) -> PolicyParams:
-    """He-uniform init for MLP weights; linear policies start at zero."""
+def init_policy(arch: Arch, seed: int) -> PolicyParams:
+    """He-uniform init for MLP weights; linear policies start at zero; the
+    log-stddev starts at LOG_STD_INIT."""
     if arch.kind == "linear":
         theta = np.zeros(arch.theta_size())
     else:
@@ -108,7 +110,7 @@ def init_policy(arch: Arch, seed: int, log_std_init: float = -0.7) -> PolicyPara
         w2 = rng.uniform(-lim2, lim2, size=(arch.action_dim, arch.hidden))
         b2 = np.zeros(arch.action_dim)
         theta = np.concatenate([w1.ravel(), b1, w2.ravel(), b2])
-    log_std = np.full(arch.action_dim, float(log_std_init))
+    log_std = np.full(arch.action_dim, LOG_STD_INIT)
     return PolicyParams(arch, theta, log_std)
 
 
@@ -529,7 +531,7 @@ def landscape_scan(
     grid: GridSpec,
     samples_per_cell: int,
     seed: int,
-    log_std: float = 0.0,
+    log_std: float,
 ) -> LandscapeResult:
     """Estimate the REINFORCE loss surface over a 2-parameter linear policy.
 

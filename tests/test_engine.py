@@ -554,7 +554,7 @@ def test_landscape_scan_simulates_each_trajectory_once(monkeypatch):
 
     monkeypatch.setattr(envs, "rollout_batch", counting)
     monkeypatch.setattr(rl, "LANDSCAPE_BATCH", cap)
-    res = landscape_scan(env, grid, samples, seed=5)
+    res = landscape_scan(env, grid, samples, seed=5, log_std=0.0)
     n = len(res.thetas)
     assert n == 4
     assert max(b.lengths.size for _, _, b in calls) <= cap
@@ -619,7 +619,7 @@ def test_landscape_scan_holds_one_engine_call_at_a_time(monkeypatch, cap):
         return batch
 
     monkeypatch.setattr(envs, "rollout_batch", tracking)
-    landscape_scan(env, grid, samples, seed=5)
+    landscape_scan(env, grid, samples, seed=5, log_std=0.0)
     assert len(batches) == -(-episodes // rl.LANDSCAPE_BATCH) > 1
 
 

@@ -435,7 +435,8 @@ PINNED_TASKS = {
 
 def _pinned_batch(env, reward):
     """One batch of 16 noisy MLP rollouts under reward(env)."""
-    pol = init_policy(Arch("mlp", env.spec.state_dim, env.spec.action_dim), 3, log_std_init=0.0)
+    pol = init_policy(Arch("mlp", env.spec.state_dim, env.spec.action_dim), 3)
+    pol = PolicyParams(pol.arch, pol.theta, np.zeros(env.spec.action_dim))
     return rollout_batch(env, pol, reward(env), noise_tapes(env, range(16)))
 
 

@@ -369,7 +369,7 @@ class TestGrid:
         env = landscape_make(5, "left")
         env = replace(env, spec=replace(env.spec, horizon=30))
         grid = GridSpec(-0.5, 0.5, 0.5)
-        res = landscape_scan(env, grid, samples_per_cell=2, seed=0)
+        res = landscape_scan(env, grid, samples_per_cell=2, seed=0, log_std=0.0)
         n = len(grid.values())
         assert res.loss_barrier.shape == (n, n)
         assert res.loss_free.shape == (n, n)
