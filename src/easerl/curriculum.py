@@ -240,10 +240,7 @@ def auto_barrier_schedule(sb1: RegionSet, barrier: RegionSet) -> tuple[RewardSpe
     """AUTO_STAGES nested subsets from sb1 to the full barrier by dilate-and-clip."""
     part = barrier.parts[0]
     pts = _region_probe_points(barrier, AUTO_PROBE_N)
-    inner = sb1.parts[0]
-    reach = 0.0
-    for x, y in pts[part.contains_point(pts[:, 0], pts[:, 1])].tolist():
-        reach = max(reach, inner.distance_to_point(x, y))
+    reach = sb1.parts[0].farthest_distance(pts[part.contains_point(pts[:, 0], pts[:, 1])])
     subsets: list[RegionSet] = []
     for k in range(1, AUTO_STAGES):
         r = reach * k / AUTO_STAGES

@@ -144,6 +144,25 @@ class ConvexPolygon:
             best = min(best, _point_segment_distance(x, y, a.x, a.y, b.x, b.y))
         return best
 
+    def farthest_distance(self, pts: np.ndarray) -> float:
+        """max(distance_to_point(x, y) for x, y in pts), or 0.0 for no points.
+
+        One membership call and one array pass over every (edge, point) pair,
+        with distance_to_point's expressions, pick the points that may attain
+        the maximum.  distance_to_point then gives its value: np.hypot and
+        math.hypot can differ in the last bit.
+        """
+        out = pts[~self.contains_point(pts[:, 0], pts[:, 1])]
+        if not len(out):
+            return 0.0
+        table = edge_table(((self,),))
+        (ax, ay), dx, dy = table.start, table.dx, table.dy  # (edge, 1) each
+        px, py = out.T
+        t = np.clip(((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy), 0.0, 1.0)
+        dist = np.hypot(px - (ax + t * dx), py - (ay + t * dy)).min(axis=0)
+        near = out[dist >= dist.max() * (1.0 - 1e-9)]  # far wider than a last-bit difference
+        return max(self.distance_to_point(x, y) for x, y in near.tolist())
+
 
 def _point_segment_distance(px, py, ax, ay, bx, by) -> float:
     dx, dy = bx - ax, by - ay

@@ -8,11 +8,19 @@ segments to fixed start/goal anchors) crosses it, mod 2.  Parity 1 maps to
 "left", parity 0 to "right".  Crossings are counted with a half-open rule
 (equivalent to nudging the ray infinitesimally toward -x), so vertices that
 land exactly on the ray line cannot double-count.
+
+A Trajectory is an immutable value.  It does not copy its points: `states`
+and `raw_states` are read-only views of the float64 arrays passed in (other
+dtypes are converted once).  Changing a passed array after construction is
+not supported, because each trajectory remembers its class queries:
+`collides` per region and `parity_bits` per (region, anchors), so
+`signature`, `same_class` and `divides` compute each answer once.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass
 
@@ -22,25 +30,41 @@ from .errors import CollidingTrajectory, LengthMismatch, UnequalSupport
 from .geometry import Point2, RegionSet, segment_intersects
 
 
+def _read_only(a) -> np.ndarray:
+    """A read-only float64 view of `a`, sharing its memory when it is float64."""
+    view = np.asarray(a, dtype=float).view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Task-space positions per timestep, plus optional raw state vectors."""
+    """Task-space positions per timestep, plus optional raw state vectors,
+    both read-only views of the arrays passed in."""
 
     states: np.ndarray  # (N, 2) float64
     raw_states: np.ndarray | None = None  # (N, D) or None
 
     def __post_init__(self):
-        st = np.asarray(self.states, dtype=float)
+        st = _read_only(self.states)
         if st.ndim != 2 or st.shape[1] != 2 or st.shape[0] < 2:
             raise ValueError(f"states must be (N>=2, 2), got {st.shape}")
         if not np.all(np.isfinite(st)):
             raise ValueError("non-finite trajectory states")
         object.__setattr__(self, "states", st)
         if self.raw_states is not None:
-            raw = np.asarray(self.raw_states, dtype=float)
+            raw = _read_only(self.raw_states)
             if raw.shape[0] != st.shape[0]:
                 raise ValueError("raw_states length must match states")
             object.__setattr__(self, "raw_states", raw)
+
+    # the answers of collides (keyed by region) and parity_bits (keyed by
+    # region and anchors), each computed on first use
+    _memo = functools.cached_property(lambda self: {})
+
+    def __reduce__(self):
+        # through the constructor, so a copy is read-only and starts with no memo
+        return Trajectory, (self.states, self.raw_states)
 
     def __len__(self) -> int:
         return self.states.shape[0]
@@ -57,7 +81,8 @@ class ClassSignature:
 
 
 def collides(traj: Trajectory, region: RegionSet) -> bool:
-    """True when any inter-state segment of the trajectory touches the region.
+    """True when any inter-state segment of the trajectory touches the region;
+    computed once per region and trajectory.
 
     One pass over the region's edge table rules out most segments first: a
     segment misses a part when both its endpoints lie outside one edge of
@@ -65,15 +90,19 @@ def collides(traj: Trajectory, region: RegionSet) -> bool:
     from the same inside test, so only the segments left with a part they
     may touch are clipped, and the flag is the one segment_intersects gives.
     """
-    table = region.edges
-    st = traj.states
-    inside = table.inside(st.T)  # (edge, point)
-    # (part, segment): no edge of the part has both endpoints outside it
-    maybe = np.logical_and.reduceat(inside[:, :-1] | inside[:, 1:], table.first_edge)
-    near = maybe.any(axis=0)
-    if not near.any():
-        return False
-    return bool(np.any(segment_intersects(region, st[:-1][near], st[1:][near])))
+    memo = traj._memo
+    hit = memo.get(region)
+    if hit is None:
+        table = region.edges
+        st = traj.states
+        inside = table.inside(st.T)  # (edge, point)
+        # (part, segment): no edge of the part has both endpoints outside it
+        maybe = np.logical_and.reduceat(inside[:, :-1] | inside[:, 1:], table.first_edge)
+        near = maybe.any(axis=0)
+        hit = bool(near.any()) and bool(
+            np.any(segment_intersects(region, st[:-1][near], st[1:][near])))
+        memo[region] = hit
+    return hit
 
 
 def _extended_polyline(
@@ -93,16 +122,22 @@ def parity_bits(
     Each part's ray runs straight down from its centroid (cx, cy).  A segment
     of the extended polyline crosses it when exactly one endpoint lies
     strictly left of the ray's vertical line and the intersection with that
-    line falls below the ray origin.  Every part's ray is cast in one pass.
+    line falls below the ray origin.  Every part's ray is cast in one pass,
+    once per (barriers, anchors) and trajectory.
     """
-    xs, ys = _extended_polyline(traj, anchor_start, anchor_goal)
-    cx, cy = barriers.centroids.T
-    left = xs < cx[:, None]  # (part, point)
-    k, i = np.nonzero(left[:, :-1] != left[:, 1:])
-    t = (cx[k] - xs[i]) / (xs[i + 1] - xs[i])
-    y_hit = ys[i] + t * (ys[i + 1] - ys[i])
-    crossings = np.bincount(k[y_hit < cy[k]], minlength=len(cx))
-    return tuple((crossings & 1).tolist())
+    memo = traj._memo
+    key = (barriers, anchor_start, anchor_goal)
+    bits = memo.get(key)
+    if bits is None:
+        xs, ys = _extended_polyline(traj, anchor_start, anchor_goal)
+        cx, cy = barriers.centroids.T
+        left = xs < cx[:, None]  # (part, point)
+        k, i = np.nonzero(left[:, :-1] != left[:, 1:])
+        t = (cx[k] - xs[i]) / (xs[i + 1] - xs[i])
+        y_hit = ys[i] + t * (ys[i + 1] - ys[i])
+        crossings = np.bincount(k[y_hit < cy[k]], minlength=len(cx))
+        bits = memo[key] = tuple((crossings & 1).tolist())
+    return bits
 
 
 def signature(

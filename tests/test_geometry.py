@@ -114,6 +114,25 @@ class TestConvexPolygon:
         assert rect.distance_to_point(3.0, 0.0) == pytest.approx(2.0)
         assert rect.distance_to_point(4.0, 5.0) == pytest.approx(math.hypot(3.0, 4.0))
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_farthest_distance_is_the_per_point_maximum(self, seed):
+        """The same float as max(distance_to_point) over the points, on a grid
+        (ties by symmetry), random points, and points inside the polygon."""
+        rng = np.random.default_rng(seed)
+        poly = random_convex(rng) if rng.random() < 0.7 else ConvexPolygon.rectangle(
+            *(rng.integers(-4, 5, 2) / 2.0), *(rng.integers(1, 9, 2) / 2.0))
+        g = np.linspace(-6.0, 6.0, int(rng.integers(2, 40)))
+        pts = np.concatenate([np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2),
+                              rng.uniform(-7.0, 7.0, (int(rng.integers(0, 50)), 2))])
+        pts = pts[rng.random(len(pts)) < rng.uniform(0.05, 1.0)]
+        want = max([poly.distance_to_point(x, y) for x, y in pts.tolist()], default=0.0)
+        assert poly.farthest_distance(pts) == want
+        for p in pts[:20]:  # one point each: np.hypot alone would differ in some last bits
+            assert poly.farthest_distance(p[None]) == poly.distance_to_point(*p)
+        inside = pts[poly.contains_point(pts[:, 0], pts[:, 1])]
+        assert poly.farthest_distance(inside) == 0.0
+
 
 class TestSegmentIntersects:
     def test_dense_sampling_oracle(self):

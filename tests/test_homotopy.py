@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from easerl.homotopy import (
     w_infinity_matching,
 )
 from easerl.runner import read_trajectory
+from test_edge_table import ENV, probe_points, random_region
 
 BARRIER = RegionSet((ConvexPolygon.rectangle(0.0, 0.0, 5.0, 2.0),), 1000.0)
 START = Point2(0.0, -8.0)
@@ -646,3 +648,72 @@ class TestTrajectoryType:
     def test_parity_bits_on_collider(self):
         bits = parity_bits(THROUGH, BARRIER, START, GOAL)
         assert len(bits) == 1
+
+    def test_points_are_read_only_views_of_the_callers_arrays(self):
+        arr = np.array([[0.0, -8.0], [4.0, 0.0], [0.0, 9.0]])
+        raw = np.zeros((3, 4))
+        t = Trajectory(arr, raw)
+        assert np.shares_memory(t.states, arr) and np.shares_memory(t.raw_states, raw)
+        for view in (t.states, t.raw_states):
+            with pytest.raises(ValueError):
+                view[0, 0] = 1.0
+        assert arr.flags.writeable and raw.flags.writeable
+
+    def test_pickle_round_trip_is_read_only_and_drops_the_memo(self):
+        for t in (LEFT, Trajectory(np.array([[0.0, -8.0], [0.0, 9.0]]), np.ones((2, 3)))):
+            before = pickle.dumps(t)
+            collides(t, BARRIER)
+            parity_bits(t, BARRIER, START, GOAL)
+            assert pickle.dumps(t) == before  # the memo is not pickled
+            back = pickle.loads(before)
+            assert np.array_equal(back.states, t.states) and not back.states.flags.writeable
+            if t.raw_states is None:
+                assert back.raw_states is None
+            else:
+                assert np.array_equal(back.raw_states, t.raw_states)
+                assert not back.raw_states.flags.writeable
+            assert collides(back, BARRIER) == collides(t, BARRIER)
+            assert parity_bits(back, BARRIER, START, GOAL) == parity_bits(t, BARRIER, START, GOAL)
+
+
+def _outcome(f, *args):
+    """f's answer, or CollidingTrajectory when it raises that."""
+    try:
+        return f(*args)
+    except CollidingTrajectory:
+        return CollidingTrajectory
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_remembered_class_queries_equal_a_fresh_trajectory(seed):
+    """Interleaved queries on two trajectories, over a subset and the full
+    barrier and two anchor pairs, each asked three times, give what a new
+    Trajectory built from a copy of the points gives."""
+    rng = np.random.default_rng(seed)
+    barrier = random_region(rng)
+    subset = RegionSet(barrier.parts[:1], barrier.penalty)
+    pts = probe_points(rng, [barrier], n_random=10)
+    trajs = []
+    for _ in range(2):
+        n = int(rng.integers(2, 30))
+        walk = pts[rng.choice(len(pts), n)]
+        if rng.random() < 0.5:  # a smooth path from below to above the field
+            walk = np.cumsum(rng.normal(0.0, 0.7, (n, 2)), axis=0) + (rng.uniform(-6, 6), -8.0)
+        trajs.append(Trajectory(walk))
+    anchors = [ENV.anchors(), tuple(Point2(*p) for p in rng.uniform(-9.0, 11.0, (2, 2)))]
+    queries = []
+    for region in (subset, barrier):
+        queries += [(collides, (t,), (region,)) for t in trajs]
+        for a0, a1 in anchors:
+            queries += [(f, (t,), (region, a0, a1)) for f in (parity_bits, signature) for t in trajs]
+            queries += [(f, tuple(trajs), (region, a0, a1)) for f in (same_class, divides)]
+    for q in rng.permutation(3 * len(queries)) % len(queries):
+        f, ts, args = queries[q]
+        fresh = tuple(Trajectory(t.states.copy()) for t in ts)
+        assert _outcome(f, *ts, *args) == _outcome(f, *fresh, *args)
+    for t in trajs:
+        if collides(t, barrier):
+            for _ in range(2):
+                with pytest.raises(CollidingTrajectory):
+                    signature(t, barrier, *anchors[0])
