@@ -12,6 +12,7 @@ import csv
 import math
 import sys
 
+import numpy as np
 import yaml
 
 from .config import default_config, load_config, read_file, validate_config
@@ -130,8 +131,6 @@ def _raise_first_bad_field(rows: list[list[str]], header: dict[str, int], width:
 def load_trajectory_set(path) -> EmpiricalDistribution:
     """CSV with a leading trajectory-id column: traj,t,x,y.  Trajectories
     are ordered by the numeric value of their id, and each one's rows by t."""
-    import numpy as np
-
     lines = csv.reader(read_file(path, "trajectory set").splitlines())
     header = {name: k for k, name in enumerate(next(lines, []))}  # a repeated name: the last
     rows = list(filter(None, lines))  # blank lines are skipped

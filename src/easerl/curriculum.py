@@ -56,10 +56,8 @@ from .rl import (  # noqa: F401
 )
 from .seeding import derive_seed
 
-# probe points per axis of validate_schedule's grid, and of the grid that
-# sets auto_barrier_schedule's radii
+# probe points per axis of validate_schedule's grid
 PROBE_N = 200
-AUTO_PROBE_N = 64
 # training steps between the crossing checks of relax_until_crossing
 RELAX_CHUNK_STEPS = 8192
 # stages of an automatic ease_barrier schedule
@@ -90,15 +88,6 @@ def stage_labels(method: str, n_stages: int) -> list[str]:
     if method in CURRICULA:
         return ["relax"] + [f"stage-{k}" for k in range(n_stages - 1)]
     return ["final"]
-
-
-def _region_probe_points(barrier: RegionSet, n: int) -> np.ndarray:
-    """(n * n, 2) grid over the barrier's padded bounding box, x-major."""
-    x0, y0, x1, y1 = barrier.bbox()
-    mx = 0.05 * max(x1 - x0, y1 - y0, 1.0)
-    xs = np.linspace(x0 - mx, x1 + mx, n)
-    ys = np.linspace(y0 - mx, y1 + mx, n)
-    return np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
 def validate_schedule(schedule: tuple[RewardSpec, ...], barrier: RegionSet) -> None:
@@ -237,10 +226,14 @@ def find_sb1(
 
 
 def auto_barrier_schedule(sb1: RegionSet, barrier: RegionSet) -> tuple[RewardSpec, ...]:
-    """AUTO_STAGES nested subsets from sb1 to the full barrier by dilate-and-clip."""
+    """AUTO_STAGES nested subsets from sb1 to the full barrier by dilate-and-clip.
+
+    Stage k dilates sb1 by k/AUTO_STAGES of its reach, the farthest any
+    barrier point lies from sb1.  Distance to a convex set is convex, so over
+    the convex barrier part it peaks at a vertex.
+    """
     part = barrier.parts[0]
-    pts = _region_probe_points(barrier, AUTO_PROBE_N)
-    reach = sb1.parts[0].farthest_distance(pts[part.contains_point(pts[:, 0], pts[:, 1])])
+    reach = max(sb1.parts[0].distance_to_point(v.x, v.y) for v in part.vertices)
     subsets: list[RegionSet] = []
     for k in range(1, AUTO_STAGES):
         r = reach * k / AUTO_STAGES

@@ -15,6 +15,8 @@ dtypes are converted once).  Changing a passed array after construction is
 not supported, because each trajectory remembers its class queries:
 `collides` per region and `parity_bits` per (region, anchors), so
 `signature`, `same_class` and `divides` compute each answer once.
+Trajectories compare and hash by identity, as that memo assumes: two built
+from equal points are different dict keys, and so is a pickled copy.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ def _read_only(a) -> np.ndarray:
     return view
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Task-space positions per timestep, plus optional raw state vectors,
     both read-only views of the arrays passed in."""

@@ -36,20 +36,15 @@ class SvgCanvas:
         self.width = width
         self.height = height
         self._parts: list[str] = []
-        self._xa = 1.0
-        self._xb = 0.0
-        self._ya = -1.0
-        self._yb = float(height)
 
     def set_view(self, x0, x1, y0, y1, margin: int = 40) -> None:
-        """Map data box [x0,x1]x[y0,y1] into the canvas minus a margin."""
-        span_x = x1 - x0 if x1 > x0 else 1.0
-        span_y = y1 - y0 if y1 > y0 else 1.0
-        self._xa = (self.width - 2 * margin) / span_x
+        """Map data box [x0,x1]x[y0,y1], of nonzero width and height, into
+        the canvas minus a margin.  Every plot calls it before drawing."""
+        self._xa = (self.width - 2 * margin) / (x1 - x0)
         self._xb = margin - x0 * self._xa
-        self._ya = -(self.height - 2 * margin) / span_y
+        self._ya = -(self.height - 2 * margin) / (y1 - y0)
         self._yb = (self.height - margin) - y0 * self._ya
-        self._view = (x0, x1, y0, y1, margin)
+        self._view = (x0, x1, y0, y1)
 
     def px(self, x: float) -> float:
         return self._xa * x + self._xb
@@ -57,19 +52,18 @@ class SvgCanvas:
     def py(self, y: float) -> float:
         return self._ya * y + self._yb
 
-    def rect_data(self, x0, y0, x1, y1, fill, opacity=1.0, stroke="none") -> None:
+    def rect_data(self, x0, y0, x1, y1, fill) -> None:
         xa, xb = sorted((self.px(x0), self.px(x1)))
         ya, yb = sorted((self.py(y0), self.py(y1)))
         self._parts.append(
             f'<rect x="{xa:.1f}" y="{ya:.1f}" width="{xb - xa:.1f}" '
-            f'height="{yb - ya:.1f}" fill="{fill}" fill-opacity="{opacity:g}" '
-            f'stroke="{stroke}"/>'
+            f'height="{yb - ya:.1f}" fill="{fill}" fill-opacity="1" stroke="none"/>'
         )
 
-    def polygon_data(self, xy, fill, opacity=0.6, stroke="#333") -> None:
+    def polygon_data(self, xy, fill, opacity) -> None:
         pts = " ".join(f"{self.px(x):.1f},{self.py(y):.1f}" for x, y in xy)
         self._parts.append(
-            f'<polygon points="{pts}" fill="{fill}" fill-opacity="{opacity:g}" stroke="{stroke}"/>'
+            f'<polygon points="{pts}" fill="{fill}" fill-opacity="{opacity:g}" stroke="#333"/>'
         )
 
     def polyline_data(self, xs, ys, color, width=1.5, dash="") -> None:
@@ -84,14 +78,14 @@ class SvgCanvas:
             f'<circle cx="{self.px(x):.1f}" cy="{self.py(y):.1f}" r="{r_px:g}" fill="{color}"/>'
         )
 
-    def text_px(self, x, y, s, size=12, anchor="start", color="#222") -> None:
+    def text_px(self, x, y, s, size=12, anchor="start") -> None:
         self._parts.append(
             f'<text x="{x:.1f}" y="{y:.1f}" font-size="{size}" font-family="sans-serif" '
-            f'text-anchor="{anchor}" fill="{color}">{s}</text>'
+            f'text-anchor="{anchor}" fill="#222">{s}</text>'
         )
 
-    def axes(self, xlabel: str = "", ylabel: str = "") -> None:
-        x0, x1, y0, y1, margin = self._view
+    def axes(self, xlabel: str, ylabel: str) -> None:
+        x0, x1, y0, y1 = self._view
         left, right = self.px(x0), self.px(x1)
         top, bottom = self.py(y1), self.py(y0)
         self._parts.append(
@@ -105,10 +99,8 @@ class SvgCanvas:
             ty = y0 + (y1 - y0) * i / _TICKS
             self.text_px(self.px(tx), bottom + 14, _fmt(tx), size=10, anchor="middle")
             self.text_px(left - 4, self.py(ty) + 3, _fmt(ty), size=10, anchor="end")
-        if xlabel:
-            self.text_px((left + right) / 2, self.height - 6, xlabel, anchor="middle")
-        if ylabel:
-            self.text_px(12, top - 8, ylabel)
+        self.text_px((left + right) / 2, self.height - 6, xlabel, anchor="middle")
+        self.text_px(12, top - 8, ylabel)
 
     def legend(self, entries, x_px=None) -> None:
         x = x_px if x_px is not None else self.width - 150

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import envs as _envs
+from . import homotopy as _homotopy
 from .errors import DivergedTraining, NonFiniteState
 from .seeding import derive_seed
 
@@ -314,8 +316,6 @@ def train(
     engine call runs on its own; `training` is the same run as a request
     generator.
     """
-    from . import envs as _envs  # deferred to avoid an import cycle
-
     return _envs.drive(env, training(env, reward_spec, init, cfg, l2sp))
 
 
@@ -336,8 +336,6 @@ def training(
     evaluation ends the run, those training episodes are dropped uncharged;
     an episode's bits depend only on its own row, so sharing changes no bit.
     """
-    from . import envs as _envs
-
     policy = init.copy()
     discount = env.spec.discount
     horizon = env.spec.horizon
@@ -456,8 +454,6 @@ def evaluate_detail(env, reward_spec, policy: PolicyParams, episodes: int, seed:
     not collide with the environment's full barrier; colliding rollouts carry
     no class and are left out (episodes minus histogram total = collisions).
     """
-    from . import envs as _envs
-
     return _envs.drive(env, evaluation(env, reward_spec, policy, episodes, seed))
 
 
@@ -473,16 +469,12 @@ def evaluation(env, reward_spec, policy: PolicyParams, episodes: int, seed: int)
 def evaluation_request(env, reward_spec, policy: PolicyParams, episodes: int, seed: int):
     """The engine call of an evaluation: `episodes` rollouts of the policy,
     the tape of episode e keyed by derive_seed(seed, "eval-ep", e)."""
-    from . import envs as _envs
-
     seeds = [derive_seed(seed, "eval-ep", e) for e in range(episodes)]
     return _envs.RolloutRequest(policy, reward_spec, _envs.noise_tapes(env, seeds))
 
 
 def score_evaluation(env, batch) -> dict:
     """The `evaluate_detail` dict of an evaluation's RolloutBatch."""
-    from . import homotopy as _homotopy
-
     region = env.barrier
     a_start, a_goal = env.anchors()
     hist: dict[str, int] = {}
@@ -576,8 +568,6 @@ def _scan_call(env, policy: PolicyParams, seeds) -> tuple[np.ndarray, np.ndarray
     """One engine call of `landscape_scan`: each episode's
     sum_t G_t * log pi_theta(a_t|s_t) under the full reward and under its
     base reward.  The call's arrays are local, so they die on return."""
-    from . import envs as _envs
-
     batch = _envs.rollout_batch(env, policy, _envs.full_reward(env), _envs.noise_tapes(env, seeds))
     lp = log_prob_batch(policy, batch.obs, batch.actions)
     # adjacent episodes of one length (often a cell's samples) are scored

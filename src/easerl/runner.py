@@ -29,7 +29,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .config import config_hash, read_file, serialize_config
+from .config import config_hash, load_config, read_file, serialize_config
 from .curriculum import (
     CURRICULA,
     TransferJob,
@@ -331,8 +331,6 @@ def render_plots(out_dir) -> list[str]:
     cfg_path = os.path.join(out_dir, "config.yaml")
     if not os.path.exists(cfg_path):
         raise MissingData(f"missing config snapshot: {cfg_path}")
-    from .config import load_config
-
     cfg = load_config(cfg_path)
     env = env_from_config(cfg)
     rows = read_runs_csv(os.path.join(out_dir, "runs.csv"))

@@ -19,11 +19,12 @@ from easerl.curriculum import (
 )
 from easerl.envs import RewardSpec, drive, nav1_make, nav2_make
 from easerl.errors import BudgetExhausted, PreconditionViolated
-from easerl.geometry import ConvexPolygon, Point2, RegionSet
+from easerl.geometry import ConvexPolygon, Point2, RegionSet, intersect_clip
 from easerl.homotopy import Trajectory, collides, divides
 from easerl.rl import Arch, ConvergenceBand, TrainConfig, init_policy
 from easerl.runner import read_runs_csv, write_runs_csv
 from easerl.seeding import derive_seed
+from test_geometry import random_convex
 
 BARRIER = RegionSet((ConvexPolygon.rectangle(0.0, 0.0, 5.0, 2.0),), 1000.0)
 START = Point2(0.0, -8.0)
@@ -265,6 +266,58 @@ class TestAutoSchedule:
         assert len(sched) == curriculum.AUTO_STAGES == 3
         validate_schedule(sched, BARRIER)
         assert sched[-1].region is BARRIER and sched[-1].weight == 1.0
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_reach_is_the_farthest_barrier_vertex(self, seed):
+        """The radii passed to dilate are k/AUTO_STAGES of one reach: no
+        point inside the barrier part lies farther from sb1, and some vertex
+        of the part lies exactly that far.  sb1 comes from find_sb1 on
+        scripted paths over a nav1 barrier, or is a random convex polygon
+        clipped to it."""
+        rng = np.random.default_rng(seed)
+        env = nav1_make(int(rng.choice([1, 3, 5, 7])), "left")
+        barrier, part = env.barrier, env.barrier.parts[0]
+        x0, y0, x1, y1 = part.bbox()
+        if rng.random() < 0.5:
+            side = rng.choice([-1.0, 1.0]) * (x1 + 1.0)
+            around = path((0, -8), (side, -3), (side, 3), (0, 9))
+            xs = rng.uniform(x0 + 0.05, x1 - 0.05, 2)
+            relax = path((0, -8), (xs[0], y0 - 0.5), (xs[1], y1 + 0.5), (0, 9))
+            try:
+                sb1 = find_sb1(around, relax, barrier, *env.anchors()).region
+            except BudgetExhausted:
+                return  # no dividing subset for this pair
+        else:
+            poly = random_convex(rng)
+            c = poly.centroid()
+            s = rng.uniform(0.1, 0.6)
+            dx, dy = rng.uniform(x0, x1), rng.uniform(y0, y1)
+            moved = [((p.x - c.x) * s + dx, (p.y - c.y) * s + dy) for p in poly.vertices]
+            sb1 = intersect_clip(RegionSet((ConvexPolygon.from_xy(moved),), barrier.penalty), part)
+            if not sb1.parts:
+                return
+        radii = []
+
+        # the test reads only the radii; dilate itself rejects some random
+        # subsets at these radii, with a non-convex ring
+        def recording_dilate(region, radius):
+            radii.append(radius)
+            return region
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(curriculum, "dilate", recording_dilate)
+            auto_barrier_schedule(sb1, barrier)
+        near = sb1.parts[0]
+        vertex_reach = [near.distance_to_point(v.x, v.y) for v in part.vertices]
+        reaches = [r * curriculum.AUTO_STAGES / k for k, r in enumerate(radii, 1)]
+        assert len(radii) in (0, curriculum.AUTO_STAGES - 1)
+        reach = reaches[-1] if radii else 0.0
+        assert reaches == pytest.approx([reach] * len(reaches), rel=1e-12)
+        pts = np.column_stack([rng.uniform(x0, x1, 400), rng.uniform(y0, y1, 400)])
+        for x, y in pts[part.contains_point(pts[:, 0], pts[:, 1])].tolist():
+            assert near.distance_to_point(x, y) <= reach * (1.0 + 1e-12)
+        assert any(d == pytest.approx(reach, rel=1e-12, abs=1e-12) for d in vertex_reach)
 
 
 def tiny_job(env, source, budget=4000, schedule=None, center=0.0, half=1e9):

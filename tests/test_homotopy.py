@@ -675,6 +675,15 @@ class TestTrajectoryType:
             assert collides(back, BARRIER) == collides(t, BARRIER)
             assert parity_bits(back, BARRIER, START, GOAL) == parity_bits(t, BARRIER, START, GOAL)
 
+    def test_equality_and_hash_are_by_identity(self):
+        a = np.array([[0.0, -8.0], [4.0, 0.0], [0.0, 9.0]])
+        t, twin = Trajectory(a), Trajectory(a.copy())
+        assert t == t and not (t == twin) and t != twin
+        keys = {t: "t", twin: "twin"}
+        assert keys[t] == "t" and keys[twin] == "twin"
+        back = pickle.loads(pickle.dumps(t))
+        assert back not in keys and back != t
+
 
 def _outcome(f, *args):
     """f's answer, or CollidingTrajectory when it raises that."""
