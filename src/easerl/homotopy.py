@@ -189,31 +189,9 @@ def divides(
 
 
 def resample(traj: Trajectory, length: int) -> Trajectory:
-    """Arc-length-uniform piecewise-linear resampling to exactly `length` states.
-
-    Endpoints are preserved exactly.  Raw state vectors are not carried over;
-    the result is a purely geometric curve.
-    """
-    if length < 2:
-        raise ValueError("resample length must be >= 2")
-    st = traj.states
-    seg = np.sqrt(np.sum(np.diff(st, axis=0) ** 2, axis=1))
-    s = np.concatenate(([0.0], np.cumsum(seg)))
-    total = s[-1]
-    if total <= 0.0:
-        out = np.repeat(st[:1], length, axis=0)
-        return Trajectory(out)
-    # drop zero-length duplicates so interpolation abscissae strictly increase
-    keep = np.concatenate(([True], seg > 0.0))
-    s_k = s[keep]
-    st_k = st[keep]
-    targets = np.linspace(0.0, total, length)
-    xs = np.interp(targets, s_k, st_k[:, 0])
-    ys = np.interp(targets, s_k, st_k[:, 1])
-    out = np.stack([xs, ys], axis=1)
-    out[0] = st[0]
-    out[-1] = st[-1]
-    return Trajectory(out)
+    """Arc-length-uniform piecewise-linear resampling to exactly `length`
+    states: the one-trajectory case of EmpiricalDistribution.resampled."""
+    return EmpiricalDistribution((traj,)).resampled(length).samples[0]
 
 
 def traj_distance(t1: Trajectory, t2: Trajectory) -> float:
@@ -235,7 +213,54 @@ class EmpiricalDistribution:
             raise ValueError("empty distribution")
 
     def resampled(self, length: int) -> "EmpiricalDistribution":
-        return EmpiricalDistribution(tuple(resample(t, length) for t in self.samples))
+        """Every sample resampled to exactly `length` states, uniform in arc
+        length along its polyline.
+
+        Endpoints are preserved exactly.  Raw state vectors are not carried
+        over; each result is a purely geometric curve.  The whole set is
+        resampled in one pass: the paths are padded to a common length by
+        repeating each one's last state, which adds only zero-length
+        segments, and the segment lengths, arc lengths and targets of every
+        path come from one array operation each.  Each path then needs two
+        np.interp calls, on its abscissae with zero-length segments dropped
+        so that they strictly increase.  A path of zero total length
+        resamples to its first state repeated.
+        """
+        if length < 2:
+            raise ValueError("resample length must be >= 2")
+        lens = np.array([len(t) for t in self.samples])
+        width = int(lens.max())
+        offsets = np.concatenate(([0], np.cumsum(lens[:-1])))
+        # row k holds path k, then its last state repeated up to `width`
+        idx = np.minimum(np.arange(width), lens[:, None] - 1) + offsets[:, None]
+        pts = np.concatenate([t.states for t in self.samples])[idx]  # (n, width, 2)
+        seg = np.sqrt(np.sum(np.diff(pts, axis=1) ** 2, axis=2))
+        s = np.zeros(pts.shape[:2])
+        np.cumsum(seg, axis=1, out=s[:, 1:])
+        totals = s[:, -1]
+        # linspace(0, total, length) row by row, in its scalar arithmetic: a
+        # batched linspace changes every row's formula when one step is 0
+        targets = np.arange(length) * (totals / (length - 1))[:, None]
+        targets[:, -1] = totals
+        # the padding's segments are all 0, so a row whose positive segments
+        # number its own needs no zero-length segment dropped
+        plain = np.count_nonzero(seg > 0.0, axis=1) == lens - 1
+        flat = totals <= 0.0
+        out = np.empty((len(lens), length, 2))
+        rows = zip(lens.tolist(), flat.tolist(), plain.tolist(), s, pts, seg, targets)
+        for k, (n_k, flat_k, plain_k, s_k, st_k, seg_k, t_k) in enumerate(rows):
+            if flat_k:
+                continue
+            s_k, st_k = s_k[:n_k], st_k[:n_k]
+            if not plain_k:
+                keep = np.concatenate(([True], seg_k[:n_k - 1] > 0.0))
+                s_k, st_k = s_k[keep], st_k[keep]
+            out[k, :, 0] = np.interp(t_k, s_k, st_k[:, 0])
+            out[k, :, 1] = np.interp(t_k, s_k, st_k[:, 1])
+        out[:, -1] = pts[:, -1]
+        out[flat] = pts[flat, :1]
+        out[:, 0] = pts[:, 0]
+        return EmpiricalDistribution(tuple(Trajectory(row) for row in out))
 
 
 def bottleneck_matching(dist: np.ndarray) -> tuple[float, list[int]]:
@@ -250,8 +275,11 @@ def bottleneck_matching(dist: np.ndarray) -> tuple[float, list[int]]:
     probe so far, which stays valid at every higher threshold, and augments
     only the rows still free; it stops at the first row that cannot be
     augmented, since by Berge's lemma no later augmentation can match it.
-    The assignment is solved from scratch at the level found, so it does not
-    depend on the order of the probes.
+    A probe's searches take a free column first wherever one is in reach,
+    which changes only the order columns are tried in, so feasibility is
+    decided exactly.  The assignment is solved from scratch at the level
+    found, trying columns in ascending order, so it does not depend on the
+    probes.
     """
     n = dist.shape[0]
     if dist.shape != (n, n):
@@ -264,16 +292,22 @@ def bottleneck_matching(dist: np.ndarray) -> tuple[float, list[int]]:
         w = (n + 7) // 8  # bytes per row
         return [int.from_bytes(packed[i * w:(i + 1) * w], "little") for i in range(n)]
 
-    def augment_free(adj: list[int], match_r: list[int]) -> bool:
+    def augment_free(adj: list[int], match_r: list[int], probe: bool) -> bool:
         """Augment every unmatched row in ascending order; False at the
-        first row without an augmenting path."""
+        first row without an augmenting path.  A probe's searches prefer
+        the columns still free."""
         matched = [False] * n
-        for u in match_r:
+        free = (1 << n) - 1 if probe else 0
+        for v, u in enumerate(match_r):
             if u != -1:
                 matched[u] = True
+                free &= ~(1 << v)
         for root in range(n):
-            if not matched[root] and not _augment(root, adj, match_r):
-                return False
+            if not matched[root]:
+                end = _augment(root, adj, match_r, free)
+                if end < 0:
+                    return False
+                free &= ~(1 << end)
         return True
 
     warm = [-1] * n  # column -> row, from the largest infeasible probe
@@ -281,13 +315,13 @@ def bottleneck_matching(dist: np.ndarray) -> tuple[float, list[int]]:
     while lo < hi:
         mid = (lo + hi) // 2
         match_r = list(warm)
-        if augment_free(adjacency(float(levels[mid])), match_r):
+        if augment_free(adjacency(float(levels[mid])), match_r, True):
             hi = mid
         else:
             warm = match_r
             lo = mid + 1
     match_r = [-1] * n
-    if not augment_free(adjacency(float(levels[lo])), match_r):
+    if not augment_free(adjacency(float(levels[lo])), match_r, False):
         raise RuntimeError("no perfect matching at maximum distance")
     best = [-1] * n
     for v, u in enumerate(match_r):
@@ -295,14 +329,16 @@ def bottleneck_matching(dist: np.ndarray) -> tuple[float, list[int]]:
     return float(levels[lo]), best
 
 
-def _augment(root: int, adj: list[int], match_r: list[int]) -> bool:
+def _augment(root: int, adj: list[int], match_r: list[int], prefer: int) -> int:
     """Depth-first search for an augmenting path from row `root` (Kuhn's
     algorithm), with an explicit stack so path length is not bounded by the
     interpreter's recursion limit.  `adj[row]` is the row's column bitset;
-    each row tries its lowest column not yet visited in this search, so
-    columns are tried in ascending order and each is visited at most once.
-    On success the matching is flipped along the path, which `match_r`
-    (column -> row) records."""
+    each row tries its lowest column in the bitset `prefer` that is in reach
+    and not yet visited, else its lowest column not yet visited, and each
+    column is visited at most once.  With `prefer` 0, columns are tried in
+    ascending order.  On success the matching is flipped along the path,
+    which `match_r` (column -> row) records, and the column where the path
+    ends is returned; -1 when there is no augmenting path."""
     seen = 0  # bitset of the columns visited
     rows = [root]  # rows on the current path; rows[k + 1] = match_r[cols[k]]
     cols: list[int] = []  # the column through which each deeper row was reached
@@ -313,16 +349,17 @@ def _augment(root: int, adj: list[int], match_r: list[int]) -> bool:
             if cols:
                 cols.pop()
             continue
-        low = cand & -cand
+        f = cand & prefer
+        low = f & -f if f else cand & -cand
         seen |= low
         v = low.bit_length() - 1
         cols.append(v)
         if match_r[v] == -1:
             for r, c in zip(rows, cols):
                 match_r[c] = r
-            return True
+            return v
         rows.append(match_r[v])
-    return False
+    return -1
 
 
 def w_infinity_matching(

@@ -27,8 +27,9 @@ from easerl.config import (
     validate_config,
 )
 from easerl.errors import ConfigError
-from easerl.homotopy import Trajectory, save_trajectory
+from easerl.homotopy import Trajectory, save_trajectory, traj_distance
 
+from test_homotopy import listkuhn_bottleneck, reference_resample
 from test_runner import make_fake_run_dir
 
 
@@ -544,6 +545,23 @@ def test_winf_resample_length_handles_unequal_lengths(tmp_path, capsys):
     out = capsys.readouterr().out
     value = float(out.splitlines()[0].split("=")[1])
     assert value < 1e-9  # same underlying segment
+
+
+def test_winf_ragged_sets_print_the_reference_matching(tmp_path, capsys):
+    """Paths of different lengths, one with a repeated point and one with all
+    its points equal: stdout is, byte for byte, what per-path resampling,
+    the traj_distance loop and the list-adjacency matching give."""
+    set_a = [line(0, 0, 1, 2, n=5), Trajectory(np.array([(0.0, 0.0), (1.0, 2.5), (1.0, 2.5), (2.0, 2.5)])),
+             line(-1, 0, 0.5, 3, n=11)]
+    set_b = [Trajectory(np.full((7, 2), 0.25)), line(0, 0.5, 2, 2, n=3), line(-0.5, 0, 0.5, 3, n=8)]
+    a = write_traj_set(tmp_path, "a.csv", set_a)
+    b = write_traj_set(tmp_path, "b.csv", set_b)
+    assert main(["winf", "--set-a", a, "--set-b", b]) == EXIT_OK
+    ra = [Trajectory(reference_resample(t, 11)) for t in set_a]
+    rb = [Trajectory(reference_resample(t, 11)) for t in set_b]
+    value, assignment = listkuhn_bottleneck(np.array([[traj_distance(x, y) for y in rb] for x in ra]))
+    want = [f"w_infinity = {value!r}"] + [f"match {i} -> {j}" for i, j in enumerate(assignment)]
+    assert capsys.readouterr().out == "\n".join(want) + "\n"
 
 
 @pytest.mark.parametrize("length", ["0", "-3", "1"])

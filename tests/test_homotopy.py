@@ -491,6 +491,63 @@ coord = st.one_of(
 path = st.lists(st.tuples(coord, coord), min_size=2, max_size=12)
 
 
+def reference_resample(traj: Trajectory, length: int) -> np.ndarray:
+    """resample as it was, one trajectory at a time: its arc lengths, then
+    np.linspace targets and np.interp on the abscissae with zero-length
+    segments dropped."""
+    states = traj.states
+    seg = np.sqrt(np.sum(np.diff(states, axis=0) ** 2, axis=1))
+    s = np.concatenate(([0.0], np.cumsum(seg)))
+    total = s[-1]
+    if total <= 0.0:
+        return np.repeat(states[:1], length, axis=0)
+    keep = np.concatenate(([True], seg > 0.0))
+    s_k = s[keep]
+    st_k = states[keep]
+    targets = np.linspace(0.0, total, length)
+    xs = np.interp(targets, s_k, st_k[:, 0])
+    ys = np.interp(targets, s_k, st_k[:, 1])
+    out = np.stack([xs, ys], axis=1)
+    out[0] = states[0]
+    out[-1] = states[-1]
+    return out
+
+
+def _repeat_points(points) -> list:
+    """Each (x, y, k) as k consecutive copies of (x, y), at most 14 points."""
+    return [(x, y) for x, y, k in points for _ in range(k)][:14]
+
+
+# ragged paths: free points, points repeated in place, or one point throughout
+ragged_path = st.one_of(
+    st.lists(st.tuples(coord, coord), min_size=2, max_size=14),
+    st.lists(st.tuples(coord, coord, st.integers(1, 3)), min_size=2, max_size=7).map(_repeat_points),
+    st.tuples(st.tuples(coord, coord), st.integers(2, 14)).map(lambda pk: [pk[0]] * pk[1]),
+)
+
+
+class TestSetResampling:
+    @given(st.lists(ragged_path, min_size=1, max_size=6), st.integers(2, 40))
+    # a zero-length path beside an ordinary one: a linspace over the whole
+    # set would switch to its zero-step formula and move the other's bits
+    @example([[(0.0, 0.0), (0.0, 0.0)], [(0.0, 0.0), (1.0, 2.5), (2.0, 2.5)]], 4)
+    # two distinct points whose segment squares to 0: the later one is
+    # dropped, as a repeated point is, or the next segment's values move
+    @example([[(0.0, 0.0), (1e-200, 0.0), (0.0, 1e-150)], [(0.0, 0.0), (1.0, 2.5)]], 5)
+    @settings(max_examples=200, deadline=None)
+    def test_set_resampling_equals_the_per_path_reference_bitwise(self, paths, length):
+        trajs = tuple(traj(p) for p in paths)
+        got = EmpiricalDistribution(trajs).resampled(length).samples
+        assert len(got) == len(trajs)
+        for t, r in zip(trajs, got):
+            assert r.states.tobytes() == reference_resample(t, length).tobytes()
+        assert resample(trajs[-1], length).states.tobytes() == got[-1].states.tobytes()
+
+    def test_length_below_two_is_rejected(self):
+        with pytest.raises(ValueError):
+            EmpiricalDistribution((LEFT, RIGHT)).resampled(1)
+
+
 class TestSupDistances:
     @given(
         st.lists(path, min_size=1, max_size=5),
@@ -541,6 +598,16 @@ class TestBottleneck:
             rng.uniform(0.0, 1.0, size=(300, 300)),
         ):
             assert bottleneck_matching(dist) == listkuhn_bottleneck(dist)
+
+    def test_random_walk_sets_at_workload_scale(self):
+        """Two 256-path sets, the size the benchmark matches: the warm-started
+        probes that take free columns first find the list search's value,
+        and the from-scratch solve its assignment."""
+        rng = np.random.default_rng(2026)
+        a, b = (tuple(Trajectory(w) for w in np.cumsum(rng.normal(size=(256, 48, 2)), axis=1))
+                for _ in range(2))
+        dist = _sup_distances(a, b)
+        assert bottleneck_matching(dist) == listkuhn_bottleneck(dist)
 
     def test_exact_vs_brute_force(self):
         rng = np.random.default_rng(3)
