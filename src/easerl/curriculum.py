@@ -14,7 +14,6 @@ inflating it until it touches the relaxed trajectory.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,10 +45,8 @@ from .rl import (  # noqa: F401
     ConvergenceBand,
     PolicyParams,
     TrainConfig,
-    TrainReport,
     evaluate_detail,
     evaluation,
-    evaluation_request,
     init_policy,
     train,
     training,
@@ -58,8 +55,6 @@ from .seeding import derive_seed
 
 # probe points per axis of validate_schedule's grid
 PROBE_N = 200
-# training steps between the crossing checks of relax_until_crossing
-RELAX_CHUNK_STEPS = 8192
 # stages of an automatic ease_barrier schedule
 AUTO_STAGES = 3
 # find_sb1's budgets: halvings of the barrier, then inflations of the chosen
@@ -285,12 +280,12 @@ class TransferJob:
     training: TrainConfig
 
     def train_cfg(
-        self, budget: int, band: ConvergenceBand, *labels, keep_best: bool = False
+        self, budget: int, band: ConvergenceBand, label: str, keep_best: bool = False
     ) -> TrainConfig:
-        """The stage's config, seeded by derive_seed(self.seed, *labels)."""
+        """The stage's config, seeded by derive_seed(self.seed, label)."""
         return replace(
             self.training,
-            seed=derive_seed(self.seed, *labels),
+            seed=derive_seed(self.seed, label),
             max_interaction_steps=budget,
             convergence=band,
             keep_best=keep_best,
@@ -320,52 +315,26 @@ class TransferReport:
 
 
 def relax_stage(job: TransferJob, budget: int):
-    """Train from the source policy with the barrier penalty removed."""
-    if job.source is None:
-        raise PreconditionViolated("relax stage needs a source policy")
-    cfg = job.train_cfg(budget, job.relax_band, "relax")
-    return (yield from training(job.env, relaxed_reward(job.env), job.source, cfg))
+    """Train from the source policy with the barrier penalty removed.
 
-
-def relax_until_crossing(job: TransferJob, budget: int):
-    """Relax-stage variant whose stopping rule also demands a crossing.
-
-    The relaxed optimum is nearly flat between through and around paths, so
-    plain band convergence can stop while the mean trajectory still skirts
-    the barrier, leaving the subset search without the through trajectory it
-    needs.  Train in chunks instead and stop at the first checkpoint whose
-    evaluation mean is inside the band and whose mean path crosses the
-    barrier.  Reports converged only when such a checkpoint was found.
+    With no schedule given, the subset search needs a relaxed mean path that
+    crosses the barrier, and the relaxed optimum is nearly flat between
+    through and around paths.  So the stage then stops only at an in-band
+    evaluation whose mean path crosses the barrier.
     """
     if job.source is None:
         raise PreconditionViolated("relax stage needs a source policy")
     spec = relaxed_reward(job.env)
-    policy = job.source
-    steps = 0
-    curve: list[tuple[int, float]] = []
-    crossed = False
-    chunk = 0
-    while steps < budget:
-        chunk_budget = min(RELAX_CHUNK_STEPS, budget - steps)
-        cfg = job.train_cfg(chunk_budget, ConvergenceBand(math.inf, 1.0, 1), "relax", chunk)
-        report = yield from training(
-            job.env, spec, policy, replace(cfg, eval_every=chunk_budget + 1)
-        )
-        if report.interaction_steps == 0:
-            break  # remaining budget is smaller than one batch
-        policy = report.params
-        steps += report.interaction_steps
-        batch = yield evaluation_request(
-            job.env, spec, policy, cfg.eval_episodes, derive_seed(job.seed, "relax-eval", chunk)
-        )
-        mean = float(np.mean(batch.returns))  # score_evaluation's mean
-        curve.append((steps, mean))
-        chunk += 1
-        if abs(mean - job.relax_band.center) <= job.relax_band.half_width:
-            if collides((yield from mean_trajectory(job.env, policy, spec)), job.env.barrier):
-                crossed = True
-                break
-    return TrainReport(policy, steps, tuple(curve), crossed)
+    band, accept = job.relax_band, None
+    if job.schedule is None:
+        # the first in-band crossing stops the stage: a streak may not come within its share
+        band = replace(band, patience=1)
+
+        def accept(policy):
+            return collides((yield from mean_trajectory(job.env, policy, spec)), job.env.barrier)
+
+    cfg = job.train_cfg(budget, band, "relax")
+    return (yield from training(job.env, spec, job.source, cfg, accept=accept))
 
 
 def run_curriculum(
@@ -386,7 +355,7 @@ def run_curriculum(
     (stage reports, final policy).
     """
     validate_schedule(schedule, job.env.barrier)
-    reports: list[TrainReport] = []
+    reports = []
     policy = start
     for k, spec in enumerate(schedule):
         band = job.final_band if k == len(schedule) - 1 else job.stage_band
@@ -449,8 +418,11 @@ def _transfer_report(
 def ease_in_ease_out(job: TransferJob, method: str):
     """Relax stage, then the curriculum `method`; failure of any stage fails the run.
 
-    The run spends at most job.budget steps in total: the relax stage gets
-    its StageBudgets share, and its leftover passes on to the curriculum.
+    With no schedule given, the relax stage stops at a mean path that
+    crosses the barrier (`relax_stage`), and the schedule is grown from the
+    subset that `find_sb1` cuts between the source's and that path.  The run
+    spends at most job.budget steps in total: the relax stage gets its
+    StageBudgets share, and its leftover passes on to the curriculum.
     """
     if method not in CURRICULA:
         raise ValueError(f"unknown curriculum {method!r}")
@@ -463,11 +435,7 @@ def ease_in_ease_out(job: TransferJob, method: str):
     n_stages = len(schedule) if schedule is not None else AUTO_STAGES
     budgets = StageBudgets.split(job.budget, n_stages)
 
-    if schedule is None:
-        # the subset search needs a relaxed trajectory that actually crosses
-        relax_report = yield from relax_until_crossing(job, budgets.relax)
-    else:
-        relax_report = yield from relax_stage(job, budgets.relax)
+    relax_report = yield from relax_stage(job, budgets.relax)
     reports = [relax_report]
     policy = relax_report.params
     converged = relax_report.converged

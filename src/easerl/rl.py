@@ -325,10 +325,15 @@ def training(
     init: PolicyParams,
     cfg: TrainConfig,
     l2sp: tuple[float, np.ndarray] | None = None,
+    accept=None,
 ):
     """`train` as a request generator: it yields an `envs.RolloutRequest`
     for every engine call it needs, is sent the call's `RolloutBatch`, and
     returns the TrainReport.  `envs.serve` runs many of these in lockstep.
+
+    `accept`, when given, is a request generator `accept(policy) -> bool`
+    that runs each time the band streak reaches its patience: accepting
+    ends the run as converged, rejecting starts the streak over.
 
     An evaluation samples the same policy under the same reward spec as the
     batch after it, so while the budget admits that batch, the evaluation's
@@ -383,7 +388,9 @@ def training(
         if abs(mean - band.center) <= band.half_width:
             streak += 1
             if streak >= band.patience:
-                converged = True
+                converged = accept is None or (yield from accept(policy))
+                if not converged:
+                    streak = 0
         else:
             streak = 0
         return None if converged else piece

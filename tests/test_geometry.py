@@ -217,6 +217,34 @@ class TestDilate:
                 if poly.contains_point(x, y) or d <= r - 1e-9:
                     assert grown.contains_point(x, y)
 
+    @given(st.integers(0, 2**32 - 1), st.floats(0.01, 3.0))
+    @settings(max_examples=150, deadline=None)
+    def test_circumscribes_the_exact_dilation(self, seed, r):
+        """On any convex part, clipped ones included (they mix vertices
+        that turn by very different angles), dilate keeps a convex ring
+        that contains every point within r of the part and no point
+        farther than r / cos(pi/16): the ring is convex, so checking its
+        vertices bounds it."""
+        rng = np.random.default_rng(seed)
+        poly = random_convex(rng)
+        if rng.random() < 0.5:
+            x0, y0, x1, y1 = poly.bbox()
+            w, h = rng.uniform(0.2, 1.0, 2) * (x1 - x0, y1 - y0)
+            cx, cy = rng.uniform((x0, y0), (x1, y1))
+            box = ConvexPolygon.rectangle(cx, cy, w, h)
+            clipped = intersect_clip(RegionSet((poly,), 1.0), box).parts
+            if clipped:
+                poly = clipped[0]
+        grown = dilate(RegionSet((poly,), 1.0), r).parts[0]
+        x0, y0, x1, y1 = poly.bbox()
+        pts = rng.uniform([x0 - r, y0 - r], [x1 + r, y1 + r], size=(300, 2))
+        for x, y in pts:
+            if poly.distance_to_point(x, y) <= r - 1e-9:
+                assert grown.contains_point(x, y)
+        far = r / math.cos(math.pi / 16)
+        for v in grown.vertices:
+            assert poly.distance_to_point(v.x, v.y) <= far * (1 + 1e-9)
+
     def test_area_at_least_exact_minkowski(self):
         rect = ConvexPolygon.rectangle(0.0, 0.0, 2.0, 2.0)
         r = 0.5

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from easerl import envs
+from easerl import envs, rl
 from easerl.envs import full_reward, nav1_make, nav2_make, relaxed_reward, serve
 from easerl.errors import EaseRlError, NonFiniteState
 from easerl.rl import (
@@ -227,6 +227,57 @@ class TestTrain:
         rep = train(env, full_reward(env), pol, cfg)
         # 64-episode evals would dwarf the budget if charged
         assert rep.interaction_steps <= 4000
+
+
+class TestAccept:
+    """`training`'s accept hook, with a band every evaluation meets."""
+
+    @staticmethod
+    def run(monkeypatch, patience: int, rejects: int):
+        """Train until accept has rejected `rejects` times; returns the
+        report and the evaluation count at each accept call."""
+        env = nav1_make(1, "right")
+        spec = full_reward(env)
+        pol = init_policy(Arch("linear", env.spec.state_dim, env.spec.action_dim), 0)
+        cfg = TrainConfig(seed=1, max_interaction_steps=5000,
+                          convergence=ConvergenceBand(0.0, 1e9, patience),
+                          eval_every=1, batch_episodes=1, eval_episodes=1)
+        evals, calls = [0], []
+        inner = rl.evaluation_request
+
+        def counting(*args):
+            evals[0] += 1
+            return inner(*args)
+
+        def accept(policy):
+            # a check may ask for engine calls of its own
+            yield from envs.mean_trajectory(env, policy, spec)
+            calls.append(evals[0])
+            return len(calls) > rejects
+
+        monkeypatch.setattr(rl, "evaluation_request", counting)
+        rep = envs.drive(env, training(env, spec, pol, cfg, accept=accept))
+        return rep, calls
+
+    @pytest.mark.parametrize("rejects", [0, 1, 3])
+    def test_converges_at_the_first_accepted_evaluation(self, monkeypatch, rejects):
+        rep, calls = self.run(monkeypatch, 1, rejects)
+        assert rep.converged
+        assert calls == list(range(1, rejects + 2))
+        assert len(rep.return_curve) == rejects + 1
+
+    def test_a_reject_starts_the_streak_over(self, monkeypatch):
+        # patience 2: accept runs only at every second in-band evaluation
+        rep, calls = self.run(monkeypatch, 2, 2)
+        assert rep.converged
+        assert calls == [2, 4, 6]
+        assert len(rep.return_curve) == 6
+
+    def test_a_run_that_is_never_accepted_spends_its_budget(self, monkeypatch):
+        rep, calls = self.run(monkeypatch, 1, 10**9)
+        assert not rep.converged
+        assert rep.interaction_steps > 5000 - nav1_make(1, "right").spec.horizon
+        assert calls == list(range(1, len(rep.return_curve) + 1))
 
 
 def report_bytes(rep) -> bytes:

@@ -440,8 +440,11 @@ def test_transfer_experiment_requires_checkpoint(tmp_path):
 ASSETS = os.path.join(os.path.dirname(__file__), os.pardir, "assets")
 
 # (config, source checkpoint, methods, budget): tiny budgets, and a relax
-# band every policy meets, so each curriculum stage runs a few batches
+# band every policy meets, so each curriculum stage runs a few batches.
+# nav1-5 has no barrier_sizes, so its relax stage stops at a crossing
 GRIDS = {
+    "nav1-5-auto": (lambda: nav1_defaults(5, "left"), "source-nav1-5.json",
+                    ["ease_barrier"], 9000),
     "nav1-7": (lambda: nav1_defaults(7, "left"), "source-nav1-7.json",
                ["ease_barrier", "naive", "l2sp", "random"], 9000),
     "nav2": (lambda: nav2_defaults("RR"), "source-nav2-LL.json", ["ease_reward", "naive"], 16000),
@@ -496,6 +499,8 @@ def test_lockstep_grid_equals_each_run_alone(name):
     assert sorted((r.method, r.seed) for r in reports) == sorted(
         (m, s) for m in methods for s in (0, 1)
     )
+    if name == "nav1-5-auto":  # one run crosses and runs its schedule, one never crosses
+        assert sorted(len(r.stage_steps) for r in reports) == [1, 1 + curriculum.AUTO_STAGES]
     with mock.patch.object(envs, "rollout_batch", wraps=envs.rollout_batch) as engine:
         alone = [
             run_transfer(job_from_config(cfg, env, source, r.seed, schedules.get(r.method)),
