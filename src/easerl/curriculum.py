@@ -237,29 +237,6 @@ def auto_barrier_schedule(sb1: RegionSet, barrier: RegionSet) -> tuple[RewardSpe
     return tuple(RewardSpec(s, 1.0) for s in subsets)
 
 
-@dataclass(frozen=True)
-class StageBudgets:
-    """Each stage's share of a run budget: budget/(K+1) per stage (relax
-    included), the division remainder to the final stage.
-
-    A share is not a cap: `run_curriculum` lets each curriculum stage also
-    spend what earlier stages, the relax stage included, left unspent.
-    """
-
-    relax: int
-    stages: tuple[int, ...]
-
-    @staticmethod
-    def split(budget: int, n_stages: int) -> "StageBudgets":
-        chunks = n_stages + 1
-        base = budget // chunks
-        rem = budget - base * chunks
-        stage_list = [base] * n_stages
-        if n_stages:
-            stage_list[-1] += rem
-        return StageBudgets(base, tuple(stage_list))
-
-
 @dataclass
 class TransferJob:
     """Everything one transfer run needs besides the method name.
@@ -306,7 +283,11 @@ class TransferReport:
     curve: tuple = ()  # ((cumulative step, mean eval return), ...)
     stage_trajectories: tuple = ()  # ((stage label, Trajectory), ...)
     stage_policies: tuple = ()  # ((stage label, PolicyParams), ...)
-    final_policy: PolicyParams | None = None
+
+    @property
+    def final_policy(self) -> PolicyParams:
+        """The policy the run ends with: its last stage's."""
+        return self.stage_policies[-1][1]
 
 
 # The transfer steps below are request generators (see `rl.training`): they
@@ -324,48 +305,48 @@ def relax_stage(job: TransferJob, budget: int):
     """
     if job.source is None:
         raise PreconditionViolated("relax stage needs a source policy")
-    spec = relaxed_reward(job.env)
     band, accept = job.relax_band, None
     if job.schedule is None:
         # the first in-band crossing stops the stage: a streak may not come within its share
         band = replace(band, patience=1)
 
         def accept(policy):
-            return collides((yield from mean_trajectory(job.env, policy, spec)), job.env.barrier)
+            return collides((yield from mean_trajectory(job.env, policy)), job.env.barrier)
 
     cfg = job.train_cfg(budget, band, "relax")
-    return (yield from training(job.env, spec, job.source, cfg, accept=accept))
+    return (yield from training(job.env, relaxed_reward(job.env), job.source, cfg, accept=accept))
 
 
 def run_curriculum(
     job: TransferJob,
     schedule: tuple[RewardSpec, ...],
     start: PolicyParams,
-    budgets: tuple[int, ...],
-    carry: int,
+    share: int,
+    spent: int,
 ):
     """Train stage k from stage k-1's policy until its band is reached.
 
-    Stage k may spend its share budgets[k] plus whatever was left unspent
-    before it, starting from `carry` (the relax stage's leftover), so the
-    curriculum spends at most carry + sum(budgets).  A stage that exhausts
-    its allowance hands its best-evaluated checkpoint to the next stage (the
-    overall run then counts as not converged); aborting instead would discard
-    the remaining stages of an otherwise well-defined schedule.  Returns
-    (stage reports, final policy).
+    The run has spent `spent` steps before the first stage.  By the end of
+    stage k it may have spent (k + 2) * share in total, and by the end of the
+    final stage job.budget, so each stage may also spend what earlier stages
+    left unspent.  A stage that exhausts its allowance hands its
+    best-evaluated checkpoint to the next stage (the overall run then counts
+    as not converged); aborting instead would discard the remaining stages
+    of an otherwise well-defined schedule.  Returns the stage reports.
     """
     validate_schedule(schedule, job.env.barrier)
     reports = []
     policy = start
     for k, spec in enumerate(schedule):
-        band = job.final_band if k == len(schedule) - 1 else job.stage_band
-        allowance = budgets[k] + carry
-        cfg = job.train_cfg(allowance, band, f"stage-{k}", keep_best=True)
+        last = k == len(schedule) - 1
+        cap = job.budget if last else (k + 2) * share
+        band = job.final_band if last else job.stage_band
+        cfg = job.train_cfg(cap - spent, band, f"stage-{k}", keep_best=True)
         report = yield from training(job.env, spec, policy, cfg)
         reports.append(report)
         policy = report.params
-        carry = allowance - report.interaction_steps
-    return reports, policy
+        spent += report.interaction_steps
+    return reports
 
 
 def _accumulate_curve(reports) -> tuple:
@@ -377,22 +358,23 @@ def _accumulate_curve(reports) -> tuple:
     return tuple(curve)
 
 
-def _stage_snapshots(job: TransferJob, labeled_reports):
-    spec = relaxed_reward(job.env)
-    snapshots = []
-    for label, r in labeled_reports:
-        snapshots.append((label, (yield from mean_trajectory(job.env, r.params, spec))))
+def _stage_snapshots(job: TransferJob, labeled_reports, paths: tuple):
+    """Each stage's mean path; `paths` are those of the first stages, already
+    rolled out."""
+    snapshots = [(label, path) for (label, _), path in zip(labeled_reports, paths)]
+    for label, r in labeled_reports[len(paths):]:
+        snapshots.append((label, (yield from mean_trajectory(job.env, r.params))))
     return tuple(snapshots)
 
 
-def _transfer_report(
-    job: TransferJob, method: str, reports: list, converged: bool, policy: PolicyParams
-):
-    """Score the final policy and assemble the run's report and artifacts."""
+def _transfer_report(job: TransferJob, method: str, reports: list, paths: tuple = ()):
+    """Score the last stage's policy and assemble the run's report and
+    artifacts.  The run converged if every stage did; `paths` are the mean
+    paths of its first stages that were already rolled out."""
     detail = yield from evaluation(
         job.env,
         full_reward(job.env),
-        policy,
+        reports[-1].params,
         FINAL_EVAL_EPISODES,
         derive_seed(job.seed, "final-eval"),
     )
@@ -404,14 +386,13 @@ def _transfer_report(
         job.env.name,
         job.seed,
         sum(steps),
-        converged,
+        all(r.converged for r in reports),
         steps,
         detail["mean"],
         max(sorted(hist), key=lambda k: hist[k]) if hist else "",
         curve=_accumulate_curve(reports),
-        stage_trajectories=(yield from _stage_snapshots(job, labeled)),
+        stage_trajectories=(yield from _stage_snapshots(job, labeled, paths)),
         stage_policies=tuple((label, r.params) for label, r in labeled),
-        final_policy=policy,
     )
 
 
@@ -420,9 +401,10 @@ def ease_in_ease_out(job: TransferJob, method: str):
 
     With no schedule given, the relax stage stops at a mean path that
     crosses the barrier (`relax_stage`), and the schedule is grown from the
-    subset that `find_sb1` cuts between the source's and that path.  The run
-    spends at most job.budget steps in total: the relax stage gets its
-    StageBudgets share, and its leftover passes on to the curriculum.
+    subset that `find_sb1` cuts between the source's and that path, which is
+    also the relax stage's snapshot.  With K curriculum stages the relax
+    stage gets share = job.budget // (K + 1) steps, and `run_curriculum`
+    caps the run's total at job.budget.
     """
     if method not in CURRICULA:
         raise ValueError(f"unknown curriculum {method!r}")
@@ -432,28 +414,20 @@ def ease_in_ease_out(job: TransferJob, method: str):
     if method == "ease_barrier" and len(job.env.barrier.parts) != 1:
         raise PreconditionViolated("barrier-set transfer needs a single connected barrier")
 
-    n_stages = len(schedule) if schedule is not None else AUTO_STAGES
-    budgets = StageBudgets.split(job.budget, n_stages)
-
-    relax_report = yield from relax_stage(job, budgets.relax)
-    reports = [relax_report]
-    policy = relax_report.params
-    converged = relax_report.converged
-
-    if converged:
-        if schedule is None:
-            xi_s = yield from mean_trajectory(job.env, job.source, relaxed_reward(job.env))
-            xi_relax = yield from mean_trajectory(job.env, policy, relaxed_reward(job.env))
-            a_start, a_goal = job.env.anchors()
-            sb1 = find_sb1(xi_s, xi_relax, job.env.barrier, a_start, a_goal)
-            schedule = auto_barrier_schedule(sb1.region, job.env.barrier)
-        stage_reports, policy = yield from run_curriculum(
-            job, schedule, policy, budgets.stages,
-            carry=budgets.relax - relax_report.interaction_steps,
-        )
-        converged = all(r.converged for r in stage_reports)
-        reports += stage_reports
-    return (yield from _transfer_report(job, method, reports, converged, policy))
+    share = job.budget // ((len(schedule) if schedule is not None else AUTO_STAGES) + 1)
+    relax = yield from relax_stage(job, share)
+    if not relax.converged:
+        return (yield from _transfer_report(job, method, [relax]))
+    paths = ()
+    if schedule is None:
+        xi_s = yield from mean_trajectory(job.env, job.source)
+        xi_relax = yield from mean_trajectory(job.env, relax.params)
+        a_start, a_goal = job.env.anchors()
+        sb1 = find_sb1(xi_s, xi_relax, job.env.barrier, a_start, a_goal)
+        schedule = auto_barrier_schedule(sb1.region, job.env.barrier)
+        paths = (xi_relax,)
+    stages = yield from run_curriculum(job, schedule, relax.params, share, relax.interaction_steps)
+    return (yield from _transfer_report(job, method, [relax] + stages, paths))
 
 
 def baseline_transfer(job: TransferJob, method: str):
@@ -471,7 +445,7 @@ def baseline_transfer(job: TransferJob, method: str):
         l2sp = (L2SP_COEFF, job.source.flat()) if method == "l2sp" else None
     cfg = job.train_cfg(job.budget, job.final_band, method)
     report = yield from training(job.env, full_reward(job.env), init, cfg, l2sp=l2sp)
-    return (yield from _transfer_report(job, method, [report], report.converged, report.params))
+    return (yield from _transfer_report(job, method, [report]))
 
 
 def transfer(job: TransferJob, method: str):

@@ -644,15 +644,16 @@ def rollout_record(env, policy, reward_spec: RewardSpec, seed: int) -> RolloutRe
     return batch.record(env, 0)
 
 
-def mean_rollout(env, policy, reward_spec: RewardSpec) -> Trajectory:
-    """Noise-free rollout (the policy's mean action at every step)."""
-    return drive(env, mean_trajectory(env, policy, reward_spec))
+def mean_rollout(env, policy) -> Trajectory:
+    """Noise-free rollout (the policy's mean action at every step).  The
+    path depends on the policy alone: a reward spec changes no transition."""
+    return drive(env, mean_trajectory(env, policy))
 
 
-def mean_trajectory(env, policy, reward_spec: RewardSpec):
+def mean_trajectory(env, policy):
     """`mean_rollout` as a request generator (see `serve`)."""
     zero = np.zeros((1, env.spec.horizon, env.spec.action_dim))
-    batch = yield RolloutRequest(policy, reward_spec, zero)
+    batch = yield RolloutRequest(policy, relaxed_reward(env), zero)
     return batch.trajectory(env, 0)
 
 

@@ -425,7 +425,7 @@ def run_train(cfg: dict, out_dir):
     open_run_dir(out_dir, cfg)
     save_checkpoint(os.path.join(out_dir, "checkpoint.json"), report.params, seed)
     _write_curve(os.path.join(out_dir, "curve.csv"), report.return_curve)
-    traj = mean_rollout(env, report.params, full_reward(env))
+    traj = mean_rollout(env, report.params)
     save_trajectory(os.path.join(out_dir, "traj.csv"), traj)
     if cfg["output"]["plots"]:
         plots_dir = os.path.join(out_dir, "plots")

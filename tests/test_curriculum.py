@@ -1,4 +1,6 @@
 import math
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,13 +9,13 @@ from hypothesis import strategies as st
 
 from easerl import curriculum
 from easerl.curriculum import (
-    StageBudgets,
     TransferJob,
     auto_barrier_schedule,
     baseline_transfer,
     ease_in_ease_out,
     find_sb1,
     relax_stage,
+    run_curriculum,
     run_transfer,
     validate_schedule,
 )
@@ -171,26 +173,6 @@ def _band(lo: float, hi: float) -> RegionSet:
     return RegionSet((ConvexPolygon.rectangle(3.2, (lo + hi) / 2.0, 6.4, hi - lo),), 1000.0)
 
 
-class TestStageBudgets:
-    def test_even_split_with_remainder_to_last(self):
-        b = StageBudgets.split(200000, 2)
-        assert b.relax == 66666
-        assert b.stages == (66666, 66668)
-
-    def test_no_stages(self):
-        b = StageBudgets.split(1000, 0)
-        assert b.relax == 1000
-        assert b.stages == ()
-
-    @given(st.integers(1, 10**7), st.integers(0, 9))
-    @settings(max_examples=200, deadline=None)
-    def test_split_conserves_budget(self, budget, n):
-        b = StageBudgets.split(budget, n)
-        assert b.relax + sum(b.stages) == budget
-        assert b.relax == budget // (n + 1)
-        assert all(s >= b.relax for s in b.stages)
-
-
 class TestFindSb1:
     def test_through_left_of_center(self):
         relax = vertical(-1.0)
@@ -339,6 +321,49 @@ def nav1_source(nav1_env):
     return pol
 
 
+def share_plus_carry(budget: int, spends: list) -> list:
+    """Reference: each curriculum stage's allowance under the rule the cap
+    rule replaced.  The relax stage and each of the K curriculum stages get
+    a share of budget // (K + 1), the division remainder goes to the last
+    stage, and each curriculum stage may also spend what the stages before
+    it left unspent.  spends[0] is the relax stage's spend."""
+    n_stages = len(spends) - 1
+    share = budget // (n_stages + 1)
+    shares = [share] * n_stages
+    shares[-1] += budget - share * (n_stages + 1)
+    allowances, carry = [], share - spends[0]
+    for stage_share, spent in zip(shares, spends[1:]):
+        allowances.append(stage_share + carry)
+        carry = allowances[-1] - spent
+    return allowances
+
+
+class TestStageAllowances:
+    @given(st.integers(1, 10**7), st.integers(1, 9), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_cap_rule_gives_the_share_plus_carry_allowances(
+        self, nav1_env, budget, n_stages, data
+    ):
+        share = budget // (n_stages + 1)
+        spends = [data.draw(st.integers(0, share), label="relax spend")]
+        allowances = []
+
+        def training(env, spec, policy, cfg):
+            # each stage spends at most its allowance and asks for no engine call
+            allowances.append(cfg.max_interaction_steps)
+            spends.append(data.draw(st.integers(0, cfg.max_interaction_steps)))
+            return SimpleNamespace(params=policy, interaction_steps=spends[-1])
+            yield
+
+        job = tiny_job(nav1_env, None, budget=budget)
+        schedule = weight_ramp(*((k + 1) / n_stages for k in range(n_stages)),
+                               barrier=nav1_env.barrier)
+        with mock.patch.object(curriculum, "training", training):
+            drive(nav1_env, run_curriculum(job, schedule, None, share, spends[0]))
+        assert allowances == share_plus_carry(budget, spends)
+        assert sum(spends) <= budget
+
+
 class TestTransferPlumbing:
     def test_relax_stage_needs_source(self, nav1_env):
         job = tiny_job(nav1_env, None)
@@ -355,7 +380,7 @@ class TestTransferPlumbing:
         assert rep.total_steps == sum(rep.stage_steps)
         assert [lbl for lbl, _ in rep.stage_trajectories] == ["relax", "stage-0"]
         assert rep.curve  # eval points were recorded
-        assert rep.final_policy is not None
+        assert rep.final_policy is rep.stage_policies[-1][1]
 
     def test_ease_reward_needs_alphas(self, nav1_env, nav1_source):
         job = tiny_job(nav1_env, nav1_source, schedule=None)
@@ -394,12 +419,12 @@ class TestTransferPlumbing:
         job = tiny_job(nav1_env, nav1_source, schedule=sched)
         job.stage_band = ConvergenceBand(1e9, 1.0, 1)
         job.final_band = ConvergenceBand(1e9, 1.0, 1)
-        shares = StageBudgets.split(job.budget, 1)
+        share = job.budget // 2
         rep = drive(job.env, ease_in_ease_out(job, "ease_barrier"))
         assert not rep.converged
-        relax = drive(job.env, relax_stage(job, shares.relax))
+        relax = drive(job.env, relax_stage(job, share))
         assert rep.stage_steps[0] == relax.interaction_steps
-        assert rep.stage_steps[1] > shares.stages[0]
+        assert rep.stage_steps[1] > share
         assert rep.total_steps <= job.budget
 
     def test_auto_mode_fails_run_when_relax_never_crosses(self, nav1_env):
@@ -425,6 +450,7 @@ class TestTransferPlumbing:
             assert rep.converged
             assert len(rep.stage_steps) == 1
             assert rep.stage_trajectories[0][0] == "final"
+            assert rep.final_policy is rep.stage_policies[-1][1]
 
     @pytest.mark.parametrize("method", ["naive", "l2sp", "random"])
     def test_baselines_need_source(self, nav1_env, method):

@@ -23,9 +23,11 @@ from easerl.envs import (
     full_reward,
     landscape_make,
     mean_rollout,
+    nav1_barrier,
     nav1_make,
     nav2_make,
     noise_tapes,
+    relaxed_reward,
     rollout_batch,
     rollout_record,
     serve,
@@ -125,12 +127,20 @@ class TestBatchSizeIndependence:
             single = rollout_batch(env, pol, full_reward(env), noise_tapes(env, [seed]))
             assert_episode_equal(batch, b, single, env)
 
-    def test_mean_rollout_is_the_zero_noise_episode(self):
-        env = nav2_make("RR")
+    # the zero-noise batch's spec need not be the one mean_rollout asks for:
+    # no reward spec changes a transition
+    @pytest.mark.parametrize("make_env, spec_of", [
+        (lambda: nav2_make("RR"), full_reward),
+        (lambda: nav2_make("RR"), relaxed_reward),
+        (lambda: nav2_make("RR"), lambda env: RewardSpec(env.barrier, 0.3)),
+        (lambda: nav1_make(7, "left"), lambda env: RewardSpec(nav1_barrier(0.5), 1.0)),
+    ], ids=["full", "relaxed", "weight-0.3", "nav1-subset"])
+    def test_mean_rollout_is_the_zero_noise_episode(self, make_env, spec_of):
+        env = make_env()
         pol = make_policy(env, "mlp", 3, 0.3)
         zero = np.zeros((3, env.spec.horizon, 1))
-        batch = rollout_batch(env, pol, full_reward(env), zero)
-        traj = mean_rollout(env, pol, full_reward(env))
+        batch = rollout_batch(env, pol, spec_of(env), zero)
+        traj = mean_rollout(env, pol)
         for b in range(3):
             assert np.array_equal(batch.trajectory(env, b).raw_states, traj.raw_states)
 

@@ -418,7 +418,7 @@ class TestMeanRollout:
     def test_zero_policy_goes_straight(self):
         env = nav1_make(5, "left")
         pol = init_policy(Arch("linear", 7, 1), 0)  # zero weights: mean action 0
-        traj = mean_rollout(env, pol, full_reward(env))
+        traj = mean_rollout(env, pol)
         xs = traj.states[:, 0]
         assert np.max(np.abs(xs)) < 1e-9
         assert env.goal_poly.contains_point(*traj.raw_states[-1][:2])

@@ -251,7 +251,7 @@ class TestAccept:
 
         def accept(policy):
             # a check may ask for engine calls of its own
-            yield from envs.mean_trajectory(env, policy, spec)
+            yield from envs.mean_trajectory(env, policy)
             calls.append(evals[0])
             return len(calls) > rejects
 

@@ -13,7 +13,7 @@ from easerl import curriculum, envs, runner
 from easerl.config import (
     default_config, nav1_defaults, nav2_defaults, validate_config,
 )
-from easerl.curriculum import TransferReport, run_transfer
+from easerl.curriculum import TransferReport, find_sb1, run_transfer
 from easerl.errors import ConfigError, MissingCheckpoint, MissingData
 from easerl.geometry import RegionSet
 from easerl.homotopy import Trajectory, save_trajectory
@@ -513,6 +513,26 @@ def test_lockstep_grid_equals_each_run_alone(name):
         assert_same_report(got, want)
     for got, want in zip(run_grid(cfg, source, schedules, workers=2), reports):
         assert_same_report(got, want)
+
+
+def test_the_relax_snapshot_is_the_path_find_sb1_cuts_from():
+    """An automatic-schedule run rolls out the relaxed policy's mean path
+    once: the path `find_sb1` cuts sb1 from is the relax stage's snapshot."""
+    cfg, source = tiny_grid("nav1-5-auto")
+    env = env_from_config(cfg)
+    cut_from = []
+
+    def spy(xi_s, xi_relax, *args):
+        cut_from.append(xi_relax)
+        return find_sb1(xi_s, xi_relax, *args)
+
+    with mock.patch.object(curriculum, "find_sb1", spy):
+        rep = run_transfer(job_from_config(cfg, env, source, 1, None), "ease_barrier")
+    assert len(rep.stage_steps) == 1 + curriculum.AUTO_STAGES  # seed 1 crosses
+    [xi_relax] = cut_from
+    label, path = rep.stage_trajectories[0]
+    assert label == "relax" and path is xi_relax
+    assert rep.final_policy is rep.stage_policies[-1][1]
 
 
 def test_a_grid_checks_its_schedule_once():
